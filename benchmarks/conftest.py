@@ -1,0 +1,6 @@
+"""Put the library sources on the import path for the benchmark's tests."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
