@@ -45,27 +45,39 @@ _C_G = np.array([0.0] + [(-1.0) ** (j + 1) / math.factorial(j + 1) for j in rang
 _C_G2 = np.array([(-1.0) ** j / math.factorial(j + 2) for j in range(_N_TERMS)])
 _C_R = np.array([0.0] + [(-1.0) ** (j + 1) * j / math.factorial(j + 2) for j in range(1, _N_TERMS)])
 _C_W2 = np.array([(-1.0) ** j * j / math.factorial(j + 1) for j in range(1, _N_TERMS)])
-
-
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = np.full_like(x, c[-1])
-    for ck in c[-2::-1]:
-        y = y * x + ck
-    return y
+# Row j holds the x^j coefficient of (p, g, g2, r, w2). The w2 series has one
+# term fewer; its zero top coefficient leaves Horner's recurrence unchanged.
+_SERIES = np.stack([_C_P, _C_G, _C_G2, _C_R, np.append(_C_W2, 0.0)], axis=1)
 
 
 def _relative_exponentials(x: np.ndarray):
-    """Return (p, g, g2, r, w2) evaluated elementwise on x >= 0."""
+    """Return (p, g, g2, r, w2) evaluated elementwise on x >= 0.
+
+    Each entry is evaluated by one branch only: the five series in a single
+    Horner pass below ``X_SWITCH``, the expm1 forms above it.
+    """
     x = np.asarray(x, dtype=float)
-    small = x < X_SWITCH
-    xs = np.where(small, 1.0, x)  # placeholder avoids 0/0 in the direct branch
-    em = np.expm1(-xs)
-    p = np.where(small, _horner(_C_P, x), -em / xs)
-    g = np.where(small, _horner(_C_G, x), (xs + em) / xs)
-    g2 = np.where(small, _horner(_C_G2, x), (xs + em) / xs**2)
-    r = np.where(small, _horner(_C_R, x), (2.0 * (xs + em) + xs * em) / xs**2)
-    w2 = np.where(small, _horner(_C_W2, x), (xs + em + xs * em) / xs**2)
-    return p, g, g2, r, w2
+    flat = x.reshape(-1)
+    out = np.empty((5, flat.size))
+    small = flat < X_SWITCH
+    if small.any():
+        xs = flat[small]
+        y = np.repeat(_SERIES[-1][:, None], xs.size, axis=1)
+        for ck in _SERIES[-2::-1, :, None]:
+            y *= xs
+            y += ck
+        out[:, small] = y
+    large = ~small
+    if large.any():
+        xl = flat[large]
+        em = np.expm1(-xl)
+        xl2 = xl**2
+        out[0, large] = -em / xl
+        out[1, large] = (xl + em) / xl
+        out[2, large] = (xl + em) / xl2
+        out[3, large] = (2.0 * (xl + em) + xl * em) / xl2
+        out[4, large] = (xl + em + xl * em) / xl2
+    return tuple(row.reshape(x.shape) for row in out)
 
 
 @dataclass(frozen=True)

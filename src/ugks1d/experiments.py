@@ -28,7 +28,7 @@ from .grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_
 from .penalized import PenalizedOperator, ScatteringKernel, penalized_step
 from .reference import (ChandrasekharWeight, chandrasekhar_density, diffusion_run,
                         diffusion_timestep, upwind_step, upwind_timestep)
-from .ugks import (BoundarySpec, KineticState, SchemeConfig, cfl_timestep,
+from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                    moment_defect, step)
 
 __all__ = ["ExperimentSpec", "RunResult", "builtin_ids", "builtin_spec", "run",
@@ -216,16 +216,24 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
             else:
                 kernel = ScatteringKernel.isotropic(spec.kernel_constant, q)
             op = PenalizedOperator.build(kernel, q)
+            plan_mat = op.material(mesh)
 
-            def stepper(s, dt):
-                return penalized_step(s, spec.eps, op, mesh, q, bc, dt=dt, cfg=cfg)
+            def advance(s, plan):
+                return penalized_step(s, spec.eps, op, mesh, q, bc, cfg=cfg, plan=plan)
         else:
-            coeff_cache: dict = {}
+            plan_mat = mat
 
-            def stepper(s, dt):
-                if dt not in coeff_cache:
-                    coeff_cache[dt] = coefficient_arrays(dt, cfg.eps, mat.sigma_iface, mat.alpha_iface)
-                return step(s, cfg, mat, mesh, q, bc, dt=dt, coeff_arrays_tuple=coeff_cache[dt])
+            def advance(s, plan):
+                return step(s, cfg, mat, mesh, q, bc, plan=plan)
+
+        plans: dict = {}   # one per distinct dt: the policy's and each shortened leg end
+
+        def stepper(s, dt):
+            plan = plans.get(dt)
+            if plan is None:
+                coeffs = coefficient_arrays(dt, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
+                plan = plans[dt] = StepPlan(dt, cfg, plan_mat, mesh, q, bc, coeffs)
+            return advance(s, plan)
 
     profiles = []
     f_tables = [] if store_f else None

@@ -8,6 +8,7 @@ average 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 class VelocityQuadrature:
     """Discrete ordinate nodes/weights on [-1, 1] with precomputed half-moments.
 
+    Nodes are strictly ascending, so the negative nodes are ``nodes[:split]``
+    and the positive ones ``nodes[split:]``; ``positive`` is the matching mask.
     Half-moments are the discrete values of <v 1_{v<0}>, <v 1_{v>0}>,
     <v^2 1_{v<0}>, <v^2 1_{v>0}> and <v^2> under this quadrature; the scheme
     uses these rather than the exact integrals to avoid accuracy loss for
@@ -37,6 +40,8 @@ class VelocityQuadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
+    positive: np.ndarray = field(init=False)
+    split: int = field(init=False)
     m_v_neg: float = field(init=False)
     m_v_pos: float = field(init=False)
     m_v2_neg: float = field(init=False)
@@ -50,12 +55,16 @@ class VelocityQuadrature:
             raise InvalidArgumentError("nodes and weights must be 1-D arrays of equal length")
         if np.any(nodes == 0.0):
             raise InvalidArgumentError("quadrature must not place a node at v = 0")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
+        if np.any(np.diff(nodes) <= 0):
+            raise InvalidArgumentError("quadrature nodes must be strictly ascending")
+        pos = nodes > 0
+        neg = ~pos
+        for arr in (nodes, weights, pos):
+            arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        neg = nodes < 0
-        pos = ~neg
+        object.__setattr__(self, "positive", pos)
+        object.__setattr__(self, "split", int(np.count_nonzero(neg)))
         half = 0.5 * weights
         object.__setattr__(self, "m_v_neg", float(np.sum(half[neg] * nodes[neg])))
         object.__setattr__(self, "m_v_pos", float(np.sum(half[pos] * nodes[pos])))
@@ -66,11 +75,6 @@ class VelocityQuadrature:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    @property
-    def positive(self) -> np.ndarray:
-        """Boolean mask of nodes with v > 0."""
-        return self.nodes > 0
 
 
 def _validate_order(n: int) -> None:
@@ -84,9 +88,15 @@ def build_gauss_legendre(n: int) -> VelocityQuadrature:
     """Gauss-Legendre quadrature of even order ``n`` on [-1, 1].
 
     The even order guarantees no node at v = 0, where upwinding would be
-    ambiguous.  Weights sum to 2.
+    ambiguous.  Weights sum to 2.  A quadrature is immutable, so each order is
+    built once and shared.
     """
     _validate_order(n)
+    return _gauss_legendre(int(n))
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> VelocityQuadrature:
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return VelocityQuadrature(nodes, weights)
 
@@ -97,9 +107,14 @@ def build_double_gauss(n: int) -> VelocityQuadrature:
 
     Unlike the full-range rule, this one integrates polynomials exactly on
     each half-range separately, which matters for boundary half-moments of
-    odd functions.
+    odd functions.  Built once per order and shared, like the full-range rule.
     """
     _validate_order(n)
+    return _double_gauss(int(n))
+
+
+@lru_cache(maxsize=16)
+def _double_gauss(n: int) -> VelocityQuadrature:
     x, w = np.polynomial.legendre.leggauss(n // 2)
     vpos = 0.5 * (x + 1.0)
     wpos = 0.5 * w

@@ -10,14 +10,15 @@ along as a zero-mean, velocity-dependent source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidKernelError
-from .grid import SpatialMesh, VelocityQuadrature, average
-from .ugks import BoundarySpec, KineticState, SchemeConfig, _step_arrays
+from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average
+from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, _check_dt, apply,
+                   cfl_timestep)
 
 __all__ = [
     "ScatteringKernel",
@@ -112,14 +113,19 @@ def pseudo_inverse_v(op: np.ndarray, q: VelocityQuadrature) -> np.ndarray:
     return psi
 
 
-def penalization_theta(op: np.ndarray, q: VelocityQuadrature) -> float:
-    """theta = -<v^2>_h / <v L^{-1} v>_h; positive for any admissible kernel."""
+def _penalization(op: np.ndarray, q: VelocityQuadrature):
+    """(theta, L^{-1} v, <v L^{-1} v>_h) with theta = -<v^2>_h / <v L^{-1} v>_h."""
     psi = pseudo_inverse_v(op, q)
     v_psi = average(q, q.nodes * psi)
     theta = -q.m_v2 / v_psi
     if not theta > 0:
         raise InvalidKernelError(f"penalization weight must be positive, got {theta}")
-    return float(theta)
+    return float(theta), psi, v_psi
+
+
+def penalization_theta(op: np.ndarray, q: VelocityQuadrature) -> float:
+    """theta = -<v^2>_h / <v L^{-1} v>_h; positive for any admissible kernel."""
+    return _penalization(op, q)[0]
 
 
 @dataclass(frozen=True)
@@ -139,15 +145,18 @@ class PenalizedOperator:
     @classmethod
     def build(cls, kernel: ScatteringKernel, q: VelocityQuadrature) -> "PenalizedOperator":
         op = assemble_operator(kernel, q)
-        psi = pseudo_inverse_v(op, q)
-        v_psi = average(q, q.nodes * psi)
-        theta = -q.m_v2 / v_psi
-        if not theta > 0:
-            raise InvalidKernelError(f"penalization weight must be positive, got {theta}")
+        theta, psi, v_psi = _penalization(op, q)
         op.setflags(write=False)
         psi.setflags(write=False)
-        return cls(matrix=op, theta=float(theta), l_inv_v=psi,
-                   k_max=kernel.k_max, kappa=float(-v_psi))
+        return cls(matrix=op, theta=theta, l_inv_v=psi, k_max=kernel.k_max, kappa=float(-v_psi))
+
+    def material(self, mesh: SpatialMesh) -> MaterialField:
+        """The relaxation part as a material: sigma = theta, alpha = G = 0."""
+        n = mesh.n_cells
+        return MaterialField(
+            sigma_cell=np.full(n, self.theta), alpha_cell=np.zeros(n), g_cell=np.zeros(n),
+            sigma_iface=np.full(n + 1, self.theta), alpha_iface=np.zeros(n + 1),
+            g_iface=np.zeros(n + 1))
 
 
 def homogeneous_stability_margin(k_max: float, theta: float, dt: float, eps: float) -> float:
@@ -168,31 +177,20 @@ def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps:
 
 def penalized_step(state: KineticState, eps: float, op: PenalizedOperator,
                    mesh: SpatialMesh, q: VelocityQuadrature, bc: BoundarySpec,
-                   dt: Optional[float] = None, cfg: Optional[SchemeConfig] = None) -> KineticState:
+                   dt: Optional[float] = None, cfg: Optional[SchemeConfig] = None,
+                   plan: Optional[StepPlan] = None) -> KineticState:
     """One UGKS step with sigma -> theta, alpha -> 0 and the penalization
-    leftover as a per-node source evaluated at time n."""
-    if cfg is None:
-        cfg = SchemeConfig(eps=eps)
-    n = mesh.n_cells
-    theta_c = np.full(n, op.theta)
-    zeros_c = np.zeros(n)
-    theta_if = np.full(n + 1, op.theta)
-    zeros_if = np.zeros(n + 1)
-    if dt is None:
-        dx = mesh.dx
-        if cfg.diffusion_mode == "implicit_slopes":
-            dt = max(0.9 * eps * dx, cfg.cfl * dx)
-        else:
-            transport = eps * dx
-            diffusive = 1.5 * dx * dx * op.theta
-            dt = cfg.cfl * (transport + diffusive) if cfg.cfl_form == "sum" else cfg.cfl * max(transport, diffusive)
+    leftover as a per-node source evaluated at time n.
+
+    ``plan`` is a :class:`StepPlan` built on ``op.material(mesh)``; without
+    one, a plan is built for ``dt`` (default: the CFL policy with
+    sigma_min = theta).
+    """
+    if plan is None:
+        cfg = SchemeConfig(eps=eps) if cfg is None else replace(cfg, eps=eps)
+        mat = op.material(mesh)
+        plan = StepPlan(cfl_timestep(cfg, mat, mesh) if dt is None else dt, cfg, mat, mesh, q, bc)
+    _check_dt(plan, dt)
     g_tilde = penalized_source(state.f, state.rho, op, eps)
-    f_new, rho_new = _step_arrays(
-        state.f, state.rho, dt, eps, q, mesh.dx,
-        theta_c, zeros_c, None,
-        theta_if, zeros_if, None,
-        bc, cfg.reconstruction, cfg.theta_lim,
-        implicit=cfg.diffusion_mode == "implicit_slopes",
-        pernode_source=g_tilde,
-    )
-    return KineticState(f=f_new, rho=rho_new, t=state.t + dt)
+    f_new, rho_new = apply(plan, state.f, state.rho, g_tilde)
+    return KineticState(f=f_new, rho=rho_new, t=state.t + plan.dt)

@@ -15,7 +15,7 @@ cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,8 @@ __all__ = [
     "boundary_fluxes_left",
     "boundary_fluxes_right",
     "cfl_timestep",
+    "StepPlan",
+    "apply",
     "step",
     "moment_defect",
     "implicit_system",
@@ -205,60 +207,39 @@ def macro_flux(coef: FluxCoefficients, q: VelocityQuadrature, f_up, f_down,
     return out
 
 
-def _weight_values(q: VelocityQuadrature, variant: str):
-    """Raw and normalized half-range weight samples.
+def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_right: float,
+                    dt: float):
+    """Boundary densities and inflow terms at both walls.
 
-    Returns (w_pos, w_neg): values of W at |v| for the positive and negative
-    node halves, normalized so that ``sum_{v>0} w_k W(v_k) = 1`` under this
-    quadrature; the normalization makes the corrected boundary density map
-    isotropic inflow to itself exactly.
+    Returns ((rho_l, inflow_l), (rho_r, inflow_r)): rho_{1/2} and
+    rho_{N+1/2}, and the inflow parts of the two macroscopic boundary fluxes
+    times eps.  The right wall is the left wall under v -> -v: its incoming
+    nodes are the negative half and its outgoing moment <v 1_{v>0}>_h.  The
+    corrected density uses the half-range weight W(|v|), normalized so that
+    ``sum_{v>0} w_k W(v_k) = 1`` under this quadrature; the normalization
+    makes it map isotropic inflow to itself exactly.
     """
-    vals = weight_samples(variant, np.abs(q.nodes))
-    pos = q.positive
-    norm = float(np.sum(q.weights[pos] * vals[pos]))
-    vals = vals / norm
-    return vals
-
-
-def _boundary_density_left(q: VelocityQuadrature, bc: BoundarySpec, nu: float, dt: float):
-    """Boundary density rho_{1/2} and the inflow term coefficient data.
-
-    Returns (rho_half, inflow), where ``inflow`` multiplied by 1/eps is the
-    inflow part of the macroscopic boundary flux.
-    """
-    pos = q.positive
+    h = q.split
     wv = 0.5 * q.weights * q.nodes
-    fl = bc.f_left
-    stab_inflow = float(fl[pos] @ wv[pos])       # <v f_L 1_{v>0}>_h
-    rho_stab = -stab_inflow / q.m_v_neg
-    if bc.mode == "stabilized":
-        return rho_stab, stab_inflow
-    wn = _weight_values(q, bc.weight_variant)
-    rho_corr = float(np.sum(q.weights[pos] * wn[pos] * fl[pos]))  # = 2<W f_L 1_{v>0}>_h
-    corr_inflow = -q.m_v_neg * rho_corr
-    if bc.mode == "corrected":
-        return rho_corr, corr_inflow
-    theta = blend_parameter(nu, dt)
-    return ((1.0 - theta) * rho_stab + theta * rho_corr,
-            (1.0 - theta) * stab_inflow + theta * corr_inflow)
+    if bc.mode != "stabilized":
+        w_norm = weight_samples(bc.weight_variant, np.abs(q.nodes))
+        w_norm = w_norm / float(np.sum(q.weights[h:] * w_norm[h:]))
 
+    def wall(f_in, inc, m_out, nu):
+        stab_inflow = float(f_in[inc] @ wv[inc])
+        rho_stab = -stab_inflow / m_out
+        if bc.mode == "stabilized":
+            return rho_stab, stab_inflow
+        rho_corr = float(np.sum(q.weights[inc] * w_norm[inc] * f_in[inc]))  # = 2<W f 1_inc>_h
+        corr_inflow = -m_out * rho_corr
+        if bc.mode == "corrected":
+            return rho_corr, corr_inflow
+        theta = blend_parameter(nu, dt)
+        return ((1.0 - theta) * rho_stab + theta * rho_corr,
+                (1.0 - theta) * stab_inflow + theta * corr_inflow)
 
-def _boundary_density_right(q: VelocityQuadrature, bc: BoundarySpec, nu: float, dt: float):
-    neg = ~q.positive
-    wv = 0.5 * q.weights * q.nodes
-    fr = bc.f_right
-    stab_inflow = float(fr[neg] @ wv[neg])       # <v f_R 1_{v<0}>_h  (negative)
-    rho_stab = -stab_inflow / q.m_v_pos
-    if bc.mode == "stabilized":
-        return rho_stab, stab_inflow
-    wn = _weight_values(q, bc.weight_variant)
-    rho_corr = float(np.sum(q.weights[neg] * wn[neg] * fr[neg]))
-    corr_inflow = -q.m_v_pos * rho_corr
-    if bc.mode == "corrected":
-        return rho_corr, corr_inflow
-    theta = blend_parameter(nu, dt)
-    return ((1.0 - theta) * rho_stab + theta * rho_corr,
-            (1.0 - theta) * stab_inflow + theta * corr_inflow)
+    return (wall(bc.f_left, slice(h, None), q.m_v_neg, nu_left),
+            wall(bc.f_right, slice(0, h), q.m_v_pos, nu_right))
 
 
 def boundary_fluxes_left(coef: FluxCoefficients, q: VelocityQuadrature, bc: BoundarySpec,
@@ -272,7 +253,7 @@ def boundary_fluxes_left(coef: FluxCoefficients, q: VelocityQuadrature, bc: Boun
     v = q.nodes
     pos = q.positive
     wv = 0.5 * q.weights * v
-    rho_half, inflow = _boundary_density_left(q, bc, coef.nu, dt)
+    rho_half, inflow = _wall_densities(q, bc, coef.nu, coef.nu, dt)[0]
     d_r = (rho1 - rho_half) / (0.5 * dx)
     g_arr = np.asarray(g, dtype=float)
     phi = np.where(pos, v / eps * bc.f_left,
@@ -296,7 +277,7 @@ def boundary_fluxes_right(coef: FluxCoefficients, q: VelocityQuadrature, bc: Bou
     v = q.nodes
     pos = q.positive
     wv = 0.5 * q.weights * v
-    rho_half, inflow = _boundary_density_right(q, bc, coef.nu, dt)
+    rho_half, inflow = _wall_densities(q, bc, coef.nu, coef.nu, dt)[1]
     d_l = (rho_half - rhoN) / (0.5 * dx)
     g_arr = np.asarray(g, dtype=float)
     phi = np.where(~pos, v / eps * bc.f_right,
@@ -332,148 +313,192 @@ def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> fl
     return cfg.cfl * max(transport, diffusive)
 
 
-def _coefficients_for(dt: float, eps: float, mat_sigma_if: np.ndarray, mat_alpha_if: np.ndarray):
-    return coefficient_arrays(dt, eps, mat_sigma_if, mat_alpha_if)
+def _upwind(x: np.ndarray, split: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per interface, the values of the upwind cell: the v > 0 nodes of
+    interface j come from cell j-1 and the v < 0 nodes from cell j.  The
+    inflow half of each wall interface has no upwind cell and stays zero."""
+    if out is None:
+        out = np.zeros((x.shape[0] + 1, x.shape[1]))
+    out[1:, split:] = x[:, split:]
+    out[:-1, :split] = x[:, :split]
+    return out
 
 
-def _step_arrays(f: np.ndarray, rho: np.ndarray, dt: float, eps: float,
-                 q: VelocityQuadrature, dx: float,
-                 sigma_c: np.ndarray, alpha_c: np.ndarray, source_c: Optional[np.ndarray],
-                 sigma_if: np.ndarray, alpha_if: np.ndarray, g_if: Optional[np.ndarray],
-                 bc: BoundarySpec, reconstruction: str, theta_lim: float,
-                 implicit: bool, pernode_source: Optional[np.ndarray] = None,
-                 coeff_arrays_tuple=None):
-    """Advance (f, rho) by one step of size dt.  Shared by the isotropic and
-    penalized steppers; ``pernode_source`` replaces the scalar source G with a
-    per-cell, per-node field whose velocity mean is zero."""
-    n, k = f.shape
-    v = q.nodes
-    pos = q.positive
-    w_half = 0.5 * q.weights
-    wv = w_half * v
-    wv2 = w_half * v**2
-    mpp, mnn = q.m_v2_pos, q.m_v2_neg
+class StepPlan:
+    """Everything in one step of size dt that does not depend on the state.
 
-    if coeff_arrays_tuple is None:
-        coeff_arrays_tuple = _coefficients_for(dt, eps, sigma_if, alpha_if)
-    a_if, b_if, c_if, d_if, e_if, nu_if = coeff_arrays_tuple
+    The update is linear, so for a fixed dt the interface coefficients, the
+    boundary densities with their inflow fluxes, the relaxation denominators
+    and the implicit bands are constants.  A plan computes them once, in
+    O(cells) work; build one per distinct dt and advance with :func:`apply`.
+    ``coeffs`` takes the ``coefficient_arrays`` tuple when the caller has
+    already evaluated it.
 
-    second_order = reconstruction == "mc_limited"
-    df = _mc_slope_rows(f, dx, theta_lim) if second_order else None
+    The quadrature's ascending nodes make v < 0 and v > 0 the contiguous
+    halves ``[:, :split]`` and ``[:, split:]`` of every node array, so the
+    upwind selection is two slice copies.  A plan owns scratch buffers, so
+    it must not be applied from two threads at once.
+    """
 
-    # Interior interfaces j = 1..n-1 (index 0..n-2 in the sliced arrays).
-    rho_if = np.where(pos[None, :], f[:-1], f[1:]) @ w_half
-    if second_order:
-        f_up = f[:-1] + (0.5 * dx) * df[:-1]
-        f_dn = f[1:] - (0.5 * dx) * df[1:]
-    else:
-        f_up, f_dn = f[:-1], f[1:]
-    sel = np.where(pos[None, :], f_up, f_dn)
+    def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
+                 q: VelocityQuadrature, bc: BoundarySpec, coeffs=None):
+        if not dt > 0:
+            raise InvalidArgumentError(f"dt must be positive, got {dt}")
+        n, k, h = mesh.n_cells, q.n, q.split
+        if mat.n_cells != n or bc.f_left.shape != (k,) or bc.f_right.shape != (k,):
+            raise InvalidArgumentError("material, mesh, quadrature and inflow sizes disagree")
+        if coeffs is None:
+            coeffs = coefficient_arrays(dt, cfg.eps, mat.sigma_iface, mat.alpha_iface)
+        a, b, c, d, e, nu = coeffs
+        eps, dx = cfg.eps, mesh.dx
+        v = q.nodes
+        mpp, mnn = q.m_v2_pos, q.m_v2_neg
+        self.dt, self.dx = dt, dx
+        self.shape, self.split = (n, k), h
+        self.implicit = cfg.diffusion_mode == "implicit_slopes"
+        self.second_order = cfg.reconstruction == "mc_limited"
+        self.theta_lim = cfg.theta_lim
+        self.mpp, self.mnn = mpp, mnn
+        self.v = v
+        self.w_half = 0.5 * q.weights
+        self.wv = self.w_half * v
+        self.a, self.c, self.d, self.e = a, c, d, e
+        self.a_col, self.e_col = a[:, None], e[:, None]
+        g_if = mat.g_iface
+        self.eg = e * g_if if np.any(g_if) else None
+        if self.second_order:
+            self.b, self.b_col = b, b[:, None]
+            self.wv2 = self.w_half * v**2
+            self.up_shift = np.where(q.positive, 0.5 * dx, -0.5 * dx)
 
-    ai = a_if[1:-1, None]
-    ci = c_if[1:-1, None]
-    ei = e_if[1:-1, None]
-    phi_static = ai * v * sel + ci * v * rho_if[:, None]
-    big_phi_static = a_if[1:-1] * (sel @ wv)
-    if second_order:
-        dfs = np.where(pos[None, :], df[:-1], df[1:])
-        phi_static += b_if[1:-1, None] * v**2 * dfs
-        big_phi_static = big_phi_static + b_if[1:-1] * (dfs @ wv2)
-    if pernode_source is not None:
-        gsel = np.where(pos[None, :], pernode_source[:-1], pernode_source[1:])
-        phi_static += ei * v * gsel
-        big_phi_static = big_phi_static + e_if[1:-1] * (gsel @ wv)
-        g_left, g_right = pernode_source[0], pernode_source[-1]
-    else:
-        phi_static += ei * v * g_if[1:-1, None]
-        g_left, g_right = float(g_if[0]), float(g_if[-1])
+        (rho_l, inflow_l), (rho_r, inflow_r) = _wall_densities(q, bc, float(nu[0]), float(nu[-1]), dt)
+        self.rho_half = (rho_l, rho_r)
+        # Terms of the wall macroscopic fluxes after the upwind one, in the
+        # order of the boundary flux oracles: they cancel to O(1) from O(1/eps).
+        self.wall_terms = (
+            (0, inflow_l / eps, c[0] * q.m_v_neg * rho_l, e[0] * q.m_v_neg * float(g_if[0])),
+            (-1, inflow_r / eps, c[-1] * q.m_v_pos * rho_r, e[-1] * q.m_v_pos * float(g_if[-1])),
+        )
+        self.wall_slope = (d[0] * mnn, d[-1] * mpp)
+        self.inflow_left = v[h:] / eps * bc.f_left[h:]
+        self.inflow_right = v[:h] / eps * bc.f_right[:h]
+        self.up = np.zeros((n + 1, k))         # scratch, inflow halves kept zero
+        self.slope_sel = np.zeros((n + 1, k))  # scratch, inflow halves kept zero
+        self.phi = np.empty((n + 1, k))
 
-    # Boundary densities and the static (slope-free) parts of the boundary fluxes.
-    rho_half_l, inflow_l = _boundary_density_left(q, bc, float(nu_if[0]), dt)
-    rho_half_r, inflow_r = _boundary_density_right(q, bc, float(nu_if[-1]), dt)
+        self.g_cell = mat.g_cell if np.any(mat.g_cell) else None
+        self.den_rho = 1.0 / dt + mat.alpha_cell
+        self.relax = mat.sigma_cell[:, None] / eps**2
+        self.den_f = 1.0 / dt + self.relax + mat.alpha_cell[:, None]
+        if self.implicit:
+            self.bands = _implicit_bands(d, mpp, mnn, dx, dt, mat.alpha_cell)
+            lower, diag, upper = self.bands
+            self.ab = np.zeros((3, n))
+            self.ab[0, 1:] = upper[:-1]
+            self.ab[1, :] = diag
+            self.ab[2, :-1] = lower[1:]
+            # Explicit (time-n) part of each interface D-flux: the interface density.
+            self.expl_coef = (2.0 * d[1:-1] / dx) * (mpp - mnn)
+            self.expl_walls = (-(2.0 * d[0] / dx) * mnn * rho_l, (2.0 * d[-1] / dx) * mpp * rho_r)
 
-    g_left_arr = np.asarray(g_left, dtype=float)
-    g_right_arr = np.asarray(g_right, dtype=float)
-    phi_l_static = np.where(pos, v / eps * bc.f_left,
-                            a_if[0] * v * f[0] + c_if[0] * v * rho_half_l
-                            + e_if[0] * v * g_left_arr)
-    phi_r_static = np.where(~pos, v / eps * bc.f_right,
-                            a_if[-1] * v * f[-1] + c_if[-1] * v * rho_half_r
-                            + e_if[-1] * v * g_right_arr)
-    if g_left_arr.ndim == 0:
-        e_l = e_if[0] * q.m_v_neg * float(g_left_arr)
-        e_r = e_if[-1] * q.m_v_pos * float(g_right_arr)
-    else:
-        e_l = e_if[0] * float(g_left_arr[~pos] @ wv[~pos])
-        e_r = e_if[-1] * float(g_right_arr[pos] @ wv[pos])
-    big_phi_l_static = (inflow_l / eps + a_if[0] * float(f[0][~pos] @ wv[~pos])
-                        + c_if[0] * q.m_v_neg * rho_half_l + e_l)
-    big_phi_r_static = (inflow_r / eps + a_if[-1] * float(f[-1][pos] @ wv[pos])
-                        + c_if[-1] * q.m_v_pos * rho_half_r + e_r)
 
-    source_rho = source_c if source_c is not None else 0.0
-    inv_dx = 1.0 / dx
-    two_over_dx = 2.0 / dx
+def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
+          pernode_source: Optional[np.ndarray] = None):
+    """Advance (f, rho) by one step of the plan's dt; returns (f_new, rho_new).
 
-    if not implicit:
-        d_l = (rho_if - rho[:-1]) * two_over_dx
-        d_r = (rho[1:] - rho_if) * two_over_dx
-        d_r0 = (rho[0] - rho_half_l) * two_over_dx
-        d_ln = (rho_half_r - rho[-1]) * two_over_dx
-        big_phi = np.empty(n + 1)
-        big_phi[0] = big_phi_l_static + d_if[0] * mnn * d_r0
-        big_phi[1:-1] = big_phi_static + d_if[1:-1] * (mpp * d_l + mnn * d_r)
-        big_phi[-1] = big_phi_r_static + d_if[-1] * mpp * d_ln
-        rho_new = (rho / dt - np.diff(big_phi) * inv_dx + source_rho) / (1.0 / dt + alpha_c)
-    else:
-        # The D-terms couple the time-(n+1) neighbour densities: assemble and
-        # solve the tridiagonal system by direct elimination.
-        lower, diag, upper, expl = _implicit_bands(
-            d_if, mpp, mnn, dx, dt, alpha_c, rho_if, rho_half_l, rho_half_r)
-        big_phi_expl = np.empty(n + 1)
-        big_phi_expl[0] = big_phi_l_static + expl[0]
-        big_phi_expl[1:-1] = big_phi_static + expl[1:-1]
-        big_phi_expl[-1] = big_phi_r_static + expl[-1]
-        rhs = rho / dt - np.diff(big_phi_expl) * inv_dx + source_rho
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
+    ``pernode_source`` is a per-cell, per-node source with zero velocity
+    mean (the penalized leftover), added to the plan's scalar source.
+    """
+    p = plan
+    if f.shape != p.shape or rho.shape != p.shape[:1]:
+        raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {p.shape}")
+    h = p.split
+    up = _upwind(f, h, p.up)
+    rho_if = up @ p.w_half
+    rho_if[0], rho_if[-1] = p.rho_half
+    if p.second_order:
+        df_up = _upwind(_mc_slope_rows(f, p.dx, p.theta_lim), h)
+        up = up + p.up_shift * df_up
+    g_up = None if pernode_source is None else _upwind(pernode_source, h)
+
+    big_phi = p.a * (up @ p.wv)
+    for wall, inflow, c_term, e_term in p.wall_terms:
+        big_phi[wall] += inflow
+        big_phi[wall] += c_term
+        big_phi[wall] += e_term
+    if p.second_order:
+        big_phi += p.b * (df_up @ p.wv2)
+    if g_up is not None:
+        big_phi += p.e * (g_up @ p.wv)
+
+    inv_dx = 1.0 / p.dx
+    two_over_dx = 2.0 / p.dx
+    if p.implicit:
+        # The D-terms couple the time-(n+1) densities: only their
+        # interface-density part is explicit, the rest is the banded solve.
+        big_phi[1:-1] += p.expl_coef * rho_if[1:-1]
+        big_phi[0] += p.expl_walls[0]
+        big_phi[-1] += p.expl_walls[1]
+        rhs = rho / p.dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
+        if p.g_cell is not None:
+            rhs += p.g_cell
         try:
-            rho_new = solve_banded((1, 1), ab, rhs)
+            rho_new = solve_banded((1, 1), p.ab, rhs, overwrite_b=True, check_finite=False)
         except np.linalg.LinAlgError as exc:  # diagonally dominant: unreachable
             raise SolverFailureError(f"implicit density solve failed: {exc}") from exc
-        d_l = (rho_if - rho_new[:-1]) * two_over_dx
-        d_r = (rho_new[1:] - rho_if) * two_over_dx
-        d_r0 = (rho_new[0] - rho_half_l) * two_over_dx
-        d_ln = (rho_half_r - rho_new[-1]) * two_over_dx
+        d_l = (rho_if[1:] - rho_new) * two_over_dx    # v > 0 slope, interfaces 1..N
+        d_r = (rho_new - rho_if[:-1]) * two_over_dx   # v < 0 slope, interfaces 0..N-1
+    else:
+        d_l = (rho_if[1:] - rho) * two_over_dx
+        d_r = (rho - rho_if[:-1]) * two_over_dx
+        big_phi[1:-1] += p.d[1:-1] * (p.mpp * d_l[:-1] + p.mnn * d_r[1:])
+        big_phi[0] += p.wall_slope[0] * d_r[0]
+        big_phi[-1] += p.wall_slope[1] * d_l[-1]
+        rho_new = rho / p.dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
+        if p.g_cell is not None:
+            rho_new += p.g_cell
+        rho_new /= p.den_rho
 
-    phi = np.empty((n + 1, k))
-    phi[0] = phi_l_static + np.where(pos, 0.0, d_if[0] * v**2 * d_r0)
-    phi[1:-1] = phi_static + d_if[1:-1, None] * v**2 * np.where(pos[None, :], d_l[:, None], d_r[:, None])
-    phi[-1] = phi_r_static + np.where(pos, d_if[-1] * v**2 * d_ln, 0.0)
+    # phi = v (A f_up + C rho_if + E G + v (B df_up + D slope)), built in place.
+    phi = np.multiply(p.a_col, up, out=p.phi)
+    scalar_terms = p.c * rho_if
+    if p.eg is not None:
+        scalar_terms += p.eg
+    phi += scalar_terms[:, None]
+    if g_up is not None:
+        phi += p.e_col * g_up
+    slope = p.slope_sel
+    slope[1:, h:] = (p.d[1:] * d_l)[:, None]
+    slope[:-1, :h] = (p.d[:-1] * d_r)[:, None]
+    if p.second_order:
+        slope += p.b_col * df_up
+    slope *= p.v
+    phi += slope
+    phi *= p.v
+    phi[0, h:] = p.inflow_left
+    phi[-1, :h] = p.inflow_right
 
-    relax = sigma_c[:, None] / eps**2
-    denom = 1.0 / dt + relax + alpha_c[:, None]
-    source_f = pernode_source if pernode_source is not None else (source_c[:, None] if source_c is not None else 0.0)
-    f_new = (f / dt - (phi[1:] - phi[:-1]) * inv_dx + relax * rho_new[:, None] + source_f) / denom
-
-    if not np.all(np.isfinite(f_new)) or not np.all(np.isfinite(rho_new)):
+    f_new = f / p.dt
+    f_new -= (phi[1:] - phi[:-1]) * inv_dx
+    f_new += p.relax * rho_new[:, None]
+    if p.g_cell is not None:
+        f_new += p.g_cell[:, None]
+    if pernode_source is not None:
+        f_new += pernode_source
+    f_new /= p.den_f
+    if not (np.isfinite(f_new).all() and np.isfinite(rho_new).all()):
         raise SolverFailureError("non-finite values after step")
     return f_new, rho_new
 
 
 def _implicit_bands(d_if: np.ndarray, mpp: float, mnn: float, dx: float, dt: float,
-                    alpha_c: np.ndarray, rho_if: np.ndarray,
-                    rho_half_l: float, rho_half_r: float):
-    """Tridiagonal bands of the implicit density solve plus the explicit
-    (time-n) leftover of each interface D-flux.
+                    alpha_c: np.ndarray):
+    """Tridiagonal bands (lower, diag, upper) of the implicit density solve.
 
     With c_j = 2 D_j / dx^2 <= 0, row i reads
     ``lower[i] rho_{i-1} + diag[i] rho_i + upper[i] rho_{i+1} = rhs_i`` with
     diag[i] = 1/dt + alpha_i - c_{i+1} mpp - c_i mnn, upper[i] = c_{i+1} mnn,
-    lower[i] = c_i mpp.  ``expl[j]`` is flux-level and completes the
-    interface-j D-term when added to the static macroscopic flux.
+    lower[i] = c_i mpp.
     """
     n = alpha_c.size
     c = d_if * (2.0 / dx**2)
@@ -482,30 +507,30 @@ def _implicit_bands(d_if: np.ndarray, mpp: float, mnn: float, dx: float, dt: flo
     upper = np.zeros(n)
     upper[:-1] = c[1:-1] * mnn
     lower[1:] = c[1:-1] * mpp
-    expl = np.empty(n + 1)
-    expl[1:-1] = (2.0 * d_if[1:-1] / dx) * (mpp - mnn) * rho_if
-    expl[0] = -(2.0 * d_if[0] / dx) * mnn * rho_half_l
-    expl[-1] = (2.0 * d_if[-1] / dx) * mpp * rho_half_r
-    return lower, diag, upper, expl
+    return lower, diag, upper
 
 
 def step(state: KineticState, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
          q: VelocityQuadrature, bc: BoundarySpec, dt: Optional[float] = None,
-         coeff_arrays_tuple=None) -> KineticState:
-    """Advance the state by one UGKS step (isotropic collision operator)."""
+         plan: Optional[StepPlan] = None) -> KineticState:
+    """Advance the state by one UGKS step (isotropic collision operator).
+
+    ``plan`` holds the step's constants for its dt; without one, a plan is
+    built for ``dt`` (default: :func:`cfl_timestep`).  Repeated steps of
+    one size should share a plan.
+    """
     if cfg.collision != "isotropic":
         raise InvalidArgumentError("step() handles the isotropic operator; use penalized_step")
-    if dt is None:
-        dt = cfl_timestep(cfg, mat, mesh)
-    f_new, rho_new = _step_arrays(
-        state.f, state.rho, dt, cfg.eps, q, mesh.dx,
-        mat.sigma_cell, mat.alpha_cell, mat.g_cell,
-        mat.sigma_iface, mat.alpha_iface, mat.g_iface,
-        bc, cfg.reconstruction, cfg.theta_lim,
-        implicit=cfg.diffusion_mode == "implicit_slopes",
-        coeff_arrays_tuple=coeff_arrays_tuple,
-    )
-    return KineticState(f=f_new, rho=rho_new, t=state.t + dt)
+    if plan is None:
+        plan = StepPlan(cfl_timestep(cfg, mat, mesh) if dt is None else dt, cfg, mat, mesh, q, bc)
+    _check_dt(plan, dt)
+    f_new, rho_new = apply(plan, state.f, state.rho)
+    return KineticState(f=f_new, rho=rho_new, t=state.t + plan.dt)
+
+
+def _check_dt(plan: StepPlan, dt: Optional[float]) -> None:
+    if dt is not None and dt != plan.dt:
+        raise InvalidArgumentError(f"dt={dt} differs from the plan's dt={plan.dt}")
 
 
 def moment_defect(state: KineticState, q: VelocityQuadrature) -> float:
@@ -523,12 +548,4 @@ def implicit_system(state: KineticState, cfg: SchemeConfig, mat: MaterialField,
     evaluated across that interface."""
     if dt is None:
         dt = cfl_timestep(cfg, mat, mesh)
-    a_if, b_if, c_if, d_if, e_if, nu_if = _coefficients_for(dt, cfg.eps, mat.sigma_iface, mat.alpha_iface)
-    pos = q.positive
-    w_half = 0.5 * q.weights
-    rho_if = np.where(pos[None, :], state.f[:-1], state.f[1:]) @ w_half
-    rho_half_l, _ = _boundary_density_left(q, bc, float(nu_if[0]), dt)
-    rho_half_r, _ = _boundary_density_right(q, bc, float(nu_if[-1]), dt)
-    lower, diag, upper, _ = _implicit_bands(
-        d_if, q.m_v2_pos, q.m_v2_neg, mesh.dx, dt, mat.alpha_cell, rho_if, rho_half_l, rho_half_r)
-    return lower, diag, upper
+    return StepPlan(dt, replace(cfg, diffusion_mode="implicit_slopes"), mat, mesh, q, bc).bands

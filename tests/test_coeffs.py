@@ -3,9 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from ugks1d.coeffs import (X_SWITCH, _C_G, _C_G2, _C_P, _C_R, _C_W2, _horner,
-                           blend_parameter, flux_coefficients)
+from ugks1d.coeffs import (X_SWITCH, _C_G, _C_G2, _C_P, _C_R, _C_W2,
+                           _relative_exponentials, blend_parameter, flux_coefficients)
 from ugks1d.errors import InvalidArgumentError
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One Maclaurin series by Horner's rule; the per-function reference form."""
+    y = np.full_like(x, c[-1])
+    for ck in c[-2::-1]:
+        y = y * x + ck
+    return y
+
+
+def _relative_exponentials_reference(x: np.ndarray):
+    """(p, g, g2, r, w2) with each series and each expm1 form evaluated on
+    every entry, then selected per entry."""
+    small = x < X_SWITCH
+    xs = np.where(small, 1.0, x)
+    em = np.expm1(-xs)
+    return (np.where(small, _horner(_C_P, x), -em / xs),
+            np.where(small, _horner(_C_G, x), (xs + em) / xs),
+            np.where(small, _horner(_C_G2, x), (xs + em) / xs**2),
+            np.where(small, _horner(_C_R, x), (2.0 * (xs + em) + xs * em) / xs**2),
+            np.where(small, _horner(_C_W2, x), (xs + em + xs * em) / xs**2))
 
 
 def test_unit_inputs_match_closed_forms():
@@ -100,6 +121,24 @@ def test_branch_switch_continuity():
     for name in direct:
         rel = abs(direct[name][0] - series[name][0]) / abs(direct[name][0])
         assert rel < 1e-10, name
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.0]),
+    np.array([X_SWITCH]),
+    np.array([1e3]),
+    np.linspace(0.0, 0.099, 26),
+    np.geomspace(X_SWITCH, 1e12, 201),
+    np.array([0.0, 1e-300, 1e-8, np.nextafter(X_SWITCH, 0.0), X_SWITCH, 0.3, 7.0, 1e16]),
+    np.random.default_rng(5).permutation(np.concatenate((np.geomspace(1e-12, 1e6, 120), [0.0]))),
+])
+def test_stacked_series_bit_identical_to_reference(x):
+    for got, ref in zip(_relative_exponentials(x), _relative_exponentials_reference(x)):
+        assert got.shape == x.shape
+        assert np.array_equal(got, ref)
+    scalar = _relative_exponentials(np.float64(x[-1]))
+    for got, ref in zip(scalar, _relative_exponentials_reference(x[-1:])):
+        assert got.shape == () and got == ref[0]
 
 
 def test_blend_parameter():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ugks1d.errors import InvalidArgumentError, InvalidDataError
-from ugks1d.grid import (SpatialMesh, average, build_double_gauss,
+from ugks1d.grid import (SpatialMesh, VelocityQuadrature, average, build_double_gauss,
                          build_gauss_legendre, sample_material)
 
 
@@ -31,6 +31,15 @@ def test_quadrature_invariants(builder, n):
     assert abs(q.m_v_neg + q.m_v_pos) < 1e-14
     assert abs(q.m_v2_neg - q.m_v2_pos) < 1e-14
     assert abs(q.m_v2_neg + q.m_v2_pos - q.m_v2) < 1e-14
+    # ascending nodes: the negative half precedes the positive half
+    assert np.all(q.nodes[:q.split] < 0) and np.all(q.nodes[q.split:] > 0)
+    assert np.array_equal(q.positive, q.nodes > 0)
+
+
+@pytest.mark.parametrize("nodes", [[0.5, -0.5], [-0.5, -0.5, 0.5, 0.7], [-0.5, 0.5, 0.3]])
+def test_quadrature_rejects_unsorted_nodes(nodes):
+    with pytest.raises(InvalidArgumentError):
+        VelocityQuadrature(np.array(nodes), np.full(len(nodes), 2.0 / len(nodes)))
 
 
 def test_second_moment_exact_for_16_nodes():

@@ -1,0 +1,114 @@
+"""A StepPlan built once and reused must give the same bits as a fresh plan
+per step, for every scheme option and in the experiment driver."""
+
+import numpy as np
+import pytest
+
+from ugks1d.errors import InvalidArgumentError
+from ugks1d.experiments import builtin_spec, run
+from ugks1d.grid import SpatialMesh, build_gauss_legendre, sample_material
+from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
+from ugks1d.ugks import (BC_MODES, BoundarySpec, KineticState, SchemeConfig, StepPlan,
+                         apply, cfl_timestep, step)
+
+Q16 = build_gauss_legendre(16)
+N_CELLS = 20
+N_STEPS = 12
+
+
+def setup(eps=0.05, **cfg_kw):
+    mesh = SpatialMesh(0.0, 1.0, N_CELLS)
+    mat = sample_material(lambda x: 1.0 + (4.0 * x) ** 2, 0.2, 0.5, mesh)
+    return mesh, mat, SchemeConfig(eps=eps, **cfg_kw)
+
+
+def rough_state():
+    """Anisotropic, non-smooth data, so every flux term and limiter branch acts."""
+    f = np.random.default_rng(7).random((N_CELLS, Q16.n))
+    return KineticState.from_distribution(f, Q16)
+
+
+def assert_same(a: KineticState, b: KineticState):
+    assert np.array_equal(a.f, b.f)
+    assert np.array_equal(a.rho, b.rho)
+    assert a.t == b.t
+
+
+@pytest.mark.parametrize("mode", BC_MODES)
+@pytest.mark.parametrize("reconstruction", ["first_order", "mc_limited"])
+@pytest.mark.parametrize("diffusion_mode", ["explicit_slopes", "implicit_slopes"])
+def test_reused_plan_matches_fresh_plans(mode, reconstruction, diffusion_mode):
+    mesh, mat, cfg = setup(reconstruction=reconstruction, diffusion_mode=diffusion_mode)
+    bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode=mode)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    reused = fresh = rough_state()
+    for _ in range(N_STEPS):
+        reused = step(reused, cfg, mat, mesh, Q16, bc, plan=plan)
+        fresh = step(fresh, cfg, mat, mesh, Q16, bc, plan=None)
+        assert_same(reused, fresh)
+    assert np.ptp(reused.rho) > 1e-3        # the data still varies
+
+
+@pytest.mark.parametrize("diffusion_mode", ["explicit_slopes", "implicit_slopes"])
+def test_reused_penalized_plan_matches_fresh_plans(diffusion_mode):
+    eps = 0.3
+    mesh, _, cfg = setup(eps=eps, diffusion_mode=diffusion_mode)
+    table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
+    op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
+    bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
+    mat = op.material(mesh)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    reused = fresh = rough_state()
+    for _ in range(N_STEPS):
+        reused = penalized_step(reused, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+        fresh = penalized_step(fresh, eps, op, mesh, Q16, bc, cfg=cfg)
+        assert_same(reused, fresh)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(scheme="ugks_id", bc_mode="blended"),
+    dict(collision="penalized", kernel_constant=1.0),
+])
+def test_run_matches_manual_stepping_with_shortened_leg_ends(overrides):
+    spec = builtin_spec("ex5", times=(0.0123, 0.05), **overrides)
+    res = run(spec, cells=N_CELLS, store_f=True)
+
+    mesh = SpatialMesh(spec.x_min, spec.x_max, N_CELLS)
+    mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
+    bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, Q16, mode=spec.bc_mode)
+    cfg = SchemeConfig(eps=spec.eps, diffusion_mode="implicit_slopes"
+                       if spec.scheme == "ugks_id" else "explicit_slopes")
+    op = PenalizedOperator.build(ScatteringKernel.isotropic(1.0, Q16), Q16)
+    dt_policy = cfl_timestep(cfg, mat, mesh)
+    state = KineticState.from_distribution(np.zeros((N_CELLS, Q16.n)), Q16)
+    t, shortened = 0.0, 0
+    for t_target, rho_run, f_run in zip(spec.times, res.rho, res.f):
+        while t < t_target - 1e-13:
+            dt = min(dt_policy, t_target - t)
+            shortened += dt < dt_policy
+            if spec.collision == "penalized":
+                state = penalized_step(state, spec.eps, op, mesh, Q16, bc, dt=dt, cfg=cfg)
+            else:
+                state = step(state, cfg, mat, mesh, Q16, bc, dt=dt)
+            t += dt
+        t = t_target
+        assert np.array_equal(state.rho, rho_run)
+        assert np.array_equal(state.f, f_run)
+    assert shortened == len(spec.times)
+
+
+def test_plan_rejects_a_mismatched_step():
+    mesh, mat, cfg = setup()
+    bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
+    dt = cfl_timestep(cfg, mat, mesh)
+    plan = StepPlan(dt, cfg, mat, mesh, Q16, bc)
+    state = rough_state()
+    with pytest.raises(InvalidArgumentError):
+        step(state, cfg, mat, mesh, Q16, bc, dt=0.5 * dt, plan=plan)
+    with pytest.raises(InvalidArgumentError):
+        apply(plan, state.f[:-1], state.rho[:-1])
+    with pytest.raises(InvalidArgumentError):
+        StepPlan(0.0, cfg, mat, mesh, Q16, bc)
+    with pytest.raises(InvalidArgumentError):
+        StepPlan(dt, cfg, mat, SpatialMesh(0.0, 1.0, N_CELLS + 1), Q16, bc)
