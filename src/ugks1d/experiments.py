@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeffs import coefficient_arrays
 from .errors import ConfigError, InvalidArgumentError, SolverFailureError
-from .grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material
+from .grid import SpatialMesh, average, build_double_gauss, build_gauss_legendre, sample_material
 from .penalized import PenalizedOperator, ScatteringKernel, penalized_step
 from .reference import (ChandrasekharWeight, chandrasekhar_density, diffusion_run,
                         diffusion_timestep, upwind_step, upwind_timestep)
@@ -153,8 +153,8 @@ def _initial_state(spec: ExperimentSpec, mesh: SpatialMesh, q) -> KineticState:
         vals = np.array([float(init(x)) for x in mesh.centers])
     else:
         vals = np.full(mesh.n_cells, float(init))
-    f0 = np.repeat(vals[:, None], q.n, axis=1)
-    return KineticState.from_distribution(f0, q, t=0.0)
+    f0 = np.repeat(vals[None, :], q.n, axis=0).T    # node-major, like every stepped state
+    return KineticState(f=f0, rho=average(q, f0), t=0.0)
 
 
 def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
@@ -320,7 +320,13 @@ def result_filename(run_name: str, t: float) -> str:
 
 def read_csv(path):
     """Read a profile file written by :func:`write_csv`; returns (x, rho)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names is None or "x" not in data.dtype.names or "rho" not in data.dtype.names:
-        raise ConfigError(f"{path}: expected a header with x,rho columns")
-    return np.atleast_1d(data["x"]), np.atleast_1d(data["rho"])
+    with open(path, encoding="ascii") as fh:
+        names = fh.readline().strip().split(",")
+        if "x" not in names or "rho" not in names:
+            raise ConfigError(f"{path}: expected a header with x,rho columns")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                              usecols=(names.index("x"), names.index("rho")))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return data[:, 0], data[:, 1]

@@ -22,6 +22,7 @@ __all__ = [
     "build_gauss_legendre",
     "build_double_gauss",
     "average",
+    "mc_slopes",
     "sample_material",
 ]
 
@@ -121,6 +122,23 @@ def _double_gauss(n: int) -> VelocityQuadrature:
     nodes = np.concatenate((-vpos[::-1], vpos))
     weights = np.concatenate((wpos[::-1], wpos))
     return VelocityQuadrature(nodes, weights)
+
+
+def mc_slopes(f: np.ndarray, dx: float, theta_lim: float, axis: int = 0) -> np.ndarray:
+    """MC-limited slope of ``f`` along its cell ``axis``: the three-argument
+    minmod of the central and the two theta-scaled one-sided differences,
+    zero on sign disagreement and in the first and last cells."""
+    f = f.swapaxes(0, axis)
+    a = (f[2:] - f[:-2]) / (2.0 * dx)
+    b = theta_lim * (f[1:-1] - f[:-2]) / dx
+    c = theta_lim * (f[2:] - f[1:-1]) / dx
+    lo = np.minimum(a, np.minimum(b, c))
+    hi = np.maximum(a, np.maximum(b, c))
+    df = np.zeros_like(f)
+    # minmod: the smallest if all three are positive, the largest if all are
+    # negative, else zero; at most one of the two terms is nonzero.
+    np.add(np.maximum(lo, 0.0, out=lo), np.minimum(hi, 0.0, out=hi), out=df[1:-1])
+    return df.swapaxes(0, axis)
 
 
 def average(q: VelocityQuadrature, samples: np.ndarray) -> float:

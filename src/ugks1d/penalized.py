@@ -169,8 +169,12 @@ def homogeneous_stability_margin(k_max: float, theta: float, dt: float, eps: flo
 
 
 def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float) -> np.ndarray:
-    """Per-cell, per-node source (L f - theta R f)/eps^2; zero velocity mean."""
-    lf = f @ op.matrix.T
+    """Per-cell, per-node source (L f - theta R f)/eps^2; zero velocity mean.
+
+    The product runs on node-major data, which a stepped state already is, so
+    that its rounding does not depend on the memory order of ``f``.
+    """
+    lf = (op.matrix @ np.ascontiguousarray(f.T)).T
     rf = rho[:, None] - f
     return (lf - op.theta * rf) / eps**2
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import InvalidArgumentError, SolverFailureError
-from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average
+from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes
 
 __all__ = [
     "ChandrasekharWeight",
@@ -93,9 +93,7 @@ def upwind_step(f: np.ndarray, eps: float, mat: MaterialField, mesh: SpatialMesh
     n = f.shape[0]
 
     if reconstruction == "mc_limited":
-        from .ugks import _mc_slope_rows
-
-        df = _mc_slope_rows(f, dx, theta_lim)
+        df = mc_slopes(f, dx, theta_lim)
         shift = 0.5 * dx - v[None, :] * (0.5 * dt / eps)   # v>0 side
         shift_dn = -0.5 * dx - v[None, :] * (0.5 * dt / eps)
         up_vals = f + shift * df

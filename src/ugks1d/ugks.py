@@ -23,7 +23,7 @@ from scipy.linalg import solve_banded
 
 from .coeffs import FluxCoefficients, blend_parameter, coefficient_arrays
 from .errors import InvalidArgumentError, InvalidDataError, SolverFailureError
-from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average
+from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes
 from .reference import weight_samples
 
 __all__ = [
@@ -164,19 +164,6 @@ def mc_slope(f_prev: float, f_mid: float, f_next: float, dx: float, theta_lim: f
     return 0.0
 
 
-def _mc_slope_rows(f: np.ndarray, dx: float, theta_lim: float) -> np.ndarray:
-    """MC-limited slope per cell and node; zero in the first and last cells."""
-    df = np.zeros_like(f)
-    a = (f[2:] - f[:-2]) / (2.0 * dx)
-    b = theta_lim * (f[1:-1] - f[:-2]) / dx
-    c = theta_lim * (f[2:] - f[1:-1]) / dx
-    pos = (a > 0) & (b > 0) & (c > 0)
-    neg = (a < 0) & (b < 0) & (c < 0)
-    df[1:-1] = np.where(pos, np.minimum(a, np.minimum(b, c)),
-                        np.where(neg, np.maximum(a, np.maximum(b, c)), 0.0))
-    return df
-
-
 def micro_flux(coef: FluxCoefficients, v, f_up, f_down, rho_iface: float,
                delta_l: float, delta_r: float, g_iface, f_slopes=None):
     """Microscopic interface flux at velocity ``v`` (scalar or node array)."""
@@ -313,17 +300,6 @@ def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> fl
     return cfg.cfl * max(transport, diffusive)
 
 
-def _upwind(x: np.ndarray, split: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per interface, the values of the upwind cell: the v > 0 nodes of
-    interface j come from cell j-1 and the v < 0 nodes from cell j.  The
-    inflow half of each wall interface has no upwind cell and stays zero."""
-    if out is None:
-        out = np.zeros((x.shape[0] + 1, x.shape[1]))
-    out[1:, split:] = x[:, split:]
-    out[:-1, :split] = x[:, :split]
-    return out
-
-
 class StepPlan:
     """Everything in one step of size dt that does not depend on the state.
 
@@ -334,10 +310,14 @@ class StepPlan:
     ``coeffs`` takes the ``coefficient_arrays`` tuple when the caller has
     already evaluated it.
 
-    The quadrature's ascending nodes make v < 0 and v > 0 the contiguous
-    halves ``[:, :split]`` and ``[:, split:]`` of every node array, so the
-    upwind selection is two slice copies.  A plan owns scratch buffers, so
-    it must not be applied from two threads at once.
+    The step works node-major, on ``F = f.T`` of shape (nodes, cells) and on
+    interface arrays of shape (nodes, cells + 1).  The quadrature's ascending
+    nodes make v < 0 and v > 0 the contiguous row blocks ``F[:split]`` and
+    ``F[split:]``, so the upwind selection is two block copies.  Of the
+    plan's three interface arrays, ``av`` is the constant A v / dx; ``up``
+    and ``phi`` are scratch that every :func:`apply` overwrites, so a plan
+    must not be applied from two threads at once.  Nothing a step returns
+    aliases them: the plan owns its scratch, the caller owns each result.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -352,6 +332,7 @@ class StepPlan:
         a, b, c, d, e, nu = coeffs
         eps, dx = cfg.eps, mesh.dx
         v = q.nodes
+        v2 = v * v
         mpp, mnn = q.m_v2_pos, q.m_v2_neg
         self.dt, self.dx = dt, dx
         self.shape, self.split = (n, k), h
@@ -359,17 +340,32 @@ class StepPlan:
         self.second_order = cfg.reconstruction == "mc_limited"
         self.theta_lim = cfg.theta_lim
         self.mpp, self.mnn = mpp, mnn
-        self.v = v
-        self.w_half = 0.5 * q.weights
-        self.wv = self.w_half * v
+        w_half = 0.5 * q.weights
+        self.wv = w_half * v
         self.a, self.c, self.d, self.e = a, c, d, e
-        self.a_col, self.e_col = a[:, None], e[:, None]
+        # Row 0 gives the interface density, row 1 the upwind part <v f_up>_h
+        # of the macroscopic flux, from one product with the upwind values.
+        self.moments = np.array((w_half, self.wv))
+        # The per-node flux phi is kept divided by dx.  Its scalar and slope
+        # terms are the columns (v, v^2 1_{v>0}, v^2 1_{v<0}) / dx times the
+        # rows (C rho_if + E G, D dL, D dR).
+        scale = 1.0 / dx
+        self.node_rows = np.zeros((k, 3))
+        self.node_rows[:, 0] = v
+        self.node_rows[h:, 1] = v2[h:]
+        self.node_rows[:h, 2] = v2[:h]
+        self.node_rows *= scale
+        self.v_col = self.node_rows[:, :1]
+        self.av = self.v_col * a
         g_if = mat.g_iface
-        self.eg = e * g_if if np.any(g_if) else None
+        self.eg = e * g_if if g_if.any() else None
         if self.second_order:
-            self.b, self.b_col = b, b[:, None]
-            self.wv2 = self.w_half * v**2
-            self.up_shift = np.where(q.positive, 0.5 * dx, -0.5 * dx)
+            shift = np.where(q.positive, 0.5 * dx, -0.5 * dx)
+            self.b = b
+            self.shift_col = shift[:, None]
+            # B v^2 df_up / dx from the shifted slope, shift times df_up.
+            self.slope_col = (v2 * scale / shift)[:, None]
+            self.slope_moments = np.array((self.wv * shift, w_half * v2))
 
         (rho_l, inflow_l), (rho_r, inflow_r) = _wall_densities(q, bc, float(nu[0]), float(nu[-1]), dt)
         self.rho_half = (rho_l, rho_r)
@@ -380,16 +376,16 @@ class StepPlan:
             (-1, inflow_r / eps, c[-1] * q.m_v_pos * rho_r, e[-1] * q.m_v_pos * float(g_if[-1])),
         )
         self.wall_slope = (d[0] * mnn, d[-1] * mpp)
-        self.inflow_left = v[h:] / eps * bc.f_left[h:]
-        self.inflow_right = v[:h] / eps * bc.f_right[:h]
-        self.up = np.zeros((n + 1, k))         # scratch, inflow halves kept zero
-        self.slope_sel = np.zeros((n + 1, k))  # scratch, inflow halves kept zero
-        self.phi = np.empty((n + 1, k))
+        self.inflow_left = v[h:] / eps * bc.f_left[h:] * scale
+        self.inflow_right = v[:h] / eps * bc.f_right[:h] * scale
+        self.up = np.zeros((k, n + 1))
+        self.phi = np.empty((k, n + 1))
+        self.rows = np.zeros((3, n + 1))   # entries [1, 0] and [2, -1] stay zero
 
-        self.g_cell = mat.g_cell if np.any(mat.g_cell) else None
+        self.g_cell = mat.g_cell if mat.g_cell.any() else None
         self.den_rho = 1.0 / dt + mat.alpha_cell
-        self.relax = mat.sigma_cell[:, None] / eps**2
-        self.den_f = 1.0 / dt + self.relax + mat.alpha_cell[:, None]
+        self.relax = mat.sigma_cell / eps**2
+        self.den_f = 1.0 / dt + self.relax + mat.alpha_cell
         if self.implicit:
             self.bands = _implicit_bands(d, mpp, mnn, dx, dt, mat.alpha_cell)
             lower, diag, upper = self.bands
@@ -402,10 +398,26 @@ class StepPlan:
             self.expl_walls = (-(2.0 * d[0] / dx) * mnn * rho_l, (2.0 * d[-1] / dx) * mpp * rho_r)
 
 
+def _upwind_rows(x: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:
+    """Per interface, the node-major values of the upwind cell: the v > 0
+    rows of interface j come from cell j-1 and the v < 0 rows from cell j.
+    The inflow half of each wall interface is zero."""
+    out[split:, 1:] = x[split:]
+    out[:split, :-1] = x[:split]
+    out[split:, 0] = 0.0
+    out[:split, -1] = 0.0
+    return out
+
+
 def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
           pernode_source: Optional[np.ndarray] = None):
     """Advance (f, rho) by one step of the plan's dt; returns (f_new, rho_new).
 
+    ``f`` has shape (cells, nodes) in any memory order; the step reads it
+    through the node-major view ``f.T`` and gives the same bits for either
+    order.  The step overwrites the plan's scratch buffers; ``f_new`` and
+    ``rho_new`` are new arrays that belong to the caller, and ``f_new`` is
+    the transpose of a node-major array, so it is F-ordered.
     ``pernode_source`` is a per-cell, per-node source with zero velocity
     mean (the penalized leftover), added to the plan's scalar source.
     """
@@ -413,23 +425,36 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     if f.shape != p.shape or rho.shape != p.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {p.shape}")
     h = p.split
-    up = _upwind(f, h, p.up)
-    rho_if = up @ p.w_half
+    fn = f.T
+    up = _upwind_rows(fn, h, p.up)
+    rho_if, up_flux = p.moments @ up
     rho_if[0], rho_if[-1] = p.rho_half
+    phi = p.phi                 # scratch until the flux is built
     if p.second_order:
-        df_up = _upwind(_mc_slope_rows(f, p.dx, p.theta_lim), h)
-        up = up + p.up_shift * df_up
-    g_up = None if pernode_source is None else _upwind(pernode_source, h)
+        slope = _upwind_rows(mc_slopes(fn, p.dx, p.theta_lim, axis=1), h, phi)
+        shift_flux, b_flux = p.slope_moments @ slope
+        up_flux += shift_flux
+        slope *= p.shift_col    # the reconstruction's shift of the upwind values
+        up += slope
 
-    big_phi = p.a * (up @ p.wv)
+    big_phi = p.a * up_flux
     for wall, inflow, c_term, e_term in p.wall_terms:
         big_phi[wall] += inflow
         big_phi[wall] += c_term
         big_phi[wall] += e_term
+    up *= p.av
     if p.second_order:
-        big_phi += p.b * (df_up @ p.wv2)
-    if g_up is not None:
-        big_phi += p.e * (g_up @ p.wv)
+        big_phi += p.b * b_flux
+        slope *= p.b
+        slope *= p.slope_col
+        up += slope
+    if pernode_source is not None:
+        src = pernode_source.T
+        g_up = _upwind_rows(src, h, phi)
+        g_up *= p.e
+        big_phi += p.wv @ g_up
+        g_up *= p.v_col
+        up += g_up
 
     inv_dx = 1.0 / p.dx
     two_over_dx = 2.0 / p.dx
@@ -459,36 +484,32 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
             rho_new += p.g_cell
         rho_new /= p.den_rho
 
-    # phi = v (A f_up + C rho_if + E G + v (B df_up + D slope)), built in place.
-    phi = np.multiply(p.a_col, up, out=p.phi)
-    scalar_terms = p.c * rho_if
+    # phi / dx = (v (A f_up + E G_up) + v (C rho_if + E G) + v^2 (D slope + B df_up)) / dx;
+    # ``up`` holds the part that varies per node and interface.
+    rows = p.rows
+    np.multiply(p.c, rho_if, out=rows[0])
     if p.eg is not None:
-        scalar_terms += p.eg
-    phi += scalar_terms[:, None]
-    if g_up is not None:
-        phi += p.e_col * g_up
-    slope = p.slope_sel
-    slope[1:, h:] = (p.d[1:] * d_l)[:, None]
-    slope[:-1, :h] = (p.d[:-1] * d_r)[:, None]
-    if p.second_order:
-        slope += p.b_col * df_up
-    slope *= p.v
-    phi += slope
-    phi *= p.v
-    phi[0, h:] = p.inflow_left
-    phi[-1, :h] = p.inflow_right
+        rows[0] += p.eg
+    np.multiply(p.d[1:], d_l, out=rows[1, 1:])
+    np.multiply(p.d[:-1], d_r, out=rows[2, :-1])
+    np.matmul(p.node_rows, rows, out=phi)
+    phi += up
+    phi[h:, 0] = p.inflow_left
+    phi[:h, -1] = p.inflow_right
 
-    f_new = f / p.dt
-    f_new -= (phi[1:] - phi[:-1]) * inv_dx
-    f_new += p.relax * rho_new[:, None]
+    # f/dt - (phi_{j+1} - phi_j)/dx; phi's scratch then takes f/dt.
+    f_new = phi[:, :-1] - phi[:, 1:]
+    f_new += np.divide(fn, p.dt, out=phi[:, :-1])
+    cell = p.relax * rho_new
     if p.g_cell is not None:
-        f_new += p.g_cell[:, None]
+        cell += p.g_cell
+    f_new += cell
     if pernode_source is not None:
-        f_new += pernode_source
+        f_new += src
     f_new /= p.den_f
     if not (np.isfinite(f_new).all() and np.isfinite(rho_new).all()):
         raise SolverFailureError("non-finite values after step")
-    return f_new, rho_new
+    return f_new.T, rho_new
 
 
 def _implicit_bands(d_if: np.ndarray, mpp: float, mnn: float, dx: float, dt: float,

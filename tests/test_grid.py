@@ -5,7 +5,8 @@ import pytest
 
 from ugks1d.errors import InvalidArgumentError, InvalidDataError
 from ugks1d.grid import (SpatialMesh, VelocityQuadrature, average, build_double_gauss,
-                         build_gauss_legendre, sample_material)
+                         build_gauss_legendre, mc_slopes, sample_material)
+from ugks1d.ugks import mc_slope
 
 
 def test_two_point_rule_closed_form():
@@ -153,3 +154,19 @@ def test_negative_samples_rejected():
         sample_material(lambda x: -1.0, 0.0, 0.0, mesh)
     with pytest.raises(InvalidDataError):
         sample_material(1.0, lambda x: -0.5, 0.0, mesh)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mc_slopes_match_the_scalar_limiter(axis):
+    # Rough data with flat stretches, so every minmod branch and tie occurs.
+    rng = np.random.default_rng(5)
+    f = np.round(rng.random((30, 6)) * 4.0) / 4.0
+    dx, theta = 0.1, 1.5
+    df = mc_slopes(f if axis == 0 else f.T, dx, theta, axis=axis)
+    df = df if axis == 0 else df.T
+    expect = np.zeros_like(f)
+    for i in range(1, f.shape[0] - 1):
+        for k in range(f.shape[1]):
+            expect[i, k] = mc_slope(f[i - 1, k], f[i, k], f[i + 1, k], dx, theta)
+    assert np.array_equal(df, expect)
+    assert np.count_nonzero(expect > 0) and np.count_nonzero(expect < 0)

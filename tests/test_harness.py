@@ -211,6 +211,23 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(rho, out.rho[0])
 
 
+def test_csv_roundtrip_with_distribution_columns(tmp_path):
+    out = run(builtin_spec("ex7", times=(0.1,)), cells=25, store_f=True)
+    path = tmp_path / result_filename("ex7", 0.1)
+    write_csv(path, out.x, out.rho[0], out.f[0])
+    x, rho = read_csv(path)
+    assert np.array_equal(x, out.x)
+    assert np.array_equal(rho, out.rho[0])
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n", "x,rho\n0.5,zero\n"])
+def test_read_csv_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        read_csv(path)
+
+
 # ---------------------------------------------------------------- compare
 
 def test_compare_identical_runs():

@@ -28,6 +28,12 @@ def rough_state():
     return KineticState.from_distribution(f, Q16)
 
 
+def aniso_operator():
+    """Penalized operator of k(v, v') = (1 + v v'/2)/2."""
+    table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
+    return PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
+
+
 def assert_same(a: KineticState, b: KineticState):
     assert np.array_equal(a.f, b.f)
     assert np.array_equal(a.rho, b.rho)
@@ -53,8 +59,7 @@ def test_reused_plan_matches_fresh_plans(mode, reconstruction, diffusion_mode):
 def test_reused_penalized_plan_matches_fresh_plans(diffusion_mode):
     eps = 0.3
     mesh, _, cfg = setup(eps=eps, diffusion_mode=diffusion_mode)
-    table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
-    op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
+    op = aniso_operator()
     bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
     mat = op.material(mesh)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
@@ -63,6 +68,64 @@ def test_reused_penalized_plan_matches_fresh_plans(diffusion_mode):
         reused = penalized_step(reused, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
         fresh = penalized_step(fresh, eps, op, mesh, Q16, bc, cfg=cfg)
         assert_same(reused, fresh)
+
+
+def layouts(state: KineticState):
+    """The state with f in C order and in node-major (F) order, same values."""
+    return [KineticState(f=order(state.f), rho=state.rho, t=state.t)
+            for order in (np.ascontiguousarray, np.asfortranarray)]
+
+
+@pytest.mark.parametrize("mode", BC_MODES)
+@pytest.mark.parametrize("reconstruction", ["first_order", "mc_limited"])
+@pytest.mark.parametrize("diffusion_mode", ["explicit_slopes", "implicit_slopes"])
+def test_step_is_independent_of_memory_order(mode, reconstruction, diffusion_mode):
+    mesh, mat, cfg = setup(reconstruction=reconstruction, diffusion_mode=diffusion_mode)
+    bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode=mode)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    c_order, node_major = layouts(rough_state())
+    assert c_order.f.flags.c_contiguous and node_major.f.flags.f_contiguous
+    f_c, rho_c = apply(plan, c_order.f, c_order.rho)
+    f_n, rho_n = apply(plan, node_major.f, node_major.rho)
+    assert np.array_equal(f_c, f_n)
+    assert np.array_equal(rho_c, rho_n)
+
+
+def test_penalized_step_is_independent_of_memory_order():
+    eps = 0.3
+    mesh, _, cfg = setup(eps=eps, reconstruction="mc_limited")
+    op = aniso_operator()
+    bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
+    mat = op.material(mesh)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    c_order, node_major = layouts(rough_state())
+    assert_same(penalized_step(c_order, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan),
+                penalized_step(node_major, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan))
+
+
+@pytest.mark.parametrize("penalized", [False, True])
+def test_returned_state_survives_later_steps_on_its_plan(penalized):
+    """A returned state shares no memory with the plan's scratch."""
+    eps = 0.3
+    mesh, mat, cfg = setup(eps=eps, reconstruction="mc_limited", diffusion_mode="implicit_slopes")
+    bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="blended")
+    if penalized:
+        op = aniso_operator()
+        mat = op.material(mesh)
+
+        def advance(s):
+            return penalized_step(s, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+    else:
+        def advance(s):
+            return step(s, cfg, mat, mesh, Q16, bc, plan=plan)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    first = advance(rough_state())
+    kept = KineticState(f=first.f.copy(), rho=first.rho.copy(), t=first.t)
+    state = first
+    for _ in range(N_STEPS):
+        state = advance(state)
+    assert_same(first, kept)
+    assert not np.array_equal(state.f, first.f)
 
 
 @pytest.mark.parametrize("overrides", [
