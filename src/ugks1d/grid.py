@@ -128,17 +128,30 @@ def mc_slopes(f: np.ndarray, dx: float, theta_lim: float, axis: int = 0) -> np.n
     """MC-limited slope of ``f`` along its cell ``axis``: the three-argument
     minmod of the central and the two theta-scaled one-sided differences,
     zero on sign disagreement and in the first and last cells."""
-    f = f.swapaxes(0, axis)
-    a = (f[2:] - f[:-2]) / (2.0 * dx)
-    b = theta_lim * (f[1:-1] - f[:-2]) / dx
-    c = theta_lim * (f[2:] - f[1:-1]) / dx
-    lo = np.minimum(a, np.minimum(b, c))
-    hi = np.maximum(a, np.maximum(b, c))
-    df = np.zeros_like(f)
+    head = (slice(None),) * (axis % f.ndim)
+    prev, mid, nxt = (f[head + (cells,)] for cells in (slice(None, -2), slice(1, -1), slice(2, None)))
+    # The differences and the lower bound share one block: as separate
+    # temporaries at a few thousand cells, the allocator unmapped and
+    # re-faulted them on every call.
+    a, b, c, lo = work = np.empty((4,) + mid.shape)
+    np.subtract(nxt, prev, out=a)
+    a /= 2.0 * dx
+    np.subtract(mid, prev, out=b)
+    np.subtract(nxt, mid, out=c)
+    one_sided = work[1:3]
+    one_sided *= theta_lim
+    one_sided /= dx
     # minmod: the smallest if all three are positive, the largest if all are
-    # negative, else zero; at most one of the two terms is nonzero.
-    np.add(np.maximum(lo, 0.0, out=lo), np.minimum(hi, 0.0, out=hi), out=df[1:-1])
-    return df.swapaxes(0, axis)
+    # negative, else zero; at most one of lo, hi is nonzero after clipping.
+    np.minimum(b, c, out=lo)
+    np.minimum(a, lo, out=lo)
+    hi = np.maximum(b, c, out=b)
+    np.maximum(a, hi, out=hi)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, 0.0, out=hi)
+    df = np.zeros_like(f)
+    np.add(lo, hi, out=df[head + (slice(1, -1),)])
+    return df
 
 
 def average(q: VelocityQuadrature, samples: np.ndarray) -> float:
@@ -227,14 +240,6 @@ def _sample(fn: Callable[[float], float] | float, x: np.ndarray) -> np.ndarray:
     return np.array([float(fn(xi)) for xi in x])
 
 
-def _to_interfaces(cell_values: np.ndarray) -> np.ndarray:
-    iface = np.empty(cell_values.size + 1)
-    iface[1:-1] = 0.5 * (cell_values[:-1] + cell_values[1:])
-    iface[0] = cell_values[0]
-    iface[-1] = cell_values[-1]
-    return iface
-
-
 def sample_material(
     sigma: Callable[[float], float] | float,
     alpha: Callable[[float], float] | float,
@@ -244,23 +249,21 @@ def sample_material(
     """Sample sigma(x), alpha(x), G(x) at cell centers and build interface values.
 
     Cell values are midpoint samples; interface values are arithmetic means of
-    the adjacent cells (boundary interfaces copy the adjacent cell).
+    the adjacent cells (boundary interfaces copy the adjacent cell).  The
+    three fields are rows of one (3, n) cell array and one (3, n + 1)
+    interface array, validated and averaged together.
     """
     x = mesh.centers
-    sig = _sample(sigma, x)
-    alp = _sample(alpha, x)
-    g = _sample(source, x)
-    if np.any(sig < 0):
+    cell = np.array([_sample(fn, x) for fn in (sigma, alpha, source)])
+    sigma_neg, alpha_neg = (cell[:2] < 0).any(axis=1)
+    if sigma_neg:
         raise InvalidDataError("sigma(x) sampled negative")
-    if np.any(alp < 0):
+    if alpha_neg:
         raise InvalidDataError("alpha(x) sampled negative")
-    if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(alp)) and np.all(np.isfinite(g))):
+    if not np.isfinite(cell).all():
         raise InvalidDataError("material sample is not finite")
-    return MaterialField(
-        sigma_cell=sig,
-        alpha_cell=alp,
-        g_cell=g,
-        sigma_iface=_to_interfaces(sig),
-        alpha_iface=_to_interfaces(alp),
-        g_iface=_to_interfaces(g),
-    )
+    iface = np.empty((3, x.size + 1))
+    iface[:, 1:-1] = 0.5 * (cell[:, :-1] + cell[:, 1:])
+    iface[:, 0] = cell[:, 0]
+    iface[:, -1] = cell[:, -1]
+    return MaterialField(*cell, *iface)

@@ -171,12 +171,18 @@ def homogeneous_stability_margin(k_max: float, theta: float, dt: float, eps: flo
 def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float) -> np.ndarray:
     """Per-cell, per-node source (L f - theta R f)/eps^2; zero velocity mean.
 
-    The product runs on node-major data, which a stepped state already is, so
-    that its rounding does not depend on the memory order of ``f``.
+    The work runs on node-major data, which a stepped state already is, so
+    that the product's rounding does not depend on the memory order of ``f``;
+    it makes two state-size arrays (three for a C-ordered ``f``).  The result
+    is the transpose of a node-major array.
     """
-    lf = (op.matrix @ np.ascontiguousarray(f.T)).T
-    rf = rho[:, None] - f
-    return (lf - op.theta * rf) / eps**2
+    fn = np.ascontiguousarray(f.T)
+    src = op.matrix @ fn
+    rf = np.subtract(rho, fn)
+    rf *= op.theta
+    src -= rf
+    src /= eps**2
+    return src.T
 
 
 def penalized_step(state: KineticState, eps: float, op: PenalizedOperator,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coeffs import FluxCoefficients, blend_parameter, coefficient_arrays
 from .errors import InvalidArgumentError, InvalidDataError, SolverFailureError
@@ -304,11 +304,17 @@ class StepPlan:
     """Everything in one step of size dt that does not depend on the state.
 
     The update is linear, so for a fixed dt the interface coefficients, the
-    boundary densities with their inflow fluxes, the relaxation denominators
-    and the implicit bands are constants.  A plan computes them once, in
-    O(cells) work; build one per distinct dt and advance with :func:`apply`.
-    ``coeffs`` takes the ``coefficient_arrays`` tuple when the caller has
-    already evaluated it.
+    boundary densities with their inflow fluxes, the reciprocals of dt and of
+    both relaxation denominators, and the implicit bands with their LU
+    factors are constants.  A plan computes them once, in O(cells) work;
+    build one per distinct dt and advance with :func:`apply`.  ``coeffs``
+    takes the ``coefficient_arrays`` tuple when the caller has already
+    evaluated it.  For ``implicit_slopes``, ``bands`` is (lower, diag,
+    upper) and ``lu`` its ``dgttrf`` factors, so a step only substitutes
+    through them (:func:`solve_banded`); a singular system raises
+    ``SolverFailureError`` here.  :func:`apply` multiplies by the stored
+    reciprocals and divides no state-size array itself; the MC limiter and
+    the penalized source keep their divisions, and so their bits.
 
     The step works node-major, on ``F = f.T`` of shape (nodes, cells) and on
     interface arrays of shape (nodes, cells + 1).  The quadrature's ascending
@@ -383,16 +389,16 @@ class StepPlan:
         self.rows = np.zeros((3, n + 1))   # entries [1, 0] and [2, -1] stay zero
 
         self.g_cell = mat.g_cell if mat.g_cell.any() else None
-        self.den_rho = 1.0 / dt + mat.alpha_cell
+        self.inv_dt = 1.0 / dt
+        self.inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
         self.relax = mat.sigma_cell / eps**2
-        self.den_f = 1.0 / dt + self.relax + mat.alpha_cell
+        self.inv_den_f = 1.0 / (self.inv_dt + self.relax + mat.alpha_cell)
         if self.implicit:
             self.bands = _implicit_bands(d, mpp, mnn, dx, dt, mat.alpha_cell)
             lower, diag, upper = self.bands
-            self.ab = np.zeros((3, n))
-            self.ab[0, 1:] = upper[:-1]
-            self.ab[1, :] = diag
-            self.ab[2, :-1] = lower[1:]
+            *self.lu, info = dgttrf(lower[1:], diag, upper[:-1])
+            if info != 0:
+                raise SolverFailureError(f"implicit density matrix is singular (dgttrf info={info})")
             # Explicit (time-n) part of each interface D-flux: the interface density.
             self.expl_coef = (2.0 * d[1:-1] / dx) * (mpp - mnn)
             self.expl_walls = (-(2.0 * d[0] / dx) * mnn * rho_l, (2.0 * d[-1] / dx) * mpp * rho_r)
@@ -464,13 +470,10 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         big_phi[1:-1] += p.expl_coef * rho_if[1:-1]
         big_phi[0] += p.expl_walls[0]
         big_phi[-1] += p.expl_walls[1]
-        rhs = rho / p.dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
+        rhs = rho * p.inv_dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
         if p.g_cell is not None:
             rhs += p.g_cell
-        try:
-            rho_new = solve_banded((1, 1), p.ab, rhs, overwrite_b=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:  # diagonally dominant: unreachable
-            raise SolverFailureError(f"implicit density solve failed: {exc}") from exc
+        rho_new = solve_banded(p.lu, rhs)
         d_l = (rho_if[1:] - rho_new) * two_over_dx    # v > 0 slope, interfaces 1..N
         d_r = (rho_new - rho_if[:-1]) * two_over_dx   # v < 0 slope, interfaces 0..N-1
     else:
@@ -479,10 +482,10 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         big_phi[1:-1] += p.d[1:-1] * (p.mpp * d_l[:-1] + p.mnn * d_r[1:])
         big_phi[0] += p.wall_slope[0] * d_r[0]
         big_phi[-1] += p.wall_slope[1] * d_l[-1]
-        rho_new = rho / p.dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
+        rho_new = rho * p.inv_dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
         if p.g_cell is not None:
             rho_new += p.g_cell
-        rho_new /= p.den_rho
+        rho_new *= p.inv_den_rho
 
     # phi / dx = (v (A f_up + E G_up) + v (C rho_if + E G) + v^2 (D slope + B df_up)) / dx;
     # ``up`` holds the part that varies per node and interface.
@@ -499,17 +502,29 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
 
     # f/dt - (phi_{j+1} - phi_j)/dx; phi's scratch then takes f/dt.
     f_new = phi[:, :-1] - phi[:, 1:]
-    f_new += np.divide(fn, p.dt, out=phi[:, :-1])
+    f_new += np.multiply(fn, p.inv_dt, out=phi[:, :-1])
     cell = p.relax * rho_new
     if p.g_cell is not None:
         cell += p.g_cell
     f_new += cell
     if pernode_source is not None:
         f_new += src
-    f_new /= p.den_f
+    f_new *= p.inv_den_f
     if not (np.isfinite(f_new).all() and np.isfinite(rho_new).all()):
         raise SolverFailureError("non-finite values after step")
     return f_new.T, rho_new
+
+
+def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve the implicit density system for one right-hand side.
+
+    ``lu`` is a plan's ``lu``, the ``dgttrf`` factors of its tridiagonal
+    bands; ``rhs`` is overwritten with the solution, which is returned.
+    This is the same elimination as LAPACK ``gtsv`` on the bands, without
+    factoring them again each step.  ``benchmarks/tracer.py`` times the
+    solve by wrapping this module-level name, so keep it.
+    """
+    return dgttrs(*lu, rhs, overwrite_b=True)[0]
 
 
 def _implicit_bands(d_if: np.ndarray, mpp: float, mnn: float, dx: float, dt: float,

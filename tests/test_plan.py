@@ -3,13 +3,15 @@ per step, for every scheme option and in the experiment driver."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ugks1d.errors import InvalidArgumentError
 from ugks1d.experiments import builtin_spec, run
-from ugks1d.grid import SpatialMesh, build_gauss_legendre, sample_material
+from ugks1d import ugks
+from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
 from ugks1d.ugks import (BC_MODES, BoundarySpec, KineticState, SchemeConfig, StepPlan,
-                         apply, cfl_timestep, step)
+                         apply, cfl_timestep, implicit_system, step)
 
 Q16 = build_gauss_legendre(16)
 N_CELLS = 20
@@ -159,6 +161,34 @@ def test_run_matches_manual_stepping_with_shortened_leg_ends(overrides):
         assert np.array_equal(state.rho, rho_run)
         assert np.array_equal(state.f, f_run)
     assert shortened == len(spec.times)
+
+
+@pytest.mark.parametrize("example, alpha", [("ex2", 0.0), ("ex4", 0.0), ("ex4", 0.5)])
+@pytest.mark.parametrize("build_quadrature", [build_gauss_legendre, build_double_gauss])
+@pytest.mark.parametrize("n_cells", [25, 2000])
+def test_factored_solve_matches_the_banded_solve(example, alpha, build_quadrature, n_cells):
+    """The plan's factors solve the density system to the bits of a fresh
+    banded solve on the same bands."""
+    spec = builtin_spec(example, alpha=alpha)
+    mesh = SpatialMesh(spec.x_min, spec.x_max, n_cells)
+    mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
+    q = build_quadrature(16)
+    bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, q)
+    cfg = SchemeConfig(eps=spec.eps, diffusion_mode="implicit_slopes")
+    dt = cfl_timestep(cfg, mat, mesh)
+    plan = StepPlan(dt, cfg, mat, mesh, q, bc)
+    lower, diag, upper = plan.bands
+    ab = np.zeros((3, n_cells))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    rhs = np.random.default_rng(n_cells).random(n_cells) / dt
+    expect = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    assert np.array_equal(ugks.solve_banded(plan.lu, rhs.copy()), expect)
+
+    state = KineticState.from_distribution(np.zeros((n_cells, q.n)), q)
+    for got, band in zip(implicit_system(state, cfg, mat, mesh, q, bc, dt), plan.bands):
+        assert np.array_equal(got, band)
 
 
 def test_plan_rejects_a_mismatched_step():
