@@ -14,8 +14,7 @@ from .penalized import (PenalizedOperator, ScatteringKernel, assemble_operator,
                         penalized_step, pseudo_inverse_v)
 from .reference import (ChandrasekharWeight, chandrasekhar_density, diffusion_run,
                         diffusion_step, diffusion_timestep, upwind_step, upwind_timestep)
-from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, boundary_fluxes_left,
-                   boundary_fluxes_right, cfl_timestep, interface_density, macro_flux,
-                   mc_slope, micro_flux, moment_defect, slopes, step)
+from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
+                   moment_defect, step)
 
 __version__ = "0.1.0"

@@ -8,8 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComparisonError, InvalidArgumentError
+from .experiments import run
 
-__all__ = ["restrict_profile", "profile_distance", "compare", "convergence_study", "ConvergenceResult"]
+__all__ = ["restrict_profile", "profile_distance", "compare_profiles", "compare", "convergence_study",
+           "ConvergenceResult"]
 
 _NORMS = ("l1", "l2", "linf")
 
@@ -48,30 +50,38 @@ def profile_distance(diff: np.ndarray, dx: float, norm: str) -> float:
     raise InvalidArgumentError(f"unknown norm {norm!r}; expected one of {_NORMS}")
 
 
+def compare_profiles(a, b, norm: str = "linf"):
+    """Distance between two cell-average profiles ``a = (x, rho)`` and ``b``.
+
+    The finer profile is restricted piecewise-constantly onto the coarser
+    mesh, over the domain implied by ``a``'s cell centres.  Returns
+    (distance, relative_distance); the relative distance divides by the norm
+    of the restricted ``b`` (zero-safe).
+    """
+    (xa, ra), (xb, rb) = a, b
+    n_c = min(xa.size, xb.size)
+    x_min = xa[0] - 0.5 * (xa[1] - xa[0])
+    x_max = xa[-1] + 0.5 * (xa[1] - xa[0])
+    dx_c = (x_max - x_min) / n_c
+    if xa.size > n_c:
+        ra = restrict_profile(xa, ra, n_c, x_min, x_max)
+    if xb.size > n_c:
+        rb = restrict_profile(xb, rb, n_c, x_min, x_max)
+    dist = profile_distance(ra - rb, dx_c, norm)
+    ref = profile_distance(rb, dx_c, norm)
+    return dist, dist / ref if ref > 0 else math.inf if dist > 0 else 0.0
+
+
 def compare(a, b, norm: str = "linf"):
     """Per-time distances between two run results.
 
-    Profiles on different meshes are compared after piecewise-constant
-    restriction onto the coarser one.  Returns a list of (distance,
-    relative_distance) pairs, one per output time; the relative distance
-    divides by the norm of the restricted second profile (zero-safe).
+    Returns a list of :func:`compare_profiles` (distance, relative_distance)
+    pairs, one per output time.
     """
     ta, tb = np.asarray(a.times), np.asarray(b.times)
     if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0, atol=1e-12):
         raise ComparisonError(f"output times differ: {a.times} vs {b.times}")
-    na, nb = a.x.size, b.x.size
-    n_c = min(na, nb)
-    x_min = a.x[0] - 0.5 * (a.x[1] - a.x[0])
-    x_max = a.x[-1] + 0.5 * (a.x[1] - a.x[0])
-    dx_c = (x_max - x_min) / n_c
-    out = []
-    for pa, pb in zip(a.rho, b.rho):
-        ra = restrict_profile(a.x, pa, n_c, x_min, x_max) if na > n_c else pa
-        rb = restrict_profile(b.x, pb, n_c, x_min, x_max) if nb > n_c else pb
-        dist = profile_distance(ra - rb, dx_c, norm)
-        ref = profile_distance(rb, dx_c, norm)
-        out.append((dist, dist / ref if ref > 0 else math.inf if dist > 0 else 0.0))
-    return out
+    return [compare_profiles((a.x, pa), (b.x, pb), norm) for pa, pb in zip(a.rho, b.rho)]
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class ConvergenceResult:
 
 
 def convergence_study(spec, cell_counts, norm: str = "linf",
-                      reference_cells: int | None = None, run_fn=None) -> ConvergenceResult:
+                      reference_cells: int | None = None) -> ConvergenceResult:
     """Observed order of accuracy against a fine-mesh reference.
 
     Runs ``spec`` at each cell count plus a reference resolution (4x the
@@ -92,9 +102,6 @@ def convergence_study(spec, cell_counts, norm: str = "linf",
     least-squares slope of log error versus log dx at the final output time.
     Errors at rounding level are reported as degenerate (order NaN).
     """
-    from .experiments import run as _run
-
-    runner = run_fn or _run
     counts = [int(c) for c in cell_counts]
     if len(counts) < 3:
         raise InvalidArgumentError("need at least 3 cell counts")
@@ -103,14 +110,14 @@ def convergence_study(spec, cell_counts, norm: str = "linf",
         raise InvalidArgumentError("cell counts must form an increasing geometric progression")
     if reference_cells is None:
         reference_cells = counts[-1] * 4
-    ref = runner(spec, cells=reference_cells)
+    ref = run(spec, cells=reference_cells)
     x_min = spec.x_min
     x_max = spec.x_max
     errors = []
     dxs = []
     scale = None
     for c in counts:
-        res = runner(spec, cells=c)
+        res = run(spec, cells=c)
         ref_c = restrict_profile(ref.x, ref.rho[-1], c, x_min, x_max)
         dx = (x_max - x_min) / c
         errors.append(profile_distance(res.rho[-1] - ref_c, dx, norm))

@@ -19,7 +19,7 @@ import argparse
 import dataclasses
 import sys
 
-from .analysis import convergence_study, profile_distance, restrict_profile
+from .analysis import compare_profiles, convergence_study
 from .config import load_config
 from .errors import ConfigError, InvalidArgumentError, InvalidDataError, SolverFailureError, UGKSError
 from .experiments import builtin_ids, builtin_spec, read_csv, result_filename, run, write_csv
@@ -30,21 +30,21 @@ EXIT_SOLVER = 3
 EXIT_THRESHOLD = 4
 
 
-def _write_result(result, prefix: str) -> None:
-    for i, t in enumerate(result.times):
-        f_table = result.f[i] if result.f is not None else None
-        path = result_filename(prefix, t)
-        write_csv(path, result.x, result.rho[i], f_table)
-        print(path)
-
-
-def _cmd_run(args) -> int:
-    spec = load_config(args.config)
+def _run_and_write(spec, args) -> int:
+    """Run ``spec``, write one CSV per output time and print the summary line."""
     result = run(spec, cells=args.cells, store_f=args.store_f)
-    _write_result(result, args.out or spec.id)
+    prefix = args.out or spec.id
+    for i, t in enumerate(result.times):
+        path = result_filename(prefix, t)
+        write_csv(path, result.x, result.rho[i], result.f[i] if result.f is not None else None)
+        print(path)
     print(f"# scheme={result.scheme} cells={result.n_cells} dt={result.dt:.6g} "
           f"steps={result.n_steps} wall={result.wall_time:.3f}s")
     return EXIT_OK
+
+
+def _cmd_run(args) -> int:
+    return _run_and_write(load_config(args.config), args)
 
 
 def _cmd_example(args) -> int:
@@ -65,28 +65,11 @@ def _cmd_example(args) -> int:
             spec = dataclasses.replace(spec, diffusion_solver="implicit")
         else:
             spec = dataclasses.replace(spec, scheme="ugks_id")
-    result = run(spec, cells=args.cells, store_f=args.store_f)
-    _write_result(result, args.out or spec.id)
-    print(f"# scheme={result.scheme} cells={result.n_cells} dt={result.dt:.6g} "
-          f"steps={result.n_steps} wall={result.wall_time:.3f}s")
-    return EXIT_OK
+    return _run_and_write(spec, args)
 
 
 def _cmd_compare(args) -> int:
-    xa, ra = read_csv(args.a)
-    xb, rb = read_csv(args.b)
-    n_c = min(xa.size, xb.size)
-    lo_a, hi_a = xa[0], xa[-1]
-    dx_a = (hi_a - lo_a) / max(xa.size - 1, 1)
-    x_min, x_max = lo_a - 0.5 * dx_a, hi_a + 0.5 * dx_a
-    if xa.size > n_c:
-        ra = restrict_profile(xa, ra, n_c, x_min, x_max)
-    if xb.size > n_c:
-        rb = restrict_profile(xb, rb, n_c, x_min, x_max)
-    dx_c = (x_max - x_min) / n_c
-    dist = profile_distance(ra - rb, dx_c, args.norm)
-    ref = profile_distance(rb, dx_c, args.norm)
-    rel = dist / ref if ref > 0 else float("inf") if dist > 0 else 0.0
+    dist, rel = compare_profiles(read_csv(args.a), read_csv(args.b), args.norm)
     print(f"{args.norm} distance: {dist:.12g} (relative {rel:.12g})")
     if args.max is not None and dist > args.max:
         print(f"threshold exceeded: {dist:.12g} > {args.max:.12g}", file=sys.stderr)

@@ -147,13 +147,17 @@ def _build_quadrature(spec: ExperimentSpec):
     raise InvalidArgumentError(f"quad_kind: unknown value {spec.quad_kind!r}")
 
 
-def _initial_state(spec: ExperimentSpec, mesh: SpatialMesh, q) -> KineticState:
+def _initial_profile(spec: ExperimentSpec, mesh: SpatialMesh) -> np.ndarray:
+    """The initial density sampled at the cell centres."""
     init = spec.initial
     if callable(init):
-        vals = np.array([float(init(x)) for x in mesh.centers])
-    else:
-        vals = np.full(mesh.n_cells, float(init))
-    f0 = np.repeat(vals[None, :], q.n, axis=0).T    # node-major, like every stepped state
+        return np.array([float(init(x)) for x in mesh.centers])
+    return np.full(mesh.n_cells, float(init))
+
+
+def _initial_state(spec: ExperimentSpec, mesh: SpatialMesh, q) -> KineticState:
+    # node-major, like every stepped state
+    f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T
     return KineticState(f=f0, rho=average(q, f0), t=0.0)
 
 
@@ -271,11 +275,7 @@ def _run_diffusion(spec: ExperimentSpec, mesh: SpatialMesh, mat, q, t_start: flo
         raise InvalidArgumentError("diffusion scheme requires sigma > 0 everywhere")
     kappa_iface = 1.0 / (3.0 * mat.sigma_iface)
     dirichlet = _dirichlet_data(spec, q)
-    init = spec.initial
-    if callable(init):
-        rho = np.array([float(init(x)) for x in mesh.centers])
-    else:
-        rho = np.full(mesh.n_cells, float(init))
+    rho = _initial_profile(spec, mesh)
     mode = spec.diffusion_solver
     if spec.dt_override is not None:
         dt_policy = spec.dt_override
@@ -329,4 +329,6 @@ def read_csv(path):
                               usecols=(names.index("x"), names.index("rho")))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    if data.shape[0] < 2:
+        raise ConfigError(f"{path}: a profile needs at least 2 rows, found {data.shape[0]}")
     return data[:, 0], data[:, 1]

@@ -1,4 +1,5 @@
-"""Velocity quadrature, spatial mesh, and material-coefficient sampling.
+"""Velocity quadrature, spatial mesh, material-coefficient sampling, the MC
+slope limiter and the half-range boundary weight.
 
 The discrete velocity average is ``<phi>_h = (1/2) sum_k w_k phi(v_k)`` so the
 weights of any quadrature built here sum to 2 and the constant function has
@@ -22,6 +23,8 @@ __all__ = [
     "build_gauss_legendre",
     "build_double_gauss",
     "average",
+    "WEIGHT_VARIANTS",
+    "weight_samples",
     "mc_slopes",
     "sample_material",
 ]
@@ -122,6 +125,22 @@ def _double_gauss(n: int) -> VelocityQuadrature:
     nodes = np.concatenate((-vpos[::-1], vpos))
     weights = np.concatenate((wpos[::-1], wpos))
     return VelocityQuadrature(nodes, weights)
+
+
+# Half-range weight W(v) = c1 v + c2 v^2 on [0, 1], by variant: (c1, c2).
+WEIGHT_VARIANTS = {"polynomial": (1.0, 1.5), "fitted": (0.956, 1.565)}
+
+
+def weight_samples(variant: str, v):
+    """Half-range weight W(v) of a :data:`WEIGHT_VARIANTS` entry at v in [0, 1].
+
+    ``fitted``: 0.956 v + 1.565 v^2; ``polynomial``: v + (3/2) v^2.
+    """
+    if variant not in WEIGHT_VARIANTS:
+        raise InvalidArgumentError(f"unknown weight variant {variant!r}")
+    c1, c2 = WEIGHT_VARIANTS[variant]
+    v = np.asarray(v, dtype=float)
+    return c1 * v + c2 * v**2
 
 
 def mc_slopes(f: np.ndarray, dx: float, theta_lim: float, axis: int = 0) -> np.ndarray:

@@ -17,11 +17,11 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import InvalidArgumentError, SolverFailureError
-from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes
+from .grid import (MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes,
+                   weight_samples)
 
 __all__ = [
     "ChandrasekharWeight",
-    "weight_samples",
     "chandrasekhar_density",
     "upwind_timestep",
     "upwind_step",
@@ -29,19 +29,6 @@ __all__ = [
     "diffusion_step",
     "diffusion_run",
 ]
-
-
-def weight_samples(variant: str, v):
-    """Half-range weight W(v) for v in [0, 1].
-
-    ``fitted``: 0.956 v + 1.565 v^2; ``polynomial``: (3/2) v^2 + v.
-    """
-    v = np.asarray(v, dtype=float)
-    if variant == "fitted":
-        return 0.956 * v + 1.565 * v**2
-    if variant == "polynomial":
-        return 1.5 * v**2 + v
-    raise InvalidArgumentError(f"unknown weight variant {variant!r}")
 
 
 @dataclass(frozen=True)

@@ -15,34 +15,26 @@ cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .coeffs import FluxCoefficients, blend_parameter, coefficient_arrays
+from .coeffs import blend_parameter, coefficient_arrays
 from .errors import InvalidArgumentError, InvalidDataError, SolverFailureError
-from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes
-from .reference import weight_samples
+from .grid import (WEIGHT_VARIANTS, MaterialField, SpatialMesh, VelocityQuadrature, average,
+                   mc_slopes, weight_samples)
 
 __all__ = [
     "KineticState",
     "BoundarySpec",
     "SchemeConfig",
-    "interface_density",
-    "slopes",
-    "mc_slope",
-    "micro_flux",
-    "macro_flux",
-    "boundary_fluxes_left",
-    "boundary_fluxes_right",
     "cfl_timestep",
     "StepPlan",
     "apply",
     "step",
     "moment_defect",
-    "implicit_system",
 ]
 
 BC_MODES = ("stabilized", "corrected", "blended")
@@ -85,7 +77,7 @@ class BoundarySpec:
     def __post_init__(self) -> None:
         if self.mode not in BC_MODES:
             raise InvalidArgumentError(f"unknown boundary mode {self.mode!r}")
-        if self.weight_variant not in ("polynomial", "fitted"):
+        if self.weight_variant not in WEIGHT_VARIANTS:
             raise InvalidArgumentError(f"unknown weight variant {self.weight_variant!r}")
         self.f_left.setflags(write=False)
         self.f_right.setflags(write=False)
@@ -130,70 +122,6 @@ class SchemeConfig:
             raise InvalidArgumentError(f"unknown cfl form {self.cfl_form!r}")
 
 
-def interface_density(f_i: np.ndarray, f_ip1: np.ndarray, q: VelocityQuadrature) -> float:
-    """Unique interface density ``<f_i 1_{v>0} + f_{i+1} 1_{v<0}>_h``."""
-    f_i = np.asarray(f_i, dtype=float)
-    f_ip1 = np.asarray(f_ip1, dtype=float)
-    if f_i.shape != (q.n,) or f_ip1.shape != (q.n,):
-        raise InvalidArgumentError("sample lengths must match the quadrature")
-    return float(np.where(q.positive, f_i, f_ip1) @ (0.5 * q.weights))
-
-
-def slopes(rho_iface: float, rho_left: float, rho_right: float, dx: float):
-    """One-sided density slopes (dL, dR) about an interface value.
-
-    In explicit mode the neighbours are the time-n cell densities; in
-    implicit mode the caller supplies time-(n+1) values while the interface
-    value stays at time n.
-    """
-    half = 0.5 * dx
-    return (rho_iface - rho_left) / half, (rho_right - rho_iface) / half
-
-
-def mc_slope(f_prev: float, f_mid: float, f_next: float, dx: float, theta_lim: float) -> float:
-    """Three-argument minmod (MC-limited) slope; zero on sign disagreement."""
-    if not dx > 0:
-        raise InvalidArgumentError("dx must be positive")
-    a = (f_next - f_prev) / (2.0 * dx)
-    b = theta_lim * (f_mid - f_prev) / dx
-    c = theta_lim * (f_next - f_mid) / dx
-    if a > 0 and b > 0 and c > 0:
-        return min(a, b, c)
-    if a < 0 and b < 0 and c < 0:
-        return max(a, b, c)
-    return 0.0
-
-
-def micro_flux(coef: FluxCoefficients, v, f_up, f_down, rho_iface: float,
-               delta_l: float, delta_r: float, g_iface, f_slopes=None):
-    """Microscopic interface flux at velocity ``v`` (scalar or node array)."""
-    v = np.asarray(v, dtype=float)
-    up = v > 0
-    out = (coef.a * v * np.where(up, f_up, f_down)
-           + coef.c * v * rho_iface
-           + coef.d * v**2 * np.where(up, delta_l, delta_r)
-           + coef.e * v * g_iface)
-    if f_slopes is not None:
-        df_l, df_r = f_slopes
-        out = out + coef.b * v**2 * np.where(up, df_l, df_r)
-    return float(out) if out.ndim == 0 else out
-
-
-def macro_flux(coef: FluxCoefficients, q: VelocityQuadrature, f_up, f_down,
-               rho_i: float, rho_ip1: float, dx: float, f_slopes=None) -> float:
-    """Velocity average of the microscopic flux; the interface density and
-    source terms drop by quadrature symmetry and the slope terms collapse to
-    ``D <v^2>_h (rho_{i+1} - rho_i)/dx``."""
-    wv = 0.5 * q.weights * q.nodes
-    sel = np.where(q.positive, f_up, f_down)
-    out = coef.a * float(sel @ wv) + coef.d * q.m_v2 * (rho_ip1 - rho_i) / dx
-    if f_slopes is not None:
-        df_l, df_r = f_slopes
-        wv2 = 0.5 * q.weights * q.nodes**2
-        out += coef.b * float(np.where(q.positive, df_l, df_r) @ wv2)
-    return out
-
-
 def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_right: float,
                     dt: float):
     """Boundary densities and inflow terms at both walls.
@@ -227,59 +155,6 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
 
     return (wall(bc.f_left, slice(h, None), q.m_v_neg, nu_left),
             wall(bc.f_right, slice(0, h), q.m_v_pos, nu_right))
-
-
-def boundary_fluxes_left(coef: FluxCoefficients, q: VelocityQuadrature, bc: BoundarySpec,
-                         f1: np.ndarray, rho1: float, dx: float, g, eps: float, dt: float):
-    """Left-boundary microscopic flux vector, macroscopic flux, and rho_{1/2}.
-
-    For v > 0 the flux is the imposed inflow (v/eps) f_L; for v < 0 it is the
-    interior-style flux built with the right-sided slope only.  ``g`` may be a
-    scalar source or a per-node array.
-    """
-    v = q.nodes
-    pos = q.positive
-    wv = 0.5 * q.weights * v
-    rho_half, inflow = _wall_densities(q, bc, coef.nu, coef.nu, dt)[0]
-    d_r = (rho1 - rho_half) / (0.5 * dx)
-    g_arr = np.asarray(g, dtype=float)
-    phi = np.where(pos, v / eps * bc.f_left,
-                   coef.a * v * f1 + coef.c * v * rho_half + coef.d * v**2 * d_r
-                   + coef.e * v * g_arr)
-    if g_arr.ndim == 0:
-        e_term = coef.e * q.m_v_neg * float(g_arr)
-    else:
-        e_term = coef.e * float(g_arr[~pos] @ wv[~pos])
-    big_phi = (inflow / eps
-               + coef.a * float(f1[~pos] @ wv[~pos])
-               + coef.c * q.m_v_neg * rho_half
-               + coef.d * q.m_v2_neg * d_r
-               + e_term)
-    return phi, big_phi, rho_half
-
-
-def boundary_fluxes_right(coef: FluxCoefficients, q: VelocityQuadrature, bc: BoundarySpec,
-                          fN: np.ndarray, rhoN: float, dx: float, g, eps: float, dt: float):
-    """Right-boundary fluxes; mirror of the left construction under v -> -v."""
-    v = q.nodes
-    pos = q.positive
-    wv = 0.5 * q.weights * v
-    rho_half, inflow = _wall_densities(q, bc, coef.nu, coef.nu, dt)[1]
-    d_l = (rho_half - rhoN) / (0.5 * dx)
-    g_arr = np.asarray(g, dtype=float)
-    phi = np.where(~pos, v / eps * bc.f_right,
-                   coef.a * v * fN + coef.c * v * rho_half + coef.d * v**2 * d_l
-                   + coef.e * v * g_arr)
-    if g_arr.ndim == 0:
-        e_term = coef.e * q.m_v_pos * float(g_arr)
-    else:
-        e_term = coef.e * float(g_arr[pos] @ wv[pos])
-    big_phi = (inflow / eps
-               + coef.a * float(fN[pos] @ wv[pos])
-               + coef.c * q.m_v_pos * rho_half
-               + coef.d * q.m_v2_pos * d_l
-               + e_term)
-    return phi, big_phi, rho_half
 
 
 def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> float:
@@ -375,8 +250,9 @@ class StepPlan:
 
         (rho_l, inflow_l), (rho_r, inflow_r) = _wall_densities(q, bc, float(nu[0]), float(nu[-1]), dt)
         self.rho_half = (rho_l, rho_r)
-        # Terms of the wall macroscopic fluxes after the upwind one, in the
-        # order of the boundary flux oracles: they cancel to O(1) from O(1/eps).
+        # Terms of the wall macroscopic fluxes after the upwind one, added in
+        # this order (inflow, C, E): they cancel to O(1) from O(1/eps), so the
+        # order fixes the bits.
         self.wall_terms = (
             (0, inflow_l / eps, c[0] * q.m_v_neg * rho_l, e[0] * q.m_v_neg * float(g_if[0])),
             (-1, inflow_r / eps, c[-1] * q.m_v_pos * rho_r, e[-1] * q.m_v_pos * float(g_if[-1])),
@@ -574,14 +450,3 @@ def moment_defect(state: KineticState, q: VelocityQuadrature) -> float:
     rho_f = average(q, state.f)
     return float(np.max(np.abs(state.rho - rho_f) / (1.0 + np.abs(state.rho))))
 
-
-def implicit_system(state: KineticState, cfg: SchemeConfig, mat: MaterialField,
-                    mesh: SpatialMesh, q: VelocityQuadrature, bc: BoundarySpec,
-                    dt: Optional[float] = None):
-    """Assembled tridiagonal bands (lower, diag, upper) of the implicit
-    density solve, for inspection.  The effective interface diffusion
-    coefficient at interface j is ``-(upper[j-1] + lower[j]) * dx^2 / 2``
-    evaluated across that interface."""
-    if dt is None:
-        dt = cfl_timestep(cfg, mat, mesh)
-    return StepPlan(dt, replace(cfg, diffusion_mode="implicit_slopes"), mat, mesh, q, bc).bands

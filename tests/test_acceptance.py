@@ -22,8 +22,7 @@ from ugks1d.penalized import (PenalizedOperator, ScatteringKernel,
                               assemble_operator, penalized_step)
 from ugks1d.reference import (ChandrasekharWeight, chandrasekhar_density,
                               diffusion_step, dirichlet_series_profile)
-from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig,
-                         boundary_fluxes_left, cfl_timestep, implicit_system, step)
+from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
 Q16 = build_gauss_legendre(16)
 
@@ -130,11 +129,12 @@ def test_criterion_4_boundary_density_scalar():
     val = chandrasekhar_density(qd.nodes, w, qd)
     ok = abs(val - 17.0 / 24.0) <= 1e-14
     # the corrected and blended boundary modes reproduce the same value
-    coef = flux_coefficients(1.0, 1e-6, 1.0, 0.0)  # nu dt huge -> theta = 1
+    mesh = SpatialMesh(0.0, 1.0, 25)
+    mat = sample_material(1.0, 0.0, 0.0, mesh)
+    cfg = SchemeConfig(eps=1e-6)  # nu dt huge at dt = 1 -> theta = 1
     for mode in ("corrected", "blended"):
         bc = BoundarySpec.from_functions(lambda v: v, 0.0, qd, mode=mode)
-        _, _, rho_half = boundary_fluxes_left(coef, qd, bc, np.zeros(16), 0.0, 0.04,
-                                              0.0, 1e-6, 1.0)
+        rho_half = StepPlan(1.0, cfg, mat, mesh, qd, bc).rho_half[0]
         ok &= abs(rho_half - 17.0 / 24.0) <= 1e-14
     report(4, ok, f"anisotropic boundary density = {val!r} vs 17/24 "
                   f"(err {val - 17.0 / 24.0:.1e})")
@@ -146,8 +146,7 @@ def test_criterion_5_harmonic_average():
     mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
     cfg = SchemeConfig(eps=1e-10, diffusion_mode="implicit_slopes")
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
-    state = KineticState.from_distribution(np.zeros((40, 16)), Q16)
-    lower, diag, upper = implicit_system(state, cfg, mat, mesh, Q16, bc, dt=1e-3)
+    lower, diag, upper = StepPlan(1e-3, cfg, mat, mesh, Q16, bc).bands
     kappa_cell = 1.0 / (3.0 * mat.sigma_cell)
     worst = 0.0
     for j in range(1, 40):  # interior interfaces

@@ -69,3 +69,13 @@ def test_converge_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "observed order" in out
+
+
+def test_compare_rejects_a_single_row_profile(tmp_path, capsys):
+    # One row gives no cell width, so no distance is defined in either order.
+    write_csv(tmp_path / "one.csv", np.array([0.5]), np.array([1.0]))
+    write_csv(tmp_path / "two.csv", np.array([0.25, 0.75]), np.array([1.0, 0.0]))
+    for pair in (("one.csv", "two.csv"), ("two.csv", "one.csv")):
+        code = main(["compare", *(str(tmp_path / name) for name in pair), "--norm", "l1"])
+        assert code == 2
+    assert "distance" not in capsys.readouterr().out

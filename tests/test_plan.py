@@ -11,7 +11,7 @@ from ugks1d import ugks
 from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
 from ugks1d.ugks import (BC_MODES, BoundarySpec, KineticState, SchemeConfig, StepPlan,
-                         apply, cfl_timestep, implicit_system, step)
+                         apply, cfl_timestep, step)
 
 Q16 = build_gauss_legendre(16)
 N_CELLS = 20
@@ -186,10 +186,6 @@ def test_factored_solve_matches_the_banded_solve(example, alpha, build_quadratur
     expect = scipy.linalg.solve_banded((1, 1), ab, rhs)
     assert np.array_equal(ugks.solve_banded(plan.lu, rhs.copy()), expect)
 
-    state = KineticState.from_distribution(np.zeros((n_cells, q.n)), q)
-    for got, band in zip(implicit_system(state, cfg, mat, mesh, q, bc, dt), plan.bands):
-        assert np.array_equal(got, band)
-
 
 def test_plan_rejects_a_mismatched_step():
     mesh, mat, cfg = setup()
@@ -205,3 +201,5 @@ def test_plan_rejects_a_mismatched_step():
         StepPlan(0.0, cfg, mat, mesh, Q16, bc)
     with pytest.raises(InvalidArgumentError):
         StepPlan(dt, cfg, mat, SpatialMesh(0.0, 1.0, N_CELLS + 1), Q16, bc)
+    with pytest.raises(InvalidArgumentError):
+        StepPlan(dt, cfg, mat, mesh, Q16, BoundarySpec(f_left=np.ones(8), f_right=np.ones(8)))

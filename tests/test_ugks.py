@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from ugks1d.coeffs import flux_coefficients
+from ugks1d import ugks
 from ugks1d.errors import InvalidArgumentError
-from ugks1d.grid import (SpatialMesh, average, build_double_gauss,
-                         build_gauss_legendre, sample_material)
+from ugks1d.grid import (SpatialMesh, build_double_gauss, build_gauss_legendre,
+                         sample_material)
 from ugks1d.reference import diffusion_step, upwind_step
-from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig,
-                         boundary_fluxes_left, boundary_fluxes_right,
-                         cfl_timestep, interface_density, macro_flux, mc_slope,
-                         micro_flux, moment_defect, slopes, step)
+from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan,
+                         cfl_timestep, moment_defect, step)
 
 Q16 = build_gauss_legendre(16)
 
@@ -28,147 +26,62 @@ def isotropic_state(profile, q=Q16, t=0.0):
 
 # ---------------------------------------------------------------- interface ops
 
+def plan_interface_density(f_i, f_ip1, q=Q16):
+    """Density a step assigns to the interface between two cells holding
+    f_i and f_ip1: a plan's moment row applied to the upwind selection."""
+    mesh, mat, cfg = make_setup(n_cells=2)
+    plan = StepPlan(0.01, cfg, mat, mesh, q, BoundarySpec.from_functions(0.0, 0.0, q))
+    up = ugks._upwind_rows(np.array([f_i, f_ip1], dtype=float).T, plan.split, np.zeros((q.n, 3)))
+    return (plan.moments @ up)[0, 1]
+
+
 def test_interface_density_constant_and_half_range():
     c = 0.73
-    assert interface_density(np.full(16, c), np.full(16, c), Q16) == pytest.approx(c, abs=1e-14)
-    assert interface_density(np.ones(16), np.zeros(16), Q16) == pytest.approx(0.5, abs=1e-14)
+    assert plan_interface_density(np.full(16, c), np.full(16, c)) == pytest.approx(c, abs=1e-14)
+    assert plan_interface_density(np.ones(16), np.zeros(16)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_interface_density_odd_function_half_moment():
     qd = build_double_gauss(16)
-    val = interface_density(qd.nodes, np.zeros(16), qd)
+    val = plan_interface_density(qd.nodes, np.zeros(16), qd)
     assert val == pytest.approx(0.25, abs=1e-14)
     # full-range Gauss-Legendre only achieves quadrature accuracy here
-    val_gl = interface_density(Q16.nodes, np.zeros(16), Q16)
+    val_gl = plan_interface_density(Q16.nodes, np.zeros(16))
     assert val_gl == pytest.approx(0.25, abs=2e-3)
-
-
-def test_interface_density_length_check():
-    with pytest.raises(InvalidArgumentError):
-        interface_density(np.ones(8), np.ones(16), Q16)
-
-
-def test_slopes():
-    assert slopes(0.5, 0.0, 1.0, 0.1) == (pytest.approx(10.0), pytest.approx(10.0))
-    assert slopes(1.0, 1.0, 1.0, 0.3) == (0.0, 0.0)
-    assert slopes(0.5, 0.0, 0.0, 1.0) == (pytest.approx(1.0), pytest.approx(-1.0))
-
-
-def test_mc_slope():
-    assert mc_slope(0.0, 1.0, 2.0, 1.0, 1.5) == pytest.approx(1.0)
-    assert mc_slope(0.0, 1.0, 0.0, 1.0, 1.5) == 0.0
-    assert mc_slope(0.0, 1.0, 4.0, 1.0, 1.5) == pytest.approx(1.5)
-    assert mc_slope(4.0, 1.0, 0.0, 1.0, 1.5) == pytest.approx(-1.5)
-
-
-# ---------------------------------------------------------------- fluxes
-
-def test_micro_flux_zero_inputs():
-    coef = flux_coefficients(0.01, 1.0, 2.0, 0.1)
-    out = micro_flux(coef, Q16.nodes, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert np.all(out == 0.0)
-
-
-def test_micro_flux_free_transport_is_upwind():
-    coef = flux_coefficients(0.01, 0.5, 0.0, 0.0)
-    v = Q16.nodes
-    f_up, f_down, g = 1.3, 0.2, 0.7
-    out = micro_flux(coef, v, f_up, f_down, 0.9, 1.0, -2.0, g)
-    expected = v / 0.5 * np.where(v > 0, f_up, f_down) + coef.e * v * g
-    assert np.allclose(out, expected, atol=1e-15)
-
-
-def test_macro_flux_matches_average_of_micro():
-    rng = np.random.default_rng(11)
-    dx = 0.04
-    for _ in range(30):
-        dt = 10.0 ** rng.uniform(-5, -1)
-        eps = 10.0 ** rng.uniform(-6, 0)
-        sigma = 10.0 ** rng.uniform(-3, 2)
-        alpha = rng.uniform(0.0, 2.0)
-        coef = flux_coefficients(dt, eps, sigma, alpha)
-        f_up = rng.normal(size=16)
-        f_down = rng.normal(size=16)
-        rho_i, rho_ip1 = rng.normal(size=2)
-        df_l = rng.normal(size=16)
-        df_r = rng.normal(size=16)
-        rho_if = interface_density(f_up, f_down, Q16)
-        d_l, d_r = slopes(rho_if, rho_i, rho_ip1, dx)
-        g = rng.normal()
-        phi = micro_flux(coef, Q16.nodes, f_up, f_down, rho_if, d_l, d_r, g,
-                         f_slopes=(df_l, df_r))
-        big = macro_flux(coef, Q16, f_up, f_down, rho_i, rho_ip1, dx,
-                         f_slopes=(df_l, df_r))
-        avg = average(Q16, phi)
-        # tolerance scales with the flux summands: the interface-density terms
-        # are large and drop only through the symmetric quadrature
-        assert abs(big - avg) < 1e-13 * max(1.0, float(np.abs(phi).max()))
-
-
-def test_macro_flux_trivial_and_limits():
-    coef = flux_coefficients(0.01, 1.0, 1.0, 0.0)
-    big = macro_flux(coef, Q16, np.full(16, 2.0), np.full(16, 2.0), 1.0, 1.0, 0.1)
-    assert abs(big) < 1e-14
-    # diffusion limit: -(1/(3 sigma)) (rho_{i+1}-rho_i)/dx within 1e-6 relative
-    coef = flux_coefficients(2e-3, 1e-8, 1.0, 0.0)
-    rho_i, rho_ip1, dx = 1.0, 0.8, 0.04
-    f_iso_up = np.full(16, rho_i)
-    f_iso_dn = np.full(16, rho_ip1)
-    big = macro_flux(coef, Q16, f_iso_up, f_iso_dn, rho_i, rho_ip1, dx)
-    limit = -(1.0 / 3.0) * (rho_ip1 - rho_i) / dx
-    assert big == pytest.approx(limit, rel=1e-6)
-    # free-transport limit
-    coef = flux_coefficients(2e-3, 0.5, 0.0, 0.0)
-    f_up = np.abs(Q16.nodes)
-    f_dn = Q16.nodes**2
-    big = macro_flux(coef, Q16, f_up, f_dn, 0.3, 0.4, dx)
-    wv = 0.5 * Q16.weights * Q16.nodes
-    expected = (1 / 0.5) * float(np.where(Q16.nodes > 0, f_up, f_dn) @ wv)
-    assert big == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------- boundaries
 
+def wall_densities(bc, q=Q16):
+    """(rho_{1/2}, rho_{N+1/2}) of a plan at dt = 0.01, eps = 0.01, sigma = 1."""
+    mesh, mat, cfg = make_setup(n_cells=25, sigma=1.0, eps=1e-2)
+    return StepPlan(0.01, cfg, mat, mesh, q, bc).rho_half
+
+
 @pytest.mark.parametrize("mode", ["stabilized", "corrected", "blended"])
 def test_boundary_density_isotropic_preserved(mode):
     bc = BoundarySpec.from_functions(0.9, 0.9, Q16, mode=mode)
-    coef = flux_coefficients(0.01, 1e-2, 1.0, 0.0)
-    _, _, rho_half = boundary_fluxes_left(coef, Q16, bc, np.full(16, 0.9), 0.9, 0.04,
-                                          0.0, 1e-2, 0.01)
-    assert rho_half == pytest.approx(0.9, abs=1e-13)
-    _, _, rho_half_r = boundary_fluxes_right(coef, Q16, bc, np.full(16, 0.9), 0.9, 0.04,
-                                             0.0, 1e-2, 0.01)
-    assert rho_half_r == pytest.approx(0.9, abs=1e-13)
+    rho_l, rho_r = wall_densities(bc)
+    assert rho_l == pytest.approx(0.9, abs=1e-13)
+    assert rho_r == pytest.approx(0.9, abs=1e-13)
 
 
 def test_boundary_density_anisotropic_corrected_value():
-    # f_L(v) = v with the polynomial weight gives 17/24 on a half-range-exact rule
+    # f_L(v) = v with the polynomial weight gives 17/24 on a half-range-exact
+    # rule; f_R(v) = -v is its mirror image at the right wall
     qd = build_double_gauss(16)
-    bc = BoundarySpec.from_functions(lambda v: v, 0.0, qd, mode="corrected")
-    coef = flux_coefficients(0.01, 1e-2, 1.0, 0.0)
-    _, _, rho_half = boundary_fluxes_left(coef, qd, bc, np.zeros(16), 0.0, 0.04,
-                                          0.0, 1e-2, 0.01)
-    assert rho_half == pytest.approx(17.0 / 24.0, abs=1e-14)
-
-
-def test_boundary_free_transport_flux_is_upwind():
-    # with sigma = alpha = 0 the stabilized and blended macroscopic boundary
-    # fluxes reduce to the first-order upwind flux
-    coef = flux_coefficients(0.01, 1.0, 0.0, 0.0)
-    f1 = np.abs(Q16.nodes) + 0.2
-    wv = 0.5 * Q16.weights * Q16.nodes
-    pos = Q16.positive
-    for mode in ("stabilized", "blended"):
-        bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode=mode)
-        _, big, _ = boundary_fluxes_left(coef, Q16, bc, f1, average(Q16, f1), 0.04,
-                                         0.0, 1.0, 0.01)
-        expected = float(bc.f_left[pos] @ wv[pos]) + float(f1[~pos] @ wv[~pos])
-        assert big == pytest.approx(expected, rel=1e-13)
+    bc = BoundarySpec.from_functions(lambda v: v, lambda v: -v, qd, mode="corrected")
+    rho_l, rho_r = wall_densities(bc, qd)
+    assert rho_l == pytest.approx(17.0 / 24.0, abs=1e-14)
+    assert rho_r == pytest.approx(17.0 / 24.0, abs=1e-14)
 
 
 def test_boundary_unknown_mode_rejected():
     with pytest.raises(InvalidArgumentError):
         BoundarySpec(f_left=np.zeros(16), f_right=np.zeros(16), mode="reflecting")
+    with pytest.raises(InvalidArgumentError):
+        BoundarySpec(f_left=np.zeros(16), f_right=np.zeros(16), mode="corrected",
+                     weight_variant="chebyshev")
 
 
 # ---------------------------------------------------------------- CFL policy
@@ -214,15 +127,17 @@ def test_equilibrium_with_absorption_and_matching_source():
 
 
 def test_free_transport_step_equals_upwind():
+    # with sigma = alpha = 0 the stabilized and blended walls are upwind walls
     mesh, mat, cfg = make_setup(n_cells=30, sigma=0.0, eps=1.0)
     rng = np.random.default_rng(4)
     f0 = rng.uniform(0.0, 1.0, size=(30, 16))
     state = KineticState.from_distribution(f0, Q16)
-    bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
-    out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
-    ref = upwind_step(f0, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
-    assert np.abs(out.f - ref).max() < 1e-13
+    for mode in ("stabilized", "blended"):
+        bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode=mode)
+        out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+        ref = upwind_step(f0, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
+        assert np.abs(out.f - ref).max() < 1e-13
 
 
 def test_second_order_free_transport_matches_traced_upwind():
@@ -273,12 +188,33 @@ def test_implicit_macro_update_matches_implicit_diffusion():
 def test_moment_consistency_random_states(eps, sigma, alpha, source, diffusion_mode, reconstruction):
     mesh, mat, _ = make_setup(n_cells=20, sigma=sigma, alpha=alpha, source=source, eps=eps)
     cfg = SchemeConfig(eps=eps, diffusion_mode=diffusion_mode, reconstruction=reconstruction)
-    rng = np.random.default_rng(9)
-    f0 = rng.uniform(0.0, 2.0, size=(20, 16))
+    assert_moments_consistent(cfg, mat, mesh, np.random.default_rng(9), n_steps=5)
+
+
+@pytest.mark.parametrize("diffusion_mode", ["explicit_slopes", "implicit_slopes"])
+def test_moment_consistency_random_coefficients(diffusion_mode):
+    # The macroscopic flux is the velocity average of the per-node one for
+    # any (dt, eps, sigma, alpha), MC slope terms included: the interface
+    # density and source terms drop only through the symmetric quadrature.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        dt = 10.0 ** rng.uniform(-5, -1)
+        eps = 10.0 ** rng.uniform(-6, 0)
+        sigma = 10.0 ** rng.uniform(-3, 2)
+        alpha = rng.uniform(0.0, 2.0)
+        mesh, mat, _ = make_setup(n_cells=20, sigma=sigma, alpha=alpha,
+                                  source=rng.uniform(0.0, 2.0), eps=eps)
+        cfg = SchemeConfig(eps=eps, diffusion_mode=diffusion_mode, reconstruction="mc_limited")
+        assert_moments_consistent(cfg, mat, mesh, rng, n_steps=3, dt=dt)
+
+
+def assert_moments_consistent(cfg, mat, mesh, rng, n_steps, dt=None):
+    """Step a random state and check rho = <f>_h after every step."""
+    f0 = rng.uniform(0.0, 2.0, size=(mesh.n_cells, 16))
     state = KineticState.from_distribution(f0, Q16)
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
-    for _ in range(5):
-        state = step(state, cfg, mat, mesh, q=Q16, bc=bc)
+    for _ in range(n_steps):
+        state = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
         assert moment_defect(state, Q16) < 1e-12
 
 
