@@ -3,8 +3,8 @@ import pytest
 
 from ugks1d import ugks
 from ugks1d.errors import InvalidArgumentError
-from ugks1d.grid import (SpatialMesh, build_double_gauss, build_gauss_legendre,
-                         sample_material)
+from ugks1d.grid import (SpatialMesh, average, build_double_gauss,
+                         build_gauss_legendre, sample_material)
 from ugks1d.reference import diffusion_step, upwind_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan,
                          cfl_timestep, moment_defect, step)
@@ -138,6 +138,35 @@ def test_free_transport_step_equals_upwind():
         out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
         ref = upwind_step(f0, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
         assert np.abs(out.f - ref).max() < 1e-13
+
+
+def test_micro_flux_free_transport_is_upwind():
+    # sigma = alpha = 0 at eps = 0.5 with a uniform source: every interior
+    # interface carries v/eps times the upwind value plus e v G, and the
+    # uniform e v G part cancels in each interior cell's flux difference
+    mesh, mat, cfg = make_setup(n_cells=30, sigma=0.0, source=0.7, eps=0.5)
+    f0 = np.random.default_rng(7).uniform(0.2, 1.3, size=(30, 16))
+    state = KineticState.from_distribution(f0, Q16)
+    bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
+    dt = cfl_timestep(cfg, mat, mesh)
+    out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+    ref = upwind_step(f0, 0.5, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
+    assert np.abs(out.f[1:-1] - ref[1:-1]).max() < 1e-13
+
+
+def test_boundary_free_transport_flux_is_upwind():
+    # with sigma = alpha = 0 the stabilized and blended macroscopic wall
+    # fluxes reduce to the first-order upwind flux, so the density of the
+    # wall cell follows the upwind step
+    mesh, mat, cfg = make_setup(n_cells=25, sigma=0.0, eps=1.0)
+    f1 = np.tile(np.abs(Q16.nodes) + 0.2, (25, 1))
+    state = KineticState.from_distribution(f1, Q16)
+    dt = cfl_timestep(cfg, mat, mesh)
+    for mode in ("stabilized", "blended"):
+        bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode=mode)
+        out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+        ref = upwind_step(f1, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
+        assert out.rho[0] == pytest.approx(average(Q16, ref[0]), rel=1e-13)
 
 
 def test_second_order_free_transport_matches_traced_upwind():
