@@ -302,16 +302,15 @@ def _run_diffusion(spec: ExperimentSpec, mesh: SpatialMesh, mat, q, t_start: flo
 
 
 def write_csv(path, x: np.ndarray, rho: np.ndarray, f: Optional[np.ndarray] = None) -> None:
-    """One row per cell: ``x,rho[,f_0,...]`` with full-precision formatting."""
+    """One row per cell: ``x,rho[,f_0,...]`` with full-precision formatting.
+
+    Each row is one ``%``-format of its columns, each as ``%.17g``."""
+    table = np.column_stack((x, rho) if f is None else (x, rho, f))
+    names = ["x", "rho"] + [f"f_{k}" for k in range(table.shape[1] - 2)]
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        if f is None:
-            fh.write("x,rho\n")
-            for xi, ri in zip(x, rho):
-                fh.write(f"{xi:.17g},{ri:.17g}\n")
-        else:
-            fh.write("x,rho," + ",".join(f"f_{k}" for k in range(f.shape[1])) + "\n")
-            for xi, ri, fi in zip(x, rho, f):
-                fh.write(f"{xi:.17g},{ri:.17g}," + ",".join(f"{v:.17g}" for v in fi) + "\n")
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 def result_filename(run_name: str, t: float) -> str:

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityQuadrature:
     """Discrete ordinate nodes/weights on [-1, 1] with precomputed half-moments.
 
@@ -39,7 +39,8 @@ class VelocityQuadrature:
     Half-moments are the discrete values of <v 1_{v<0}>, <v 1_{v>0}>,
     <v^2 1_{v<0}>, <v^2 1_{v>0}> and <v^2> under this quadrature; the scheme
     uses these rather than the exact integrals to avoid accuracy loss for
-    small scaling parameters.
+    small scaling parameters.  A quadrature equals only itself and hashes by
+    identity, so tables derived from it can be cached per quadrature.
     """
 
     nodes: np.ndarray
@@ -143,34 +144,48 @@ def weight_samples(variant: str, v):
     return c1 * v + c2 * v**2
 
 
-def mc_slopes(f: np.ndarray, dx: float, theta_lim: float, axis: int = 0) -> np.ndarray:
+def mc_slopes(f: np.ndarray, dx: float, theta_lim: float, axis: int = 0,
+              out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """MC-limited slope of ``f`` along its cell ``axis``: the three-argument
     minmod of the central and the two theta-scaled one-sided differences,
-    zero on sign disagreement and in the first and last cells."""
-    head = (slice(None),) * (axis % f.ndim)
-    prev, mid, nxt = (f[head + (cells,)] for cells in (slice(None, -2), slice(1, -1), slice(2, None)))
-    # The differences and the lower bound share one block: as separate
-    # temporaries at a few thousand cells, the allocator unmapped and
-    # re-faulted them on every call.
-    a, b, c, lo = work = np.empty((4,) + mid.shape)
+    zero on sign disagreement and in the first and last cells.
+
+    The work runs on ``f`` with the cell axis moved last, copied only if that
+    is not C-contiguous, and flattened: every pass is then one contiguous
+    sweep, and the differences that cross from one row into the next land in
+    first and last cells, which are zeroed.  ``out`` (the shape of that
+    moved array, C-contiguous) receives the slopes and ``work``, of shape
+    (3, f.size - 2), holds the three differences; a stepper passes buffers
+    it owns, so a step allocates neither.  Both are allocated when omitted.
+    The result has the shape of ``f``.
+    """
+    x = np.ascontiguousarray(np.moveaxis(f, axis, -1))
+    if out is None:
+        out = np.empty(x.shape)
+    if work is None:
+        work = np.empty((3, x.size - 2))
+    flat = x.reshape(-1)
+    prev, mid, nxt = flat[:-2], flat[1:-1], flat[2:]
+    a, b, c = work
     np.subtract(nxt, prev, out=a)
     a /= 2.0 * dx
     np.subtract(mid, prev, out=b)
     np.subtract(nxt, mid, out=c)
-    one_sided = work[1:3]
+    one_sided = work[1:]
     one_sided *= theta_lim
     one_sided /= dx
-    # minmod: the smallest if all three are positive, the largest if all are
-    # negative, else zero; at most one of lo, hi is nonzero after clipping.
-    np.minimum(b, c, out=lo)
-    np.minimum(a, lo, out=lo)
-    hi = np.maximum(b, c, out=b)
-    np.maximum(a, hi, out=hi)
-    np.maximum(lo, 0.0, out=lo)
-    np.minimum(hi, 0.0, out=hi)
-    df = np.zeros_like(f)
-    np.add(lo, hi, out=df[head + (slice(1, -1),)])
-    return df
+    # minmod of a, b and c: a clipped to [min(max(b, c), 0), max(min(b, c), 0)].
+    # The interval is [0, min(b, c)] when b, c > 0, [max(b, c), 0] when
+    # b, c < 0 and {0} otherwise; clipping only selects, so no bit changes.
+    upper = np.minimum(b, c, out=out.reshape(-1)[1:-1])
+    lower = np.maximum(b, c, out=b)
+    np.minimum(lower, 0.0, out=lower)
+    np.maximum(upper, 0.0, out=upper)
+    np.minimum(a, upper, out=upper)
+    np.maximum(upper, lower, out=upper)
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
+    return np.moveaxis(out, -1, axis)
 
 
 def average(q: VelocityQuadrature, samples: np.ndarray) -> float:

@@ -15,7 +15,9 @@ cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -96,15 +98,15 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection: scaling parameter, CFL policy, reconstruction order,
-    diffusion (slope) time level, and collision model."""
+    """Scheme selection: scaling parameter, CFL policy, reconstruction order
+    and diffusion (slope) time level.  The collision model is not part of
+    it: :func:`step` is the isotropic one, ``penalized_step`` the general."""
 
     eps: float
     cfl: float = 0.9
     reconstruction: str = "first_order"
     theta_lim: float = 1.5
     diffusion_mode: str = "explicit_slopes"
-    collision: str = "isotropic"
     cfl_form: str = "max"
 
     def __post_init__(self) -> None:
@@ -135,17 +137,16 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
     makes it map isotropic inflow to itself exactly.
     """
     h = q.split
-    wv = 0.5 * q.weights * q.nodes
+    wv = _node_tables(q).wv
     if bc.mode != "stabilized":
-        w_norm = weight_samples(bc.weight_variant, np.abs(q.nodes))
-        w_norm = w_norm / float(np.sum(q.weights[h:] * w_norm[h:]))
+        w_weights = _corrected_weights(q, bc.weight_variant)
 
     def wall(f_in, inc, m_out, nu):
         stab_inflow = float(f_in[inc] @ wv[inc])
         rho_stab = -stab_inflow / m_out
         if bc.mode == "stabilized":
             return rho_stab, stab_inflow
-        rho_corr = float(np.sum(q.weights[inc] * w_norm[inc] * f_in[inc]))  # = 2<W f 1_inc>_h
+        rho_corr = float(np.sum(w_weights[inc] * f_in[inc]))  # = 2<W f 1_inc>_h
         corr_inflow = -m_out * rho_corr
         if bc.mode == "corrected":
             return rho_corr, corr_inflow
@@ -155,6 +156,18 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
 
     return (wall(bc.f_left, slice(h, None), q.m_v_neg, nu_left),
             wall(bc.f_right, slice(0, h), q.m_v_pos, nu_right))
+
+
+@lru_cache(maxsize=16)
+def _corrected_weights(q: VelocityQuadrature, variant: str) -> np.ndarray:
+    """w W(|v|) at the nodes for the half-range weight ``variant``, with W
+    scaled so that sum_{v>0} w W = 1."""
+    h = q.split
+    w_norm = weight_samples(variant, np.abs(q.nodes))
+    w_norm = w_norm / float(np.sum(q.weights[h:] * w_norm[h:]))
+    out = q.weights * w_norm
+    out.setflags(write=False)
+    return out
 
 
 def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> float:
@@ -181,24 +194,39 @@ class StepPlan:
     The update is linear, so for a fixed dt the interface coefficients, the
     boundary densities with their inflow fluxes, the reciprocals of dt and of
     both relaxation denominators, and the implicit bands with their LU
-    factors are constants.  A plan computes them once, in O(cells) work;
-    build one per distinct dt and advance with :func:`apply`.  ``coeffs``
-    takes the ``coefficient_arrays`` tuple when the caller has already
-    evaluated it.  For ``implicit_slopes``, ``bands`` is (lower, diag,
-    upper) and ``lu`` its ``dgttrf`` factors, so a step only substitutes
-    through them (:func:`solve_banded`); a singular system raises
-    ``SolverFailureError`` here.  :func:`apply` multiplies by the stored
-    reciprocals and divides no state-size array itself; the MC limiter and
-    the penalized source keep their divisions, and so their bits.
+    factors are constants.  A plan computes them once; build one per
+    distinct dt and advance with :func:`apply`.  ``coeffs`` takes the
+    ``coefficient_arrays`` tuple when the caller has already evaluated it.
+    For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` its
+    ``dgttrf`` factors, so a step only substitutes through them
+    (:func:`solve_banded`); a singular system raises ``SolverFailureError``
+    here.
 
-    The step works node-major, on ``F = f.T`` of shape (nodes, cells) and on
-    interface arrays of shape (nodes, cells + 1).  The quadrature's ascending
-    nodes make v < 0 and v > 0 the contiguous row blocks ``F[:split]`` and
-    ``F[split:]``, so the upwind selection is two block copies.  Of the
-    plan's three interface arrays, ``av`` is the constant A v / dx; ``up``
-    and ``phi`` are scratch that every :func:`apply` overwrites, so a plan
-    must not be applied from two threads at once.  Nothing a step returns
-    aliases them: the plan owns its scratch, the caller owns each result.
+    The step works node-major, on ``F = f.T`` of shape (nodes, cells), in
+    stencil form.  The quadrature's ascending nodes make v < 0 and v > 0 the
+    contiguous row blocks ``F[:split]`` and ``F[split:]``.  With A v / dx,
+    1/dt and the per-cell factor 1/(1/dt + sigma/eps^2 + alpha) folded in,
+    the part of f^{n+1} that is linear in F node by node is a two-point
+    upwind stencil: ``S_d * F`` plus ``S_o * F`` moved one cell downwind.
+    ``stencil`` is that pair of (nodes, cells) arrays.  ``S_o`` is zero in
+    the column that has no downwind cell, so the move is one shifted add on
+    the flattened rows of each velocity half.  The MC slope has a pair of the
+    same form from (A shift + B v) v / dx (``slope_stencil``), and so has a
+    per-node source from E v / dx, built on a plan's first sourced step.
+    Everything else, the interface-density, D-slope, scalar-source and
+    relaxation terms, is one product ``node_cols @ cell_rows`` of a
+    (nodes, 6) constant with a (6, cells) block per step; its last two
+    columns put the wall inflow in place of the interface terms at the
+    walls.  No per-node array spans the cells + 1 interfaces: the
+    macroscopic flux is O(cells) work on per-half moments of F.
+
+    The plan owns its constants (``stencil``, ``slope_stencil``,
+    ``node_cols``, ``row_scale``, ``d_slope`` and the wall terms; the moment
+    rows are a read-only table shared by every plan on one quadrature) and
+    its scratch: ``iface``, ``rows``, ``cell_rows``, ``scratch`` and the MC
+    buffers ``df`` and ``mc_work``, which every :func:`apply` overwrites, so
+    a plan must not be applied from two threads at once.  Nothing a step
+    returns aliases them: the caller owns each result.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -212,41 +240,22 @@ class StepPlan:
             coeffs = coefficient_arrays(dt, cfg.eps, mat.sigma_iface, mat.alpha_iface)
         a, b, c, d, e, nu = coeffs
         eps, dx = cfg.eps, mesh.dx
-        v = q.nodes
-        v2 = v * v
-        mpp, mnn = q.m_v2_pos, q.m_v2_neg
+        inv_dx = 1.0 / dx
         self.dt, self.dx = dt, dx
         self.shape, self.split = (n, k), h
         self.implicit = cfg.diffusion_mode == "implicit_slopes"
         self.second_order = cfg.reconstruction == "mc_limited"
         self.theta_lim = cfg.theta_lim
-        self.mpp, self.mnn = mpp, mnn
-        w_half = 0.5 * q.weights
-        self.wv = w_half * v
-        self.a, self.c, self.d, self.e = a, c, d, e
-        # Row 0 gives the interface density, row 1 the upwind part <v f_up>_h
-        # of the macroscopic flux, from one product with the upwind values.
-        self.moments = np.array((w_half, self.wv))
-        # The per-node flux phi is kept divided by dx.  Its scalar and slope
-        # terms are the columns (v, v^2 1_{v>0}, v^2 1_{v<0}) / dx times the
-        # rows (C rho_if + E G, D dL, D dR).
-        scale = 1.0 / dx
-        self.node_rows = np.zeros((k, 3))
-        self.node_rows[:, 0] = v
-        self.node_rows[h:, 1] = v2[h:]
-        self.node_rows[:h, 2] = v2[:h]
-        self.node_rows *= scale
-        self.v_col = self.node_rows[:, :1]
-        self.av = self.v_col * a
+        self.a, self.b, self.c, self.e = a, b, c, e
+        self.g_cell = mat.g_cell if mat.g_cell.any() else None
         g_if = mat.g_iface
         self.eg = e * g_if if g_if.any() else None
-        if self.second_order:
-            shift = np.where(q.positive, 0.5 * dx, -0.5 * dx)
-            self.b = b
-            self.shift_col = shift[:, None]
-            # B v^2 df_up / dx from the shifted slope, shift times df_up.
-            self.slope_col = (v2 * scale / shift)[:, None]
-            self.slope_moments = np.array((self.wv * shift, w_half * v2))
+        self.inv_dt = 1.0 / dt
+        self.inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
+        self.relax = mat.sigma_cell / eps**2
+        self.inv_den_f = idf = 1.0 / (self.inv_dt + self.relax + mat.alpha_cell)
+        tables = _node_tables(q)
+        self.moments = tables.moments
 
         (rho_l, inflow_l), (rho_r, inflow_r) = _wall_densities(q, bc, float(nu[0]), float(nu[-1]), dt)
         self.rho_half = (rho_l, rho_r)
@@ -254,41 +263,219 @@ class StepPlan:
         # this order (inflow, C, E): they cancel to O(1) from O(1/eps), so the
         # order fixes the bits.
         self.wall_terms = (
-            (0, inflow_l / eps, c[0] * q.m_v_neg * rho_l, e[0] * q.m_v_neg * float(g_if[0])),
-            (-1, inflow_r / eps, c[-1] * q.m_v_pos * rho_r, e[-1] * q.m_v_pos * float(g_if[-1])),
+            (0, inflow_l / eps, float(c[0] * q.m_v_neg * rho_l), float(e[0] * q.m_v_neg * g_if[0])),
+            (-1, inflow_r / eps, float(c[-1] * q.m_v_pos * rho_r), float(e[-1] * q.m_v_pos * g_if[-1])),
         )
-        self.wall_slope = (d[0] * mnn, d[-1] * mpp)
-        self.inflow_left = v[h:] / eps * bc.f_left[h:] * scale
-        self.inflow_right = v[:h] / eps * bc.f_right[:h] * scale
-        self.up = np.zeros((k, n + 1))
-        self.phi = np.empty((k, n + 1))
-        self.rows = np.zeros((3, n + 1))   # entries [1, 0] and [2, -1] stay zero
 
-        self.g_cell = mat.g_cell if mat.g_cell.any() else None
-        self.inv_dt = 1.0 / dt
-        self.inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
-        self.relax = mat.sigma_cell / eps**2
-        self.inv_den_f = 1.0 / (self.inv_dt + self.relax + mat.alpha_cell)
+        # One zeroed (9, cells + 1) block of per-step rows.  Rows 0-2 are the
+        # interface rows: C rho_if + E G, then the D-slope fluxes of the
+        # v > 0 and v < 0 nodes, D (rho_if - rho) 2/dx from the cell on each
+        # side; ``slopes`` views rows[1, 1:] and rows[2, :-1], adjacent in
+        # memory, so entries [1, 0] and [2, -1] stay zero.  Rows 3-8, cut to
+        # cells columns, are the (6, cells) block of f^{n+1}'s product: the
+        # differences of the interface rows, sigma/eps^2 rho^{n+1} + G, and
+        # two rows that select the wall cells.  Padding the rows to a common
+        # length makes the differences and the scaling flat passes.
+        w = n + 1
+        block = np.zeros((9, w))
+        flat = block.reshape(-1)
+        self.rows = block[:3]
+        self.slopes = flat[n + 2:3 * n + 2].reshape(2, n)
+        self.d_slope = (2.0 / dx) * np.array((d[1:], d[:-1]))
+        self.row_diff = (flat[:3 * w - 1], flat[1:3 * w], flat[3 * w:6 * w - 1])
+        self.scaled_rows = flat[3 * w:7 * w]
+        self.cell_rows = block[3:, :n]
+        # The product's (nodes, 6) columns are (v, v^2 1_{v>0}, v^2 1_{v<0}, 1)
+        # and, at each wall, v (inflow/eps - C rho_wall - E G): the inflow
+        # flux less the interface-row flux that the first column gives there.
+        # The row scale divides the first three rows and the wall rows by dx,
+        # and scales every row by the relaxation factor.
+        idf_dx = idf * inv_dx
+        row_scale = np.zeros((4, w))
+        row_scale[:3, :n] = idf_dx
+        row_scale[3, :n] = idf
+        self.row_scale = row_scale.reshape(-1)
+        block[7, 0] = idf_dx[0]
+        block[8, n - 1] = idf_dx[-1]
+        r0_l, r0_r = c[0] * rho_l, c[-1] * rho_r
+        if self.eg is not None:
+            r0_l, r0_r = r0_l + self.eg[0], r0_r + self.eg[-1]
+        self.node_cols = tables.cell_cols.copy()
+        np.multiply(q.nodes[h:], bc.f_left[h:] / eps - r0_l, out=self.node_cols[h:, 4])
+        np.multiply(q.nodes[:h], r0_r - bc.f_right[:h] / eps, out=self.node_cols[:h, 5])
+
+        self.iface = _moment_scratch(2, n)
+        # The (nodes, cells) arrays are one allocation: as separate blocks at
+        # 2000 cells, each plan touched fresh pages and took 2.7 times as
+        # long to build.  Blocks 0-1 are the stencil pair, 2 the step's
+        # scratch; with MC, 3-4 the slope stencil, 5 the slopes and 6-8 the
+        # limiter's differences.
+        big = np.empty((9 if self.second_order else 3, k, n))
+        self.upwind_cols = tables.upwind_cols
+        self.stencil = _stencil_pair(tables.upwind_cols, a[None, :], idf_dx, self.inv_dt * idf,
+                                     out=big[:2])
+        self.scratch = big[2]
+        self._source = None
+        if self.second_order:
+            # The reconstruction's shift, dx/2 toward the interface, moves
+            # <v f_up> by <|v| df_up> dx/2, and B adds <v^2 df_up>; per node,
+            # A |v|/2 + B v^2 / dx.
+            self.slope_moments = tables.slope_moments * np.array((dx, 1.0, dx, 1.0))[:, None]
+            self.slope_stencil = _stencil_pair(tables.slope_cols, np.array((a * dx, b)), idf_dx, 0.0,
+                                               out=big[3:5])
+            self.slope_iface = _moment_scratch(2, n)
+            self.df = big[5]
+            self.mc_work = big[6:].reshape(3, -1)[:, :k * n - 2]
+
         if self.implicit:
-            self.bands = _implicit_bands(d, mpp, mnn, dx, dt, mat.alpha_cell)
+            self.bands = _implicit_bands(d, q.m_v2_pos, q.m_v2_neg, dx, dt, mat.alpha_cell)
             lower, diag, upper = self.bands
             *self.lu, info = dgttrf(lower[1:], diag, upper[:-1])
             if info != 0:
                 raise SolverFailureError(f"implicit density matrix is singular (dgttrf info={info})")
             # Explicit (time-n) part of each interface D-flux: the interface density.
-            self.expl_coef = (2.0 * d[1:-1] / dx) * (mpp - mnn)
-            self.expl_walls = (-(2.0 * d[0] / dx) * mnn * rho_l, (2.0 * d[-1] / dx) * mpp * rho_r)
+            self.expl_coef = (2.0 * d[1:-1] / dx) * (q.m_v2_pos - q.m_v2_neg)
+            self.expl_walls = (-(2.0 * d[0] / dx) * q.m_v2_neg * rho_l,
+                               (2.0 * d[-1] / dx) * q.m_v2_pos * rho_r)
+        else:
+            self.m_v2_halves = tables.m_v2_halves
+
+    def source_terms(self):
+        """(moment rows, moment scratch, stencil pair) of a per-node source:
+        its upwind <v g>_h per interface and its stencil from E v / dx.
+        Built on first use, since only the penalized stepper has one."""
+        if self._source is None:
+            self._source = (self.moments[1::2].copy(), _moment_scratch(1, self.shape[0]),
+                            _stencil_pair(self.upwind_cols, self.e[None, :], self.inv_den_f / self.dx,
+                                          self.inv_den_f))
+        return self._source
 
 
-def _upwind_rows(x: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:
-    """Per interface, the node-major values of the upwind cell: the v > 0
-    rows of interface j come from cell j-1 and the v < 0 rows from cell j.
-    The inflow half of each wall interface is zero."""
-    out[split:, 1:] = x[split:]
-    out[:split, :-1] = x[:split]
-    out[split:, 0] = 0.0
-    out[:split, -1] = 0.0
+class _NodeTables:
+    """Plan constants that depend only on the quadrature, built once per
+    quadrature by :func:`_node_tables`.
+
+    ``moments``: the half rows (:func:`_half_rows`) of (w/2, w v/2).
+    ``cell_cols``: (v, v^2 1_{v>0}, v^2 1_{v<0}, 1, 0, 0), the columns of
+    f^{n+1}'s product before the plan fills in the wall columns.  ``wv``:
+    the weights of <v .>_h.
+    ``upwind_cols`` and ``slope_cols``: the signed node columns
+    (:func:`_signed_cols`) of the stencils of F (node factor v) and of the
+    MC slope (|v|/2 and v^2); ``slope_moments``: the half rows of
+    (<|v|/2 .>_h, <v^2 .>_h) for the MC terms of the macroscopic flux.
+    ``m_v2_halves``: (<v^2 1_{v>0}>, <v^2 1_{v<0}>).
+    """
+
+    def __init__(self, q: VelocityQuadrature):
+        h, v = q.split, q.nodes
+        w_half = 0.5 * q.weights
+        self.wv = w_half * v
+        self.moments = _half_rows(np.array((w_half, self.wv)), h)
+        self.cell_cols = np.zeros((q.n, 6))
+        self.cell_cols[:, 0] = v
+        self.cell_cols[h:, 1] = v[h:] * v[h:]
+        self.cell_cols[:h, 2] = v[:h] * v[:h]
+        self.cell_cols[:, 3] = 1.0
+        self.upwind_cols = _signed_cols(v[:, None], h)
+        self.slope_cols = _signed_cols(np.column_stack((0.5 * np.abs(v), v * v)), h)
+        self.slope_moments = _half_rows(np.array((0.5 * w_half * np.abs(v), w_half * (v * v))), h)
+        self.m_v2_halves = np.array((q.m_v2_pos, q.m_v2_neg))
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
+
+@lru_cache(maxsize=16)
+def _node_tables(q: VelocityQuadrature) -> _NodeTables:
+    return _NodeTables(q)
+
+
+def _half_rows(rows: np.ndarray, split: int) -> np.ndarray:
+    """``rows`` (m, nodes) stacked over itself with the v < 0 columns of the
+    top copy and the v > 0 columns of the bottom copy zeroed: one product
+    with F then gives per cell the moments of each velocity half."""
+    m = rows.shape[0]
+    out = np.zeros((2 * m, rows.shape[1]))
+    out[:m, split:] = rows[:, split:]
+    out[m:, :split] = rows[:, :split]
     return out
+
+
+def _moment_scratch(m: int, n: int):
+    """Buffers of :func:`_upwind_moments` for m moments on n cells: a
+    zeroed flat buffer that holds the 2m per-half rows with a stride of
+    n + 1 after one leading zero, and the (m, n + 1) result.  Interface j
+    adds the v > 0 row at cell j - 1 to the v < 0 row at cell j, which this
+    layout puts at one fixed flat offset for every row and interface."""
+    w = n + 1
+    buf = np.zeros(1 + 3 * m * w)
+    out = buf[1 + 2 * m * w:]
+    return (buf[1:1 + 2 * m * w].reshape(2 * m, w)[:, :n], buf[:m * w], buf[m * w + 1:2 * m * w + 1],
+            out, out.reshape(m, w))
+
+
+def _upwind_moments(half_rows: np.ndarray, x: np.ndarray, scratch) -> np.ndarray:
+    """Per interface, moments of the node-major ``x`` at its upwind cell:
+    the v > 0 half of interface j comes from cell j-1, the v < 0 half from
+    cell j, and the inflow half of each wall interface is zero.
+    ``half_rows`` comes from :func:`_half_rows` and ``scratch`` from
+    :func:`_moment_scratch`; returns the (m, cells + 1) result."""
+    per_cell, pos, neg, out, result = scratch
+    np.matmul(half_rows, x, out=per_cell)
+    np.add(pos, neg, out=out)
+    return result
+
+
+def _signed_cols(node_cols: np.ndarray, split: int) -> np.ndarray:
+    """Left factors of :func:`_stencil_pair` for per-node factors
+    ``node_cols`` (nodes, m): for S_d the factors negated on v > 0, which
+    leave a cell through its right interface, in columns 0..m-1, the v < 0
+    factors in columns m..2m-1, and 1 for the diagonal term; for S_o the
+    same factors with the opposite signs."""
+    h = split
+    k, m = node_cols.shape
+    cols = np.zeros((2, k, 2 * m + 1))
+    np.negative(node_cols[h:], out=cols[0, h:, :m])
+    cols[0, :h, m:2 * m] = node_cols[:h]
+    cols[0, :, -1] = 1.0
+    np.negative(cols[0, :, :-1], out=cols[1, :, :-1])
+    return cols
+
+
+def _stencil_pair(cols: np.ndarray, iface_rows: np.ndarray, scale: np.ndarray, diag,
+                  out=None) -> np.ndarray:
+    """The stencil pair (S_d, S_o), stacked, of the per-node flux kappa X_up
+    and the term ``diag`` X of each cell.  kappa is the node factors behind
+    ``cols`` (:func:`_signed_cols`) times ``iface_rows`` (m, cells + 1); the
+    flux through the faces of cell i is scaled by ``scale[i]`` (the
+    relaxation factor over dx), and ``diag`` is a per-cell row or 0.  Cell i
+    gets S_d[:, i] X[:, i] plus, from its upwind neighbour u,
+    S_o[:, u] X[:, u].  One batched product writes both."""
+    m = iface_rows.shape[0]
+    rows = np.zeros((2, 2 * m + 1, scale.size))
+    # v > 0 leaves cell i through its right interface and enters cell i+1
+    # there; v < 0 leaves through the left one and enters cell i-1.
+    right, left = rows[0, :m], rows[0, m:2 * m]
+    np.multiply(iface_rows[:, 1:], scale, out=right)
+    np.multiply(iface_rows[:, :-1], scale, out=left)
+    rows[0, -1] = diag
+    rows[1, :m, :-1] = left[:, 1:]
+    rows[1, m:2 * m, 1:] = right[:, :-1]
+    return np.matmul(cols, rows, out=out)
+
+
+def _add_stencil(out: np.ndarray, stencil, x: np.ndarray, tmp: np.ndarray, split: int) -> None:
+    """out += S_d x, plus S_o x moved one cell downwind: right in the v > 0
+    rows, left in the v < 0 rows.  The move is a shifted add on each half's
+    flattened rows; S_o is zero in the column that would wrap into the next
+    row."""
+    s_d, s_o = stencil
+    np.multiply(s_d, x, out=tmp)
+    out += tmp
+    np.multiply(s_o, x, out=tmp)
+    o, t = out.reshape(-1), tmp.reshape(-1)
+    cut = split * out.shape[1]
+    o[cut + 1:] += t[cut:-1]
+    o[:cut - 1] += t[1:cut]
 
 
 def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
@@ -296,50 +483,40 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     """Advance (f, rho) by one step of the plan's dt; returns (f_new, rho_new).
 
     ``f`` has shape (cells, nodes) in any memory order; the step reads it
-    through the node-major view ``f.T`` and gives the same bits for either
-    order.  The step overwrites the plan's scratch buffers; ``f_new`` and
-    ``rho_new`` are new arrays that belong to the caller, and ``f_new`` is
-    the transpose of a node-major array, so it is F-ordered.
-    ``pernode_source`` is a per-cell, per-node source with zero velocity
-    mean (the penalized leftover), added to the plan's scalar source.
+    through the node-major ``f.T``, copied only when that is not contiguous,
+    and gives the same bits for either order.  The step overwrites the
+    plan's scratch buffers; ``f_new`` and ``rho_new`` are new arrays that
+    belong to the caller, and ``f_new`` is the transpose of a node-major
+    array, so it is F-ordered.  ``pernode_source`` is a per-cell, per-node
+    source with zero velocity mean (the penalized leftover), added to the
+    plan's scalar source.  A non-finite result raises ``SolverFailureError``.
     """
     p = plan
     if f.shape != p.shape or rho.shape != p.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {p.shape}")
     h = p.split
-    fn = f.T
-    up = _upwind_rows(fn, h, p.up)
-    rho_if, up_flux = p.moments @ up
+    fn = np.ascontiguousarray(f.T)
+    rho_if, up_flux = _upwind_moments(p.moments, fn, p.iface)
     rho_if[0], rho_if[-1] = p.rho_half
-    phi = p.phi                 # scratch until the flux is built
     if p.second_order:
-        slope = _upwind_rows(mc_slopes(fn, p.dx, p.theta_lim, axis=1), h, phi)
-        shift_flux, b_flux = p.slope_moments @ slope
+        df = mc_slopes(fn, p.dx, p.theta_lim, axis=1, out=p.df, work=p.mc_work)
+        shift_flux, b_flux = _upwind_moments(p.slope_moments, df, p.slope_iface)
         up_flux += shift_flux
-        slope *= p.shift_col    # the reconstruction's shift of the upwind values
-        up += slope
 
     big_phi = p.a * up_flux
     for wall, inflow, c_term, e_term in p.wall_terms:
-        big_phi[wall] += inflow
-        big_phi[wall] += c_term
-        big_phi[wall] += e_term
-    up *= p.av
+        big_phi[wall] = float(big_phi[wall]) + inflow + c_term + e_term
     if p.second_order:
         big_phi += p.b * b_flux
-        slope *= p.b
-        slope *= p.slope_col
-        up += slope
     if pernode_source is not None:
-        src = pernode_source.T
-        g_up = _upwind_rows(src, h, phi)
-        g_up *= p.e
-        big_phi += p.wv @ g_up
-        g_up *= p.v_col
-        up += g_up
+        src = np.ascontiguousarray(pernode_source.T)
+        src_moments, src_iface, src_stencil = p.source_terms()
+        src_flux = _upwind_moments(src_moments, src, src_iface)[0]
+        src_flux *= p.e
+        big_phi += src_flux
 
     inv_dx = 1.0 / p.dx
-    two_over_dx = 2.0 / p.dx
+    slopes = p.slopes
     if p.implicit:
         # The D-terms couple the time-(n+1) densities: only their
         # interface-density part is explicit, the rest is the banded solve.
@@ -350,43 +527,38 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         if p.g_cell is not None:
             rhs += p.g_cell
         rho_new = solve_banded(p.lu, rhs)
-        d_l = (rho_if[1:] - rho_new) * two_over_dx    # v > 0 slope, interfaces 1..N
-        d_r = (rho_new - rho_if[:-1]) * two_over_dx   # v < 0 slope, interfaces 0..N-1
+        np.subtract(rho_if[1:], rho_new, out=slopes[0])
+        np.subtract(rho_new, rho_if[:-1], out=slopes[1])
+        slopes *= p.d_slope
     else:
-        d_l = (rho_if[1:] - rho) * two_over_dx
-        d_r = (rho - rho_if[:-1]) * two_over_dx
-        big_phi[1:-1] += p.d[1:-1] * (p.mpp * d_l[:-1] + p.mnn * d_r[1:])
-        big_phi[0] += p.wall_slope[0] * d_r[0]
-        big_phi[-1] += p.wall_slope[1] * d_l[-1]
+        np.subtract(rho_if[1:], rho, out=slopes[0])
+        np.subtract(rho, rho_if[:-1], out=slopes[1])
+        slopes *= p.d_slope
+        big_phi += p.m_v2_halves @ p.rows[1:]
         rho_new = rho * p.inv_dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
         if p.g_cell is not None:
             rho_new += p.g_cell
         rho_new *= p.inv_den_rho
 
-    # phi / dx = (v (A f_up + E G_up) + v (C rho_if + E G) + v^2 (D slope + B df_up)) / dx;
-    # ``up`` holds the part that varies per node and interface.
-    rows = p.rows
-    np.multiply(p.c, rho_if, out=rows[0])
+    np.multiply(p.c, rho_if, out=p.rows[0])
     if p.eg is not None:
-        rows[0] += p.eg
-    np.multiply(p.d[1:], d_l, out=rows[1, 1:])
-    np.multiply(p.d[:-1], d_r, out=rows[2, :-1])
-    np.matmul(p.node_rows, rows, out=phi)
-    phi += up
-    phi[h:, 0] = p.inflow_left
-    phi[:h, -1] = p.inflow_right
-
-    # f/dt - (phi_{j+1} - phi_j)/dx; phi's scratch then takes f/dt.
-    f_new = phi[:, :-1] - phi[:, 1:]
-    f_new += np.multiply(fn, p.inv_dt, out=phi[:, :-1])
-    cell = p.relax * rho_new
+        p.rows[0] += p.eg
+    here, right, diff = p.row_diff
+    np.subtract(here, right, out=diff)
+    relax_row = p.cell_rows[3]
+    np.multiply(p.relax, rho_new, out=relax_row)
     if p.g_cell is not None:
-        cell += p.g_cell
-    f_new += cell
+        relax_row += p.g_cell
+    p.scaled_rows *= p.row_scale
+    f_new = p.node_cols @ p.cell_rows
+    _add_stencil(f_new, p.stencil, fn, p.scratch, h)
+    if p.second_order:
+        _add_stencil(f_new, p.slope_stencil, df, p.scratch, h)
     if pernode_source is not None:
-        f_new += src
-    f_new *= p.inv_den_f
-    if not (np.isfinite(f_new).all() and np.isfinite(rho_new).all()):
+        _add_stencil(f_new, src_stencil, src, p.scratch, h)
+    # One sum per array: a NaN or an infinity anywhere, or a sum that
+    # overflows, makes the total non-finite.
+    if not math.isfinite(f_new.sum() + rho_new.sum()):
         raise SolverFailureError("non-finite values after step")
     return f_new.T, rho_new
 
@@ -431,8 +603,6 @@ def step(state: KineticState, cfg: SchemeConfig, mat: MaterialField, mesh: Spati
     built for ``dt`` (default: :func:`cfl_timestep`).  Repeated steps of
     one size should share a plan.
     """
-    if cfg.collision != "isotropic":
-        raise InvalidArgumentError("step() handles the isotropic operator; use penalized_step")
     if plan is None:
         plan = StepPlan(cfl_timestep(cfg, mat, mesh) if dt is None else dt, cfg, mat, mesh, q, bc)
     _check_dt(plan, dt)

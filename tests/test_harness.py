@@ -220,6 +220,33 @@ def test_csv_roundtrip_with_distribution_columns(tmp_path):
     assert np.array_equal(rho, out.rho[0])
 
 
+def reference_write_csv(path, x, rho, f=None):
+    """The CSV writer with one f-string per value, kept as the byte
+    reference for ``write_csv``."""
+    with open(path, "w", encoding="ascii") as fh:
+        if f is None:
+            fh.write("x,rho\n")
+            for xi, ri in zip(x, rho):
+                fh.write(f"{xi:.17g},{ri:.17g}\n")
+        else:
+            fh.write("x,rho," + ",".join(f"f_{k}" for k in range(f.shape[1])) + "\n")
+            for xi, ri, fi in zip(x, rho, f):
+                fh.write(f"{xi:.17g},{ri:.17g}," + ",".join(f"{v:.17g}" for v in fi) + "\n")
+
+
+@pytest.mark.parametrize("with_f", [False, True])
+def test_write_csv_matches_the_reference_writer_byte_for_byte(tmp_path, with_f):
+    out = run(builtin_spec("ex5", times=(0.1,)), cells=25, store_f=True)
+    rho = out.rho[0].copy()
+    # Values whose text is easy to get wrong: signed zero, subnormal and
+    # huge magnitudes, integers, and the non-finite values.
+    rho[:9] = [-0.0, 5e-324, -1.7976931348623157e308, 1.0, 0.1, 1e22, np.nan, np.inf, -np.inf]
+    f = out.f[0] if with_f else None
+    write_csv(tmp_path / "new.csv", out.x, rho, f)
+    reference_write_csv(tmp_path / "ref.csv", out.x, rho, f)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @pytest.mark.parametrize("text", ["", "a,b\n1,2\n", "x,rho\n0.5,zero\n"])
 def test_read_csv_rejects_malformed_files(tmp_path, text):
     path = tmp_path / "bad.csv"

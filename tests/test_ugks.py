@@ -28,11 +28,11 @@ def isotropic_state(profile, q=Q16, t=0.0):
 
 def plan_interface_density(f_i, f_ip1, q=Q16):
     """Density a step assigns to the interface between two cells holding
-    f_i and f_ip1: a plan's moment row applied to the upwind selection."""
+    f_i and f_ip1: a plan's moment rows applied to the upwind halves."""
     mesh, mat, cfg = make_setup(n_cells=2)
     plan = StepPlan(0.01, cfg, mat, mesh, q, BoundarySpec.from_functions(0.0, 0.0, q))
-    up = ugks._upwind_rows(np.array([f_i, f_ip1], dtype=float).T, plan.split, np.zeros((q.n, 3)))
-    return (plan.moments @ up)[0, 1]
+    fn = np.ascontiguousarray(np.array([f_i, f_ip1], dtype=float).T)
+    return ugks._upwind_moments(plan.moments, fn, ugks._moment_scratch(2, 2))[0, 1]
 
 
 def test_interface_density_constant_and_half_range():
@@ -271,3 +271,44 @@ def test_nan_detection():
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
     with pytest.raises(SolverFailureError):
         step(state, cfg, mat, mesh, q=Q16, bc=bc)
+
+
+SCHEMES = {
+    "explicit": dict(),
+    "ugks_id": dict(diffusion_mode="implicit_slopes"),
+    "mc_limited": dict(reconstruction="mc_limited"),
+    "penalized": dict(),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_single_non_finite_entry_is_detected(scheme, bad):
+    """One non-finite f value, in the first, an interior or the last cell
+    and in either velocity half, fails the step: the stencil multiplies
+    some entries of f by exact zeros, so the guard must not rely on them."""
+    from ugks1d.errors import SolverFailureError
+    from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
+
+    n = 9
+    mesh, mat, cfg = make_setup(n_cells=n, sigma=1.0, eps=0.1, **SCHEMES[scheme])
+    bc = BoundarySpec.from_functions(lambda v: v, 0.5, Q16, mode="blended")
+    f0 = np.random.default_rng(3).uniform(0.2, 1.0, size=(n, Q16.n))
+    rho0 = average(Q16, f0)
+    if scheme == "penalized":
+        table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
+        op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
+
+        def advance(state):
+            return penalized_step(state, cfg.eps, op, mesh, Q16, bc, cfg=cfg)
+    else:
+        def advance(state):
+            return step(state, cfg, mat, mesh, q=Q16, bc=bc)
+
+    advance(KineticState(f=f0, rho=rho0, t=0.0))    # finite data steps
+    for cell in (0, n // 2, n - 1):
+        for node in (0, Q16.split - 1, Q16.split, Q16.n - 1):   # both halves, both ends of each
+            f = f0.copy()
+            f[cell, node] = bad
+            with pytest.raises(SolverFailureError), np.errstate(invalid="ignore", over="ignore"):
+                advance(KineticState(f=f, rho=rho0, t=0.0))
