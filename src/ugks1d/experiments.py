@@ -220,7 +220,7 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
             else:
                 kernel = ScatteringKernel.isotropic(spec.kernel_constant, q)
             op = PenalizedOperator.build(kernel, q)
-            plan_mat = op.material(mesh)
+            plan_mat = op.material(mesh, mat)
 
             def advance(s, plan):
                 return penalized_step(s, spec.eps, op, mesh, q, bc, cfg=cfg, plan=plan)

@@ -150,16 +150,18 @@ def mc_slopes(f: np.ndarray, dx: float, theta_lim: float, axis: int = 0,
     minmod of the central and the two theta-scaled one-sided differences,
     zero on sign disagreement and in the first and last cells.
 
-    The work runs on ``f`` with the cell axis moved last, copied only if that
-    is not C-contiguous, and flattened: every pass is then one contiguous
-    sweep, and the differences that cross from one row into the next land in
-    first and last cells, which are zeroed.  ``out`` (the shape of that
+    The work runs on ``f`` with the cell axis moved last (no move when it
+    is last already), copied only if that is not C-contiguous, and
+    flattened: every pass is then one contiguous sweep, and the differences
+    that cross from one row into the next land in first and last cells,
+    which are zeroed.  ``out`` (the shape of that
     moved array, C-contiguous) receives the slopes and ``work``, of shape
     (3, f.size - 2), holds the three differences; a stepper passes buffers
     it owns, so a step allocates neither.  Both are allocated when omitted.
     The result has the shape of ``f``.
     """
-    x = np.ascontiguousarray(np.moveaxis(f, axis, -1))
+    last = axis % f.ndim == f.ndim - 1
+    x = np.ascontiguousarray(f if last else np.moveaxis(f, axis, -1))
     if out is None:
         out = np.empty(x.shape)
     if work is None:
@@ -185,7 +187,7 @@ def mc_slopes(f: np.ndarray, dx: float, theta_lim: float, axis: int = 0,
     np.maximum(upper, lower, out=upper)
     out[..., 0] = 0.0
     out[..., -1] = 0.0
-    return np.moveaxis(out, -1, axis)
+    return out if last else np.moveaxis(out, -1, axis)
 
 
 def average(q: VelocityQuadrature, samples: np.ndarray) -> float:

@@ -4,8 +4,13 @@ A bounded symmetric kernel k(v, v') defines ``L f = int k (f' - f) dv'``.
 Rewriting ``L = (L - theta R) + theta R`` with R the isotropic relaxation
 operator turns the stiff part into plain relaxation; the weight
 ``theta = -<v^2>/<v L^{-1} v>`` is the unique choice reproducing the kernel's
-diffusion coefficient, and the leftover ``(L - theta R) f / eps^2`` rides
-along as a zero-mean, velocity-dependent source.
+diffusion coefficient, and the leftover ``g = (L - theta R) f / eps^2`` rides
+along as a zero-mean, velocity-dependent source.  It needs no flux of its
+own: each cell's value of one velocity half leaves through one interface,
+where the upwind fluxes A v f_up + E v g_up are A v (f + lambda g)_up with
+lambda = E/A, so a step transports the one state f + lambda g and adds the
+cell-local rest of g (``StepPlan.source_fold``).  ``penalized_source``
+scales g by lambda in its last pass.
 """
 
 from __future__ import annotations
@@ -150,13 +155,16 @@ class PenalizedOperator:
         psi.setflags(write=False)
         return cls(matrix=op, theta=theta, l_inv_v=psi, k_max=kernel.k_max, kappa=float(-v_psi))
 
-    def material(self, mesh: SpatialMesh) -> MaterialField:
-        """The relaxation part as a material: sigma = theta, alpha = G = 0."""
+    def material(self, mesh: SpatialMesh, mat: Optional[MaterialField] = None) -> MaterialField:
+        """The relaxation part as a material: sigma = theta, with the
+        absorption alpha and the isotropic source G of ``mat``, or
+        alpha = G = 0 without one."""
         n = mesh.n_cells
-        return MaterialField(
-            sigma_cell=np.full(n, self.theta), alpha_cell=np.zeros(n), g_cell=np.zeros(n),
-            sigma_iface=np.full(n + 1, self.theta), alpha_iface=np.zeros(n + 1),
-            g_iface=np.zeros(n + 1))
+        theta = dict(sigma_cell=np.full(n, self.theta), sigma_iface=np.full(n + 1, self.theta))
+        if mat is not None:
+            return replace(mat, **theta)
+        return MaterialField(alpha_cell=np.zeros(n), g_cell=np.zeros(n), alpha_iface=np.zeros(n + 1),
+                             g_iface=np.zeros(n + 1), **theta)
 
 
 def homogeneous_stability_margin(k_max: float, theta: float, dt: float, eps: float) -> float:
@@ -168,12 +176,16 @@ def homogeneous_stability_margin(k_max: float, theta: float, dt: float, eps: flo
     return eps**2 - dt * (k_max - theta)
 
 
-def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float) -> np.ndarray:
-    """Per-cell, per-node source (L f - theta R f)/eps^2; zero velocity mean.
+def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float,
+                     lam=1.0) -> np.ndarray:
+    """Per-cell, per-node source lam g, g = (L f - theta R f)/eps^2; g has
+    zero velocity mean.
 
-    The work runs on node-major data, which a stepped state already is, so
-    that the product's rounding does not depend on the memory order of ``f``;
-    it makes two state-size arrays (three for a C-ordered ``f``).  The result
+    ``lam`` is a scalar or a node-major (nodes, cells) array; a step passes
+    its plan's ``source_fold[0]``, which rides in the last pass.  The work
+    runs on node-major data, which a stepped state already is, so that the
+    product's rounding does not depend on the memory order of ``f``; it
+    makes two state-size arrays (three for a C-ordered ``f``).  The result
     is the transpose of a node-major array.
     """
     fn = np.ascontiguousarray(f.T)
@@ -181,7 +193,7 @@ def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps:
     rf = np.subtract(rho, fn)
     rf *= op.theta
     src -= rf
-    src /= eps**2
+    src *= lam / eps**2
     return src.T
 
 
@@ -189,18 +201,19 @@ def penalized_step(state: KineticState, eps: float, op: PenalizedOperator,
                    mesh: SpatialMesh, q: VelocityQuadrature, bc: BoundarySpec,
                    dt: Optional[float] = None, cfg: Optional[SchemeConfig] = None,
                    plan: Optional[StepPlan] = None) -> KineticState:
-    """One UGKS step with sigma -> theta, alpha -> 0 and the penalization
-    leftover as a per-node source evaluated at time n.
+    """One UGKS step with sigma -> theta and the penalization leftover as a
+    per-node source evaluated at time n.
 
-    ``plan`` is a :class:`StepPlan` built on ``op.material(mesh)``; without
-    one, a plan is built for ``dt`` (default: the CFL policy with
-    sigma_min = theta).
+    ``plan`` is a :class:`StepPlan` built on ``op.material(mesh)``, or on
+    ``op.material(mesh, mat)`` to keep the absorption and source of ``mat``;
+    without one, a plan is built for ``dt`` (default: the CFL policy with
+    sigma_min = theta) on ``op.material(mesh)``.
     """
     if plan is None:
         cfg = SchemeConfig(eps=eps) if cfg is None else replace(cfg, eps=eps)
         mat = op.material(mesh)
         plan = StepPlan(cfl_timestep(cfg, mat, mesh) if dt is None else dt, cfg, mat, mesh, q, bc)
     _check_dt(plan, dt)
-    g_tilde = penalized_source(state.f, state.rho, op, eps)
-    f_new, rho_new = apply(plan, state.f, state.rho, g_tilde)
+    lam_g = penalized_source(state.f, state.rho, op, eps, plan.source_fold[0])
+    f_new, rho_new = apply(plan, state.f, state.rho, lam_g)
     return KineticState(f=f_new, rho=rho_new, t=state.t + plan.dt)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -211,8 +211,12 @@ class StepPlan:
     ``stencil`` is that pair of (nodes, cells) arrays.  ``S_o`` is zero in
     the column that has no downwind cell, so the move is one shifted add on
     the flattened rows of each velocity half.  The MC slope has a pair of the
-    same form from (A shift + B v) v / dx (``slope_stencil``), and so has a
-    per-node source from E v / dx, built on a plan's first sourced step.
+    same form from (A shift + B v) v / dx (``slope_stencil``).  A per-node
+    source g (the penalized leftover) has no pair of its own: each cell's
+    value of one velocity half crosses exactly one interface as the upwind
+    value, so A v f_up + E v g_up = A v (f + lambda g)_up with lambda = E/A
+    of that interface, and the step runs ``stencil`` and the flux moments on
+    the one upwind state F + lambda g (``source_fold``).
     Everything else, the interface-density, D-slope, scalar-source and
     relaxation terms, is one product ``node_cols @ cell_rows`` of a
     (nodes, 6) constant with a (6, cells) block per step; its last two
@@ -222,8 +226,9 @@ class StepPlan:
 
     The plan owns its constants (``stencil``, ``slope_stencil``,
     ``node_cols``, ``row_scale``, ``d_slope`` and the wall terms; the moment
-    rows are a read-only table shared by every plan on one quadrature) and
-    its scratch: ``iface``, ``rows``, ``cell_rows``, ``scratch`` and the MC
+    rows are a read-only table shared by every plan on one quadrature;
+    ``source_fold`` is built on a plan's first sourced step) and its
+    scratch: ``iface``, ``rows``, ``cell_rows``, ``scratch`` and the MC
     buffers ``df`` and ``mc_work``, which every :func:`apply` overwrites, so
     a plan must not be applied from two threads at once.  Nothing a step
     returns aliases them: the caller owns each result.
@@ -311,11 +316,9 @@ class StepPlan:
         # scratch; with MC, 3-4 the slope stencil, 5 the slopes and 6-8 the
         # limiter's differences.
         big = np.empty((9 if self.second_order else 3, k, n))
-        self.upwind_cols = tables.upwind_cols
         self.stencil = _stencil_pair(tables.upwind_cols, a[None, :], idf_dx, self.inv_dt * idf,
                                      out=big[:2])
         self.scratch = big[2]
-        self._source = None
         if self.second_order:
             # The reconstruction's shift, dx/2 toward the interface, moves
             # <v f_up> by <|v| df_up> dx/2, and B adds <v^2 df_up>; per node,
@@ -330,6 +333,10 @@ class StepPlan:
         if self.implicit:
             self.bands = _implicit_bands(d, q.m_v2_pos, q.m_v2_neg, dx, dt, mat.alpha_cell)
             lower, diag, upper = self.bands
+            if n == 2:
+                # SciPy's gttrf/gttrs wrappers reject n = 2: factor the system
+                # with a decoupled unit third row (solve_banded pads the rhs).
+                lower, diag, upper = np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
             *self.lu, info = dgttrf(lower[1:], diag, upper[:-1])
             if info != 0:
                 raise SolverFailureError(f"implicit density matrix is singular (dgttrf info={info})")
@@ -340,15 +347,25 @@ class StepPlan:
         else:
             self.m_v2_halves = tables.m_v2_halves
 
-    def source_terms(self):
-        """(moment rows, moment scratch, stencil pair) of a per-node source:
-        its upwind <v g>_h per interface and its stencil from E v / dx.
-        Built on first use, since only the penalized stepper has one."""
-        if self._source is None:
-            self._source = (self.moments[1::2].copy(), _moment_scratch(1, self.shape[0]),
-                            _stencil_pair(self.upwind_cols, self.e[None, :], self.inv_den_f / self.dx,
-                                          self.inv_den_f))
-        return self._source
+    @cached_property
+    def source_fold(self):
+        """(lambda, kappa) that fold a per-node source g into the step.
+
+        lambda is E/A of the interface through which each cell's value of
+        each velocity half leaves.  The diagonal of ``stencil`` acting on
+        F + lambda g carries lambda/dt of g's cell-local term; kappa =
+        (A/E - 1/dt) times the relaxation factor adds the rest to
+        lambda g.  Node-major (nodes, cells) arrays, or scalars where they
+        are uniform, as on ``PenalizedOperator.material``.
+        """
+        # v > 0 leaves cell i through interface i + 1, v < 0 through i.
+        pos = (np.arange(self.shape[1]) >= self.split)[:, None]
+        lam, kappa = (np.where(pos, row[1:], row[:-1])
+                      for row in (self.e / self.a, self.a / self.e - self.inv_dt))
+        kappa *= self.inv_den_f
+        if np.ptp(lam) == 0 and np.ptp(kappa) == 0:
+            return float(lam[0, 0]), float(kappa[0, 0])
+        return lam, kappa
 
 
 class _NodeTables:
@@ -413,14 +430,21 @@ def _moment_scratch(m: int, n: int):
             out, out.reshape(m, w))
 
 
-def _upwind_moments(half_rows: np.ndarray, x: np.ndarray, scratch) -> np.ndarray:
+def _upwind_moments(half_rows: np.ndarray, x: np.ndarray, scratch,
+                    flux_x: Optional[np.ndarray] = None) -> np.ndarray:
     """Per interface, moments of the node-major ``x`` at its upwind cell:
     the v > 0 half of interface j comes from cell j-1, the v < 0 half from
     cell j, and the inflow half of each wall interface is zero.
     ``half_rows`` comes from :func:`_half_rows` and ``scratch`` from
-    :func:`_moment_scratch`; returns the (m, cells + 1) result."""
+    :func:`_moment_scratch`; returns the (m, cells + 1) result.  With
+    ``flux_x``, the moments are a plan's (density, flux) pair, and the flux
+    moment is taken of ``flux_x`` instead."""
     per_cell, pos, neg, out, result = scratch
-    np.matmul(half_rows, x, out=per_cell)
+    if flux_x is None:
+        np.matmul(half_rows, x, out=per_cell)
+    else:
+        np.matmul(half_rows[0::2], x, out=per_cell[0::2])
+        np.matmul(half_rows[1::2], flux_x, out=per_cell[1::2])
     np.add(pos, neg, out=out)
     return result
 
@@ -479,7 +503,7 @@ def _add_stencil(out: np.ndarray, stencil, x: np.ndarray, tmp: np.ndarray, split
 
 
 def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
-          pernode_source: Optional[np.ndarray] = None):
+          scaled_source: Optional[np.ndarray] = None):
     """Advance (f, rho) by one step of the plan's dt; returns (f_new, rho_new).
 
     ``f`` has shape (cells, nodes) in any memory order; the step reads it
@@ -487,16 +511,26 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     and gives the same bits for either order.  The step overwrites the
     plan's scratch buffers; ``f_new`` and ``rho_new`` are new arrays that
     belong to the caller, and ``f_new`` is the transpose of a node-major
-    array, so it is F-ordered.  ``pernode_source`` is a per-cell, per-node
-    source with zero velocity mean (the penalized leftover), added to the
-    plan's scalar source.  A non-finite result raises ``SolverFailureError``.
+    array, so it is F-ordered.  ``scaled_source`` is lambda g, with lambda
+    = ``plan.source_fold[0]``, for a per-cell, per-node source g with zero
+    velocity mean (the penalized leftover), added to the plan's scalar
+    source; the caller folds lambda into the last pass that makes g.  The
+    upwind stencil and the flux moments then act on the one state
+    F + lambda g, the density moments on F, and kappa (lambda g) adds g's
+    cell-local rest.  A non-finite result raises ``SolverFailureError``.
     """
     p = plan
     if f.shape != p.shape or rho.shape != p.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {p.shape}")
     h = p.split
     fn = np.ascontiguousarray(f.T)
-    rho_if, up_flux = _upwind_moments(p.moments, fn, p.iface)
+    if scaled_source is None:
+        up_state = fn
+        rho_if, up_flux = _upwind_moments(p.moments, fn, p.iface)
+    else:
+        lam_g = np.ascontiguousarray(scaled_source.T)
+        up_state = fn + lam_g
+        rho_if, up_flux = _upwind_moments(p.moments, fn, p.iface, flux_x=up_state)
     rho_if[0], rho_if[-1] = p.rho_half
     if p.second_order:
         df = mc_slopes(fn, p.dx, p.theta_lim, axis=1, out=p.df, work=p.mc_work)
@@ -508,12 +542,6 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         big_phi[wall] = float(big_phi[wall]) + inflow + c_term + e_term
     if p.second_order:
         big_phi += p.b * b_flux
-    if pernode_source is not None:
-        src = np.ascontiguousarray(pernode_source.T)
-        src_moments, src_iface, src_stencil = p.source_terms()
-        src_flux = _upwind_moments(src_moments, src, src_iface)[0]
-        src_flux *= p.e
-        big_phi += src_flux
 
     inv_dx = 1.0 / p.dx
     slopes = p.slopes
@@ -551,11 +579,12 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         relax_row += p.g_cell
     p.scaled_rows *= p.row_scale
     f_new = p.node_cols @ p.cell_rows
-    _add_stencil(f_new, p.stencil, fn, p.scratch, h)
+    _add_stencil(f_new, p.stencil, up_state, p.scratch, h)
     if p.second_order:
         _add_stencil(f_new, p.slope_stencil, df, p.scratch, h)
-    if pernode_source is not None:
-        _add_stencil(f_new, src_stencil, src, p.scratch, h)
+    if scaled_source is not None:
+        np.multiply(p.source_fold[1], lam_g, out=p.scratch)
+        f_new += p.scratch
     # One sum per array: a NaN or an infinity anywhere, or a sum that
     # overflows, makes the total non-finite.
     if not math.isfinite(f_new.sum() + rho_new.sum()):
@@ -567,11 +596,14 @@ def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
     """Solve the implicit density system for one right-hand side.
 
     ``lu`` is a plan's ``lu``, the ``dgttrf`` factors of its tridiagonal
-    bands; ``rhs`` is overwritten with the solution, which is returned.
-    This is the same elimination as LAPACK ``gtsv`` on the bands, without
-    factoring them again each step.  ``benchmarks/tracer.py`` times the
-    solve by wrapping this module-level name, so keep it.
+    bands; ``rhs`` is overwritten with the solution, which is returned
+    (for 2 cells, whose factors carry a decoupled third row, the padded
+    copy is).  This is the same elimination as LAPACK ``gtsv`` on the
+    bands, without factoring them again each step.  ``benchmarks/tracer.py``
+    times the solve by wrapping this module-level name, so keep it.
     """
+    if rhs.size < lu[1].size:
+        return dgttrs(*lu, np.append(rhs, 0.0), overwrite_b=True)[0][:rhs.size]
     return dgttrs(*lu, rhs, overwrite_b=True)[0]
 
 

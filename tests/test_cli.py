@@ -25,6 +25,13 @@ def test_example_option_plumbing(tmp_path):
     assert code == 0
 
 
+def test_two_cell_implicit_diffusion_example_exits_zero(tmp_path):
+    out = tmp_path / "c2"
+    assert main(["example", "ex2", "--cells", "2", "--implicit-diffusion", "--out", str(out)]) == 0
+    x, rho = read_csv(f"{out}_t2.csv")
+    assert x.size == 2 and np.all(np.isfinite(rho))
+
+
 def test_run_subcommand_and_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.txt"
     cfg.write_text("id = ex7\ntimes = 0.1\ncells = 25\n")

@@ -12,7 +12,10 @@ times their sensitivity where that is larger.  To record the file again from
 the current code (only for a deliberate change of the numbers, which the
 commit must say):
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [KEY ...]
+
+Named keys (such as ``ex3/penalized``) are recorded again alone, and every
+other entry of the file is kept as it is.
 """
 
 from dataclasses import replace
@@ -81,13 +84,19 @@ def test_golden_profile(golden, key):
     assert rel_diff(rho, ref) <= tol
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+if __name__ == "__main__" and sys.argv[1:2] == ["--record"]:
+    keys = sys.argv[2:] or CASES
     out = {}
-    for key in CASES:
+    if sys.argv[2:]:
+        with np.load(DATA) as data:
+            out = {k: data[k] for k in data.files}
+    for key in keys:
+        if key not in CASES:
+            sys.exit(f"unknown golden key {key!r}")
         rho, n_steps = final_profile(key)
         out[key + "/rho"] = rho
         out[key + "/steps"] = np.array(n_steps)
         out[key + "/sensitivity"] = np.array(rel_diff(final_profile(key, 1.0 + 2.0**-52)[0], rho))
     DATA.parent.mkdir(exist_ok=True)
     np.savez_compressed(DATA, **out)
-    print(f"wrote {len(CASES)} profiles to {DATA}")
+    print(f"wrote {len(keys)} profiles to {DATA}")

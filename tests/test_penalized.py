@@ -1,13 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from ugks1d import ugks
 from ugks1d.errors import InvalidKernelError
-from ugks1d.grid import SpatialMesh, average, build_gauss_legendre, sample_material
+from ugks1d.experiments import builtin_spec, run
+from ugks1d.grid import (SpatialMesh, average, build_double_gauss, build_gauss_legendre,
+                         sample_material)
 from ugks1d.penalized import (PenalizedOperator, ScatteringKernel, assemble_operator,
                               homogeneous_stability_margin, penalization_theta,
                               penalized_source, penalized_step, pseudo_inverse_v)
 from ugks1d.reference import diffusion_step
-from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, cfl_timestep, moment_defect, step
+from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
+                         moment_defect, step)
 
 Q16 = build_gauss_legendre(16)
 
@@ -188,3 +194,115 @@ def test_penalized_diffusion_limit_macro_update():
     kappa = np.full(n + 1, Q16.m_v2 / op.theta)
     ref = diffusion_step(rho0, kappa, 0.0, 0.0, mesh.dx, dt, "explicit", (1.0, 0.0))
     assert np.abs(out.rho - ref).max() < 1e-6 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------- the folded source
+
+def unfused_penalized_step(plan, q, state, op, eps):
+    """Reference: the penalized step with the source kept apart from F.
+
+    The step is linear, so it is the step without the source plus the
+    source's own terms: its upwind flux E <v g_up>_h through its moment
+    product into the density update, and the stencil pair of E v g_up / dx
+    and the cell-local g (both times the relaxation factor) into f.  Under
+    ``implicit_slopes`` the time-n density enters only the right-hand side
+    of the density solve, so the flux goes in as a change of that density;
+    under ``explicit_slopes`` the new density reaches f only through
+    sigma/eps^2 rho^{n+1}.
+    """
+    n = plan.shape[0]
+    g = np.ascontiguousarray(penalized_source(state.f, state.rho, op, eps).T)
+    flux_rows = plan.moments[1::2].copy()
+    flux = plan.e * ugks._upwind_moments(flux_rows, g, ugks._moment_scratch(1, n))[0]
+    d_rhs = -(flux[1:] - flux[:-1]) / plan.dx
+    if plan.implicit:
+        f0, rho_new = ugks.apply(plan, state.f, state.rho + plan.dt * d_rhs)
+        f_new = f0.T.copy()
+    else:
+        f0, rho0 = ugks.apply(plan, state.f, state.rho)
+        d_rho = d_rhs * plan.inv_den_rho
+        rho_new = rho0 + d_rho
+        f_new = f0.T + plan.relax * d_rho * plan.inv_den_f
+    pair = ugks._stencil_pair(ugks._node_tables(q).upwind_cols, plan.e[None, :],
+                              plan.inv_den_f / plan.dx, plan.inv_den_f)
+    ugks._add_stencil(f_new, pair, g, np.empty_like(g), plan.split)
+    return f_new.T, rho_new
+
+
+def assert_fold_matches_reference(plan, q, op, eps, mesh, bc, cfg, steps=10):
+    """Along the folded trajectory from random data, each step matches the
+    unfused reference from the same state to 1e-13 relative.  Returns
+    False, checking nothing further, once the run grows past 10 times its
+    data."""
+    rng = np.random.default_rng(q.n * 1000 + mesh.n_cells)
+    state = KineticState.from_distribution(rng.uniform(0.0, 1.0, (mesh.n_cells, q.n)), q)
+    for _ in range(steps):
+        f_ref, rho_ref = unfused_penalized_step(plan, q, state, op, eps)
+        state = penalized_step(state, eps, op, mesh, q, bc, cfg=cfg, plan=plan)
+        scale = max(1.0, float(np.abs(f_ref).max()))
+        if scale > 10.0:
+            return False
+        assert np.abs(state.f - f_ref).max() <= 1e-13 * scale
+        assert np.abs(state.rho - rho_ref).max() <= 1e-13 * scale
+    return True
+
+
+@pytest.mark.parametrize("reconstruction", ["first_order", "mc_limited"])
+@pytest.mark.parametrize("diffusion_mode", ["explicit_slopes", "implicit_slopes"])
+def test_folded_source_matches_the_unfused_reference(diffusion_mode, reconstruction):
+    kept = 0
+    for build, nodes, cells, eps, mode in itertools.product(
+            (build_gauss_legendre, build_double_gauss), (4, 16), (3, 7, 40), (1.0, 0.1, 1e-3),
+            ("stabilized", "corrected")):
+        q = build(nodes)
+        op = PenalizedOperator.build(anisotropic_kernel(q), q)
+        mesh = SpatialMesh(0.0, 1.0, cells)
+        mat = op.material(mesh)
+        cfg = SchemeConfig(eps=eps, reconstruction=reconstruction, diffusion_mode=diffusion_mode)
+        bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)
+        plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
+        assert np.ndim(plan.source_fold[0]) == 0     # uniform material: scalar lambda
+        kept += assert_fold_matches_reference(plan, q, op, eps, mesh, bc, cfg)
+    assert kept >= 60                                # of 72; the rest grow
+
+
+@pytest.mark.parametrize("diffusion_mode", ["explicit_slopes", "implicit_slopes"])
+def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
+    """alpha(x) makes E/A differ between interfaces, so each velocity half
+    of a cell takes the lambda of its own outflow interface."""
+    eps, q = 0.1, Q16
+    op = PenalizedOperator.build(anisotropic_kernel(q), q)
+    mesh = SpatialMesh(0.0, 1.0, 12)
+    mat = op.material(mesh, sample_material(1.0, lambda x: 40.0 * x * x, lambda x: 1.0 + x, mesh))
+    cfg = SchemeConfig(eps=eps, reconstruction="mc_limited", diffusion_mode=diffusion_mode)
+    bc = BoundarySpec.from_functions(abs, 0.3, q, mode="corrected")
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
+    lam, kappa = plan.source_fold
+    assert lam.shape == kappa.shape == (q.n, mesh.n_cells)
+    assert not np.array_equal(lam[q.split:], lam[:q.split])
+    assert assert_fold_matches_reference(plan, q, op, eps, mesh, bc, cfg)
+
+
+def test_source_fold_is_built_only_by_a_sourced_step():
+    mesh, _, bc = setup_run()
+    op = PenalizedOperator.build(anisotropic_kernel(), Q16)
+    mat = op.material(mesh)
+    cfg = SchemeConfig(eps=0.5)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    state = KineticState.from_distribution(np.zeros((20, 16)), Q16)
+    state = step(state, cfg, mat, mesh, Q16, bc, plan=plan)
+    assert "source_fold" not in vars(plan)
+    penalized_step(state, 0.5, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+    assert "source_fold" in vars(plan)
+
+
+def test_penalized_run_keeps_the_spec_source_and_absorption():
+    """An isotropic kernel c = 1 is relaxation on sigma = 1, so a penalized
+    ex3 (G = 1) with sigma = 1 is the plain ugks run, absorption included."""
+    for alpha in (0.0, 0.5):
+        plain = run(builtin_spec("ex3", sigma=1.0, alpha=alpha))
+        pen = run(builtin_spec("ex3", sigma=1.0, alpha=alpha, collision="penalized",
+                               kernel_constant=1.0))
+        assert pen.n_steps == plain.n_steps
+        assert np.max(plain.rho[-1]) > 0.1
+        assert np.abs(pen.rho[-1] - plain.rho[-1]).max() <= 1e-13 * np.abs(plain.rho[-1]).max()

@@ -187,6 +187,27 @@ def test_factored_solve_matches_the_banded_solve(example, alpha, build_quadratur
     assert np.array_equal(ugks.solve_banded(plan.lu, rhs.copy()), expect)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_two_cell_implicit_plan_solves(alpha):
+    """SciPy's gttrf/gttrs wrappers reject a 2 x 2 system; the plan factors
+    it with a decoupled third row, and the solve matches a banded solve."""
+    mesh = SpatialMesh(0.0, 1.0, 2)
+    mat = sample_material(1.0, alpha, 0.0, mesh)
+    cfg = SchemeConfig(eps=0.1, diffusion_mode="implicit_slopes")
+    bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    lower, diag, upper = plan.bands
+    assert diag.shape == (2,)
+    ab = np.array([[0.0, upper[0]], diag, [lower[1], 0.0]])
+    rhs = np.random.default_rng(2).random(2) / plan.dt
+    expect = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    assert np.abs(ugks.solve_banded(plan.lu, rhs.copy()) - expect).max() <= 1e-15 * np.abs(expect).max()
+    state = KineticState.from_distribution(np.zeros((2, Q16.n)), Q16)
+    for _ in range(5):
+        state = step(state, cfg, mat, mesh, Q16, bc, plan=plan)
+    assert np.all(np.isfinite(state.f)) and 0.0 < state.rho.min() <= state.rho.max() < 1.0
+
+
 def test_plan_rejects_a_mismatched_step():
     mesh, mat, cfg = setup()
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
