@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import InvalidArgumentError, SolverFailureError
 from .grid import (MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes,
@@ -149,6 +148,9 @@ def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
         rhs = rho / dt + source
         rhs[0] += c[0] * rho_l
         rhs[-1] += c[-1] * rho_r
+        # SciPy's linear algebra is imported where a system is solved, so
+        # runs that solve none never load it.
+        from scipy.linalg import solve_banded
         try:
             return solve_banded((1, 1), ab, rhs)
         except np.linalg.LinAlgError as exc:  # diagonally dominant: unreachable
@@ -210,6 +212,7 @@ def _explicit_modal(rho0: np.ndarray, kappa_iface: np.ndarray, alpha0: float,
     b[0] = kappa_iface[0] * rho_l / dx**2
     b[-1] = kappa_iface[-1] * rho_r / dx**2
     rhs = b + source
+    from scipy.linalg import eigh_tridiagonal
     lam, vecs = eigh_tridiagonal(diag, off)
     scale = 1.0 / (1.0 + dt * alpha0)
     # fixed point of the affine map: (I - M) rho* = scale*dt*rhs with

@@ -21,7 +21,6 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coeffs import blend_parameter, coefficient_arrays
 from .errors import InvalidArgumentError, InvalidDataError, SolverFailureError
@@ -197,10 +196,12 @@ class StepPlan:
     factors are constants.  A plan computes them once; build one per
     distinct dt and advance with :func:`apply`.  ``coeffs`` takes the
     ``coefficient_arrays`` tuple when the caller has already evaluated it.
-    For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` its
-    ``dgttrf`` factors, so a step only substitutes through them
-    (:func:`solve_banded`); a singular system raises ``SolverFailureError``
-    here.
+    For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` is
+    LAPACK's ``dgttrs`` followed by the bands' ``dgttrf`` factors, so a step
+    only substitutes through them (:func:`solve_banded`); a singular system
+    raises ``SolverFailureError`` here.  Both routines are imported from
+    ``scipy.linalg.lapack`` here, when an implicit plan factors, so
+    explicit plans never load SciPy and a step runs no import.
 
     The step works node-major, on ``F = f.T`` of shape (nodes, cells), in
     stencil form.  The quadrature's ascending nodes make v < 0 and v > 0 the
@@ -337,9 +338,11 @@ class StepPlan:
                 # SciPy's gttrf/gttrs wrappers reject n = 2: factor the system
                 # with a decoupled unit third row (solve_banded pads the rhs).
                 lower, diag, upper = np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
-            *self.lu, info = dgttrf(lower[1:], diag, upper[:-1])
+            from scipy.linalg.lapack import dgttrf, dgttrs
+            *factors, info = dgttrf(lower[1:], diag, upper[:-1])
             if info != 0:
                 raise SolverFailureError(f"implicit density matrix is singular (dgttrf info={info})")
+            self.lu = (dgttrs, *factors)
             # Explicit (time-n) part of each interface D-flux: the interface density.
             self.expl_coef = (2.0 * d[1:-1] / dx) * (q.m_v2_pos - q.m_v2_neg)
             self.expl_walls = (-(2.0 * d[0] / dx) * q.m_v2_neg * rho_l,
@@ -595,16 +598,18 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
 def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
     """Solve the implicit density system for one right-hand side.
 
-    ``lu`` is a plan's ``lu``, the ``dgttrf`` factors of its tridiagonal
-    bands; ``rhs`` is overwritten with the solution, which is returned
-    (for 2 cells, whose factors carry a decoupled third row, the padded
-    copy is).  This is the same elimination as LAPACK ``gtsv`` on the
-    bands, without factoring them again each step.  ``benchmarks/tracer.py``
-    times the solve by wrapping this module-level name, so keep it.
+    ``lu`` is a plan's ``lu``: the ``dgttrs`` routine that the plan bound
+    when it factored, then the ``dgttrf`` factors of its tridiagonal bands.
+    ``rhs`` is overwritten with the solution, which is returned (for 2
+    cells, whose factors carry a decoupled third row, the padded copy is).
+    This is the same elimination as LAPACK ``gtsv`` on the bands, without
+    factoring them again each step.  ``benchmarks/tracer.py`` times the
+    solve by wrapping this module-level name, so keep it.
     """
-    if rhs.size < lu[1].size:
-        return dgttrs(*lu, np.append(rhs, 0.0), overwrite_b=True)[0][:rhs.size]
-    return dgttrs(*lu, rhs, overwrite_b=True)[0]
+    gttrs, *factors = lu
+    if rhs.size < factors[1].size:
+        return gttrs(*factors, np.append(rhs, 0.0), overwrite_b=True)[0][:rhs.size]
+    return gttrs(*factors, rhs, overwrite_b=True)[0]
 
 
 def _implicit_bands(d_if: np.ndarray, mpp: float, mnn: float, dx: float, dt: float,

@@ -1,6 +1,8 @@
 """A StepPlan built once and reused must give the same bits as a fresh plan
 per step, for every scheme option and in the experiment driver."""
 
+import builtins
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -206,6 +208,30 @@ def test_two_cell_implicit_plan_solves(alpha):
     for _ in range(5):
         state = step(state, cfg, mat, mesh, Q16, bc, plan=plan)
     assert np.all(np.isfinite(state.f)) and 0.0 < state.rho.min() <= state.rho.max() < 1.0
+
+
+@pytest.mark.parametrize("reconstruction", ["first_order", "mc_limited"])
+def test_implicit_steps_run_no_import(monkeypatch, reconstruction):
+    """An implicit plan binds its LAPACK routines when it factors, so a
+    step never looks a module up."""
+    mesh, mat, cfg = setup(reconstruction=reconstruction, diffusion_mode="implicit_slopes")
+    bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    state = rough_state()
+    f, rho = state.f, state.rho
+    imported = []
+    real_import = builtins.__import__
+
+    def recording_import(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", recording_import)
+    for _ in range(10):
+        f, rho = apply(plan, f, rho)
+    monkeypatch.undo()
+    assert imported == []
+    assert np.all(np.isfinite(f)) and np.ptp(rho) > 1e-3
 
 
 def test_plan_rejects_a_mismatched_step():
