@@ -2,7 +2,7 @@
 diffusive scaling, with reference solvers and an experiment harness."""
 
 from .analysis import compare, convergence_study, restrict_profile
-from .coeffs import FluxCoefficients, blend_parameter, flux_coefficients
+from .coeffs import blend_parameter
 from .config import compile_expression, load_config
 from .errors import (ComparisonError, ConfigError, InvalidArgumentError,
                      InvalidDataError, InvalidKernelError, SolverFailureError, UGKSError)

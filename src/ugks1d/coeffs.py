@@ -26,13 +26,12 @@ The coefficients themselves:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["FluxCoefficients", "flux_coefficients", "blend_parameter", "X_SWITCH"]
+__all__ = ["coefficient_arrays", "blend_parameter", "X_SWITCH"]
 
 # Below the switch the direct expm1 forms of r and w2 lose ~6*ulp/x^2 relative
 # accuracy; at 0.1 both branches agree to ~1e-13 while the 12-term series is
@@ -80,26 +79,6 @@ def _relative_exponentials(x: np.ndarray):
     return tuple(row.reshape(x.shape) for row in out)
 
 
-@dataclass(frozen=True)
-class FluxCoefficients:
-    """Interface flux coefficients for one time step.
-
-    Signs: a >= 0, c >= 0, e >= 0, d <= 0 (and b <= 0) for all admissible
-    inputs; nu = sigma/eps^2 + alpha.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    nu: float
-    dt: float
-    eps: float
-    sigma: float
-    alpha: float
-
-
 def coefficient_arrays(dt: float, eps: float, sigma, alpha):
     """Vectorized coefficient evaluation; returns (a, b, c, d, e, nu) arrays."""
     sigma = np.asarray(sigma, dtype=float)
@@ -116,21 +95,6 @@ def coefficient_arrays(dt: float, eps: float, sigma, alpha):
     e = dt * g2 / eps
     b = dt * w2 / eps**2
     return a, b, c, d, e, nu
-
-
-def flux_coefficients(dt: float, eps: float, sigma: float, alpha: float) -> FluxCoefficients:
-    """Evaluate the interface coefficients for one interface and one step."""
-    if not dt > 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    if not eps > 0:
-        raise InvalidArgumentError(f"eps must be positive, got {eps}")
-    if sigma < 0 or alpha < 0:
-        raise InvalidArgumentError("sigma and alpha must be nonnegative")
-    a, b, c, d, e, nu = coefficient_arrays(dt, eps, sigma, alpha)
-    return FluxCoefficients(
-        a=float(a), b=float(b), c=float(c), d=float(d), e=float(e),
-        nu=float(nu), dt=dt, eps=eps, sigma=float(sigma), alpha=float(alpha),
-    )
 
 
 def blend_parameter(nu, dt: float):

@@ -145,7 +145,7 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
         rho_stab = -stab_inflow / m_out
         if bc.mode == "stabilized":
             return rho_stab, stab_inflow
-        rho_corr = float(np.sum(w_weights[inc] * f_in[inc]))  # = 2<W f 1_inc>_h
+        rho_corr = float((w_weights[inc] * f_in[inc]).sum())  # = 2<W f 1_inc>_h
         corr_inflow = -m_out * rho_corr
         if bc.mode == "corrected":
             return rho_corr, corr_inflow
@@ -211,28 +211,34 @@ class StepPlan:
     upwind stencil: ``S_d * F`` plus ``S_o * F`` moved one cell downwind.
     ``stencil`` is that pair of (nodes, cells) arrays.  ``S_o`` is zero in
     the column that has no downwind cell, so the move is one shifted add on
-    the flattened rows of each velocity half.  The MC slope has a pair of the
-    same form from (A shift + B v) v / dx (``slope_stencil``).  A per-node
-    source g (the penalized leftover) has no pair of its own: each cell's
-    value of one velocity half crosses exactly one interface as the upwind
-    value, so A v f_up + E v g_up = A v (f + lambda g)_up with lambda = E/A
-    of that interface, and the step runs ``stencil`` and the flux moments on
-    the one upwind state F + lambda g (``source_fold``).
-    Everything else, the interface-density, D-slope, scalar-source and
-    relaxation terms, is one product ``node_cols @ cell_rows`` of a
-    (nodes, 6) constant with a (6, cells) block per step; its last two
-    columns put the wall inflow in place of the interface terms at the
-    walls.  No per-node array spans the cells + 1 interfaces: the
-    macroscopic flux is O(cells) work on per-half moments of F.
+    the flattened rows of each velocity half.  Each cell's value of one
+    velocity half crosses exactly one interface, its exit interface, as the
+    upwind value, so a per-node term X with A v X_up in the flux joins F
+    there: the step runs ``stencil`` and the flux moments on one upwind
+    state F + X and takes back the diagonal's (1/dt) X.  The penalized
+    leftover g (A v f_up + E v g_up) joins as lambda g with lambda = E/A
+    (``source_fold``), and the MC slope df, whose reconstruction shift
+    sgn(v) dx/2 and B-term B v^2 df_up it carries, as ``mc_lambda`` df with
+    sgn(v) dx/2 + v B/A; neither has a stencil pair or moment product of
+    its own.  Everything else, the interface-density, D-slope,
+    scalar-source and relaxation terms, is one product
+    ``node_cols @ cell_rows`` of a (nodes, 6) constant with a (6, cells)
+    block per step; its last two columns put the wall inflow in place of
+    the interface terms at the walls.  No per-node array spans the
+    cells + 1 interfaces: the macroscopic flux Phi is O(cells) work on
+    per-half moments of F, kept with the other interface rows in one
+    padded row block, so one flat difference gives the density update's
+    divergence and the product's interface differences at once.
 
-    The plan owns its constants (``stencil``, ``slope_stencil``,
-    ``node_cols``, ``row_scale``, ``d_slope`` and the wall terms; the moment
+    The plan owns its constants (``stencil``, ``node_cols``, ``row_scale``,
+    ``d_slope``, ``coef_rows``, ``mc_lambda`` and the wall terms; the moment
     rows are a read-only table shared by every plan on one quadrature;
     ``source_fold`` is built on a plan's first sourced step) and its
-    scratch: ``iface``, ``rows``, ``cell_rows``, ``scratch`` and the MC
-    buffers ``df`` and ``mc_work``, which every :func:`apply` overwrites, so
-    a plan must not be applied from two threads at once.  Nothing a step
-    returns aliases them: the caller owns each result.
+    scratch: ``iface``, the row block behind ``phi`` and ``cell_rows``,
+    ``scratch``, the MC buffers ``slope`` and ``mc_work`` and, built on
+    first use, ``up_state``, which every :func:`apply` overwrites, so a plan
+    must not be applied from two threads at once.  Nothing a step returns aliases them: each step
+    writes f^{n+1} and rho^{n+1} into one new array that the caller owns.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -253,9 +259,9 @@ class StepPlan:
         self.second_order = cfg.reconstruction == "mc_limited"
         self.theta_lim = cfg.theta_lim
         self.a, self.b, self.c, self.e = a, b, c, e
-        self.g_cell = mat.g_cell if mat.g_cell.any() else None
+        self.g_cell = mat.g_cell if np.count_nonzero(mat.g_cell) else None
         g_if = mat.g_iface
-        self.eg = e * g_if if g_if.any() else None
+        self.eg = e * g_if if np.count_nonzero(g_if) else None
         self.inv_dt = 1.0 / dt
         self.inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
         self.relax = mat.sigma_cell / eps**2
@@ -265,32 +271,70 @@ class StepPlan:
 
         (rho_l, inflow_l), (rho_r, inflow_r) = _wall_densities(q, bc, float(nu[0]), float(nu[-1]), dt)
         self.rho_half = (rho_l, rho_r)
+        # ugks_id keeps only the interface-density part of the D-fluxes
+        # explicit; at the walls that is a constant.
+        d_walls = (0.0, 0.0)
+        if self.implicit:
+            d_walls = (float(-(2.0 * d[0] / dx) * q.m_v2_neg * rho_l),
+                       float((2.0 * d[-1] / dx) * q.m_v2_pos * rho_r))
         # Terms of the wall macroscopic fluxes after the upwind one, added in
-        # this order (inflow, C, E): they cancel to O(1) from O(1/eps), so the
-        # order fixes the bits.
+        # this order (inflow, C, E, explicit D): they cancel to O(1) from
+        # O(1/eps), so the order fixes the bits.
         self.wall_terms = (
-            (0, inflow_l / eps, float(c[0] * q.m_v_neg * rho_l), float(e[0] * q.m_v_neg * g_if[0])),
-            (-1, inflow_r / eps, float(c[-1] * q.m_v_pos * rho_r), float(e[-1] * q.m_v_pos * g_if[-1])),
+            (0, inflow_l / eps, float(c[0] * q.m_v_neg * rho_l), float(e[0] * q.m_v_neg * g_if[0]),
+             d_walls[0]),
+            (-1, inflow_r / eps, float(c[-1] * q.m_v_pos * rho_r), float(e[-1] * q.m_v_pos * g_if[-1]),
+             d_walls[1]),
         )
 
-        # One zeroed (9, cells + 1) block of per-step rows.  Rows 0-2 are the
-        # interface rows: C rho_if + E G, then the D-slope fluxes of the
-        # v > 0 and v < 0 nodes, D (rho_if - rho) 2/dx from the cell on each
-        # side; ``slopes`` views rows[1, 1:] and rows[2, :-1], adjacent in
-        # memory, so entries [1, 0] and [2, -1] stay zero.  Rows 3-8, cut to
-        # cells columns, are the (6, cells) block of f^{n+1}'s product: the
-        # differences of the interface rows, sigma/eps^2 rho^{n+1} + G, and
-        # two rows that select the wall cells.  Padding the rows to a common
-        # length makes the differences and the scaling flat passes.
+        self.iface = _moment_scratch(2, n)
+        moments = self.iface[-1]
+        self.rho_if = moments[0]
+        # (rho_if[1:], rho_if[:-1]) as one view: the row stride is one
+        # element back.
+        self.rho_if_pair = np.ndarray((2, n), buffer=self.iface[3], offset=moments.itemsize,
+                                      strides=(-moments.itemsize, moments.itemsize))
+        # Paired with the moments reversed, (A <v f_up>_h, C rho_if) in one multiply.
+        self.coef_rows = np.array((a, c))
+        self.moments_rev = moments[::-1]
+
+        # One zeroed (11, cells + 1) block of per-step rows.  Rows 0-3 are the
+        # interface rows: the macroscopic flux Phi, C rho_if + E G, then the
+        # D-slope fluxes of the v > 0 and v < 0 nodes, D (rho_if - rho) 2/dx
+        # from the cell on each side; ``slopes`` views rows[2, 1:] and
+        # rows[3, :-1], adjacent in memory, so entries [2, 0] and [3, -1]
+        # stay zero.  Rows 4-7, cut to cells columns, are the differences of
+        # the interface rows, Phi_i - Phi_{i+1} first: the density update's
+        # divergence and the first three rows of f^{n+1}'s product.  Rows
+        # 5-10 are that product's (6, cells) block: after the differences,
+        # sigma/eps^2 rho^{n+1} + G and two rows that select the wall cells.
+        # Padding the rows to a common length makes the differences and the
+        # scaling flat passes; explicit steps difference all four interface
+        # rows at once, ugks_id ones Phi with C rho_if before its solve and
+        # the D-slope rows after it.
         w = n + 1
-        block = np.zeros((9, w))
+        block = np.zeros((11, w))
         flat = block.reshape(-1)
-        self.rows = block[:3]
-        self.slopes = flat[n + 2:3 * n + 2].reshape(2, n)
-        self.d_slope = (2.0 / dx) * np.array((d[1:], d[:-1]))
-        self.row_diff = (flat[:3 * w - 1], flat[1:3 * w], flat[3 * w:6 * w - 1])
-        self.scaled_rows = flat[3 * w:7 * w]
-        self.cell_rows = block[3:, :n]
+        self.phi = block[0]
+        self.iface_rows = block[:2]
+        self.d_rows = block[2:4]
+        self.slopes = flat[2 * w + 1:4 * w - 1].reshape(2, n)
+        # The v < 0 row's factor is negated: its difference is taken the
+        # other way round, rho_if[:-1] - rho.
+        self.d_slope = np.empty((2, n))
+        np.multiply(2.0 / dx, d[1:], out=self.d_slope[0])
+        np.multiply(-2.0 / dx, d[:-1], out=self.d_slope[1])
+        here, right, diff = flat[:4 * w - 1], flat[1:4 * w], flat[4 * w:8 * w - 1]
+        self.row_diff = ((here, right, diff),)
+        if self.implicit:
+            cut = 2 * w
+            self.row_diff = ((here[:cut - 1], right[:cut - 1], diff[:cut - 1]),
+                             (here[cut:], right[cut:], diff[cut:]))
+        self.phi_term, self.div_phi = block[4], block[4, :n]
+        self.relax_row = block[8, :n]
+        self.scaled_rows = flat[5 * w:9 * w]
+        self.cell_rows = block[5:, :n]
+        self.inv_dx = inv_dx
         # The product's (nodes, 6) columns are (v, v^2 1_{v>0}, v^2 1_{v<0}, 1)
         # and, at each wall, v (inflow/eps - C rho_wall - E G): the inflow
         # flux less the interface-row flux that the first column gives there.
@@ -301,8 +345,8 @@ class StepPlan:
         row_scale[:3, :n] = idf_dx
         row_scale[3, :n] = idf
         self.row_scale = row_scale.reshape(-1)
-        block[7, 0] = idf_dx[0]
-        block[8, n - 1] = idf_dx[-1]
+        block[9, 0] = idf_dx[0]
+        block[10, n - 1] = idf_dx[-1]
         r0_l, r0_r = c[0] * rho_l, c[-1] * rho_r
         if self.eg is not None:
             r0_l, r0_r = r0_l + self.eg[0], r0_r + self.eg[-1]
@@ -310,25 +354,29 @@ class StepPlan:
         np.multiply(q.nodes[h:], bc.f_left[h:] / eps - r0_l, out=self.node_cols[h:, 4])
         np.multiply(q.nodes[:h], r0_r - bc.f_right[:h] / eps, out=self.node_cols[:h, 5])
 
-        self.iface = _moment_scratch(2, n)
         # The (nodes, cells) arrays are one allocation: as separate blocks at
         # 2000 cells, each plan touched fresh pages and took 2.7 times as
         # long to build.  Blocks 0-1 are the stencil pair, 2 the step's
-        # scratch; with MC, 3-4 the slope stencil, 5 the slopes and 6-8 the
-        # limiter's differences.
+        # scratch; with MC, 3-4 the slope's two factors, 5 the slopes and
+        # 6-8 the limiter's differences.
         big = np.empty((9 if self.second_order else 3, k, n))
         self.stencil = _stencil_pair(tables.upwind_cols, a[None, :], idf_dx, self.inv_dt * idf,
                                      out=big[:2])
         self.scratch = big[2]
         if self.second_order:
-            # The reconstruction's shift, dx/2 toward the interface, moves
-            # <v f_up> by <|v| df_up> dx/2, and B adds <v^2 df_up>; per node,
-            # A |v|/2 + B v^2 / dx.
-            self.slope_moments = tables.slope_moments * np.array((dx, 1.0, dx, 1.0))[:, None]
-            self.slope_stencil = _stencil_pair(tables.slope_cols, np.array((a * dx, b)), idf_dx, 0.0,
-                                               out=big[3:5])
-            self.slope_iface = _moment_scratch(2, n)
-            self.df = big[5]
+            # The reconstruction moves each upwind value dx/2 toward its exit
+            # interface, and B v^2 df_up joins A v f_up there: the flux is
+            # A v (f + lambda_s df)_up with lambda_s = sgn(v) dx/2 + v B/A.
+            # The stencil's diagonal then carries (1/dt) lambda_s df times
+            # the relaxation factor, which ``mc_diag`` df takes back out.
+            # Both factors are full (nodes, cells) arrays: a multiply that
+            # broadcasts a row allocates a buffer of the state's size.
+            self.mc_lambda = lam = self._exit_values(b / a, out=big[3])
+            lam *= q.nodes[:, None]
+            lam[h:] += 0.5 * dx
+            lam[:h] -= 0.5 * dx
+            self.mc_diag = np.multiply(lam, self.inv_dt * idf, out=big[4])
+            self.slope = big[5]
             self.mc_work = big[6:].reshape(3, -1)[:, :k * n - 2]
 
         if self.implicit:
@@ -343,12 +391,27 @@ class StepPlan:
             if info != 0:
                 raise SolverFailureError(f"implicit density matrix is singular (dgttrf info={info})")
             self.lu = (dgttrs, *factors)
-            # Explicit (time-n) part of each interface D-flux: the interface density.
+            # Explicit (time-n) part of each interior D-flux: the interface density.
             self.expl_coef = (2.0 * d[1:-1] / dx) * (q.m_v2_pos - q.m_v2_neg)
-            self.expl_walls = (-(2.0 * d[0] / dx) * q.m_v2_neg * rho_l,
-                               (2.0 * d[-1] / dx) * q.m_v2_pos * rho_r)
         else:
             self.m_v2_halves = tables.m_v2_halves
+
+    def _exit_values(self, row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Node-major (nodes, cells) array of the per-interface ``row`` at
+        the interface through which each cell's value of each velocity half
+        leaves: interface i + 1 for v > 0, i for v < 0."""
+        h = self.split
+        if out is None:
+            out = np.empty(self.shape[::-1])
+        out[h:] = row[1:]
+        out[:h] = row[:-1]
+        return out
+
+    @cached_property
+    def up_state(self) -> np.ndarray:
+        """Scratch for the upwind state of a sourced or MC step, built on a
+        plan's first such step."""
+        return np.empty(self.shape[::-1])
 
     @cached_property
     def source_fold(self):
@@ -361,10 +424,7 @@ class StepPlan:
         lambda g.  Node-major (nodes, cells) arrays, or scalars where they
         are uniform, as on ``PenalizedOperator.material``.
         """
-        # v > 0 leaves cell i through interface i + 1, v < 0 through i.
-        pos = (np.arange(self.shape[1]) >= self.split)[:, None]
-        lam, kappa = (np.where(pos, row[1:], row[:-1])
-                      for row in (self.e / self.a, self.a / self.e - self.inv_dt))
+        lam, kappa = (self._exit_values(row) for row in (self.e / self.a, self.a / self.e - self.inv_dt))
         kappa *= self.inv_den_f
         if np.ptp(lam) == 0 and np.ptp(kappa) == 0:
             return float(lam[0, 0]), float(kappa[0, 0])
@@ -379,11 +439,9 @@ class _NodeTables:
     ``cell_cols``: (v, v^2 1_{v>0}, v^2 1_{v<0}, 1, 0, 0), the columns of
     f^{n+1}'s product before the plan fills in the wall columns.  ``wv``:
     the weights of <v .>_h.
-    ``upwind_cols`` and ``slope_cols``: the signed node columns
-    (:func:`_signed_cols`) of the stencils of F (node factor v) and of the
-    MC slope (|v|/2 and v^2); ``slope_moments``: the half rows of
-    (<|v|/2 .>_h, <v^2 .>_h) for the MC terms of the macroscopic flux.
-    ``m_v2_halves``: (<v^2 1_{v>0}>, <v^2 1_{v<0}>).
+    ``upwind_cols``: the signed node columns (:func:`_signed_cols`) of the
+    stencil of F, node factor v.  ``m_v2_halves``: (<v^2 1_{v>0}>,
+    <v^2 1_{v<0}>).
     """
 
     def __init__(self, q: VelocityQuadrature):
@@ -397,8 +455,6 @@ class _NodeTables:
         self.cell_cols[:h, 2] = v[:h] * v[:h]
         self.cell_cols[:, 3] = 1.0
         self.upwind_cols = _signed_cols(v[:, None], h)
-        self.slope_cols = _signed_cols(np.column_stack((0.5 * np.abs(v), v * v)), h)
-        self.slope_moments = _half_rows(np.array((0.5 * w_half * np.abs(v), w_half * (v * v))), h)
         self.m_v2_halves = np.array((q.m_v2_pos, q.m_v2_neg))
         for arr in vars(self).values():
             arr.setflags(write=False)
@@ -512,87 +568,93 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     ``f`` has shape (cells, nodes) in any memory order; the step reads it
     through the node-major ``f.T``, copied only when that is not contiguous,
     and gives the same bits for either order.  The step overwrites the
-    plan's scratch buffers; ``f_new`` and ``rho_new`` are new arrays that
-    belong to the caller, and ``f_new`` is the transpose of a node-major
-    array, so it is F-ordered.  ``scaled_source`` is lambda g, with lambda
-    = ``plan.source_fold[0]``, for a per-cell, per-node source g with zero
+    plan's scratch buffers.  ``f_new`` and ``rho_new`` are views of one new
+    (nodes + 1, cells) array that belongs to the caller: its first rows are
+    the node-major f^{n+1}, so ``f_new`` is F-ordered, and its last row is
+    rho^{n+1}.  ``scaled_source`` is lambda g, with lambda =
+    ``plan.source_fold[0]``, for a per-cell, per-node source g with zero
     velocity mean (the penalized leftover), added to the plan's scalar
     source; the caller folds lambda into the last pass that makes g.  The
     upwind stencil and the flux moments then act on the one state
     F + lambda g, the density moments on F, and kappa (lambda g) adds g's
-    cell-local rest.  A non-finite result raises ``SolverFailureError``.
+    cell-local rest.  The MC slope df joins that state the same way, as
+    ``plan.mc_lambda`` df; it is zero in the wall cells, so the wall
+    interfaces' moments keep the bits of the first-order step.  A
+    non-finite result raises ``SolverFailureError``.
     """
     p = plan
     if f.shape != p.shape or rho.shape != p.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {p.shape}")
-    h = p.split
+    n, k = p.shape
     fn = np.ascontiguousarray(f.T)
-    if scaled_source is None:
-        up_state = fn
-        rho_if, up_flux = _upwind_moments(p.moments, fn, p.iface)
-    else:
+    up_state = fn
+    if scaled_source is not None:
         lam_g = np.ascontiguousarray(scaled_source.T)
-        up_state = fn + lam_g
-        rho_if, up_flux = _upwind_moments(p.moments, fn, p.iface, flux_x=up_state)
+        up_state = np.add(fn, lam_g, out=p.up_state)
+    if p.second_order:
+        df = mc_slopes(fn, p.dx, p.theta_lim, axis=1, out=p.slope, work=p.mc_work)
+        up_state = np.add(up_state, np.multiply(p.mc_lambda, df, out=p.scratch), out=p.up_state)
+        df *= p.mc_diag
+    _upwind_moments(p.moments, fn, p.iface, flux_x=None if up_state is fn else up_state)
+    rho_if = p.rho_if
     rho_if[0], rho_if[-1] = p.rho_half
-    if p.second_order:
-        df = mc_slopes(fn, p.dx, p.theta_lim, axis=1, out=p.df, work=p.mc_work)
-        shift_flux, b_flux = _upwind_moments(p.slope_moments, df, p.slope_iface)
-        up_flux += shift_flux
-
-    big_phi = p.a * up_flux
-    for wall, inflow, c_term, e_term in p.wall_terms:
-        big_phi[wall] = float(big_phi[wall]) + inflow + c_term + e_term
-    if p.second_order:
-        big_phi += p.b * b_flux
-
-    inv_dx = 1.0 / p.dx
-    slopes = p.slopes
+    np.multiply(p.coef_rows, p.moments_rev, out=p.iface_rows)
+    phi = p.phi
+    for wall, inflow, c_term, e_term, d_term in p.wall_terms:
+        phi[wall] = float(phi[wall]) + inflow + c_term + e_term + d_term
+    if p.eg is not None:
+        p.iface_rows[1] += p.eg
+    # Row 4 is free until the difference: it holds Phi's last term.
     if p.implicit:
         # The D-terms couple the time-(n+1) densities: only their
         # interface-density part is explicit, the rest is the banded solve.
-        big_phi[1:-1] += p.expl_coef * rho_if[1:-1]
-        big_phi[0] += p.expl_walls[0]
-        big_phi[-1] += p.expl_walls[1]
-        rhs = rho * p.inv_dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
-        if p.g_cell is not None:
-            rhs += p.g_cell
-        rho_new = solve_banded(p.lu, rhs)
-        np.subtract(rho_if[1:], rho_new, out=slopes[0])
-        np.subtract(rho_new, rho_if[:-1], out=slopes[1])
-        slopes *= p.d_slope
+        phi[1:-1] += np.multiply(p.expl_coef, rho_if[1:-1], out=p.phi_term[:-2])
     else:
-        np.subtract(rho_if[1:], rho, out=slopes[0])
-        np.subtract(rho, rho_if[:-1], out=slopes[1])
-        slopes *= p.d_slope
-        big_phi += p.m_v2_halves @ p.rows[1:]
-        rho_new = rho * p.inv_dt - (big_phi[1:] - big_phi[:-1]) * inv_dx
-        if p.g_cell is not None:
-            rho_new += p.g_cell
+        _d_slope_rows(p, rho)
+        phi += np.matmul(p.m_v2_halves, p.d_rows, out=p.phi_term)
+    here, right, diff = p.row_diff[0]
+    np.subtract(here, right, out=diff)
+
+    out = np.empty((k + 1, n))
+    f_new, rho_new = out[:k], out[k]
+    np.multiply(rho, p.inv_dt, out=rho_new)
+    div_phi = p.div_phi
+    div_phi *= p.inv_dx
+    rho_new += div_phi
+    if p.g_cell is not None:
+        rho_new += p.g_cell
+    if p.implicit:
+        solve_banded(p.lu, rho_new)
+        _d_slope_rows(p, rho_new)
+        here, right, diff = p.row_diff[1]
+        np.subtract(here, right, out=diff)
+    else:
         rho_new *= p.inv_den_rho
 
-    np.multiply(p.c, rho_if, out=p.rows[0])
-    if p.eg is not None:
-        p.rows[0] += p.eg
-    here, right, diff = p.row_diff
-    np.subtract(here, right, out=diff)
-    relax_row = p.cell_rows[3]
+    relax_row = p.relax_row
     np.multiply(p.relax, rho_new, out=relax_row)
     if p.g_cell is not None:
         relax_row += p.g_cell
     p.scaled_rows *= p.row_scale
-    f_new = p.node_cols @ p.cell_rows
-    _add_stencil(f_new, p.stencil, up_state, p.scratch, h)
-    if p.second_order:
-        _add_stencil(f_new, p.slope_stencil, df, p.scratch, h)
+    np.matmul(p.node_cols, p.cell_rows, out=f_new)
+    _add_stencil(f_new, p.stencil, up_state, p.scratch, p.split)
     if scaled_source is not None:
         np.multiply(p.source_fold[1], lam_g, out=p.scratch)
         f_new += p.scratch
-    # One sum per array: a NaN or an infinity anywhere, or a sum that
-    # overflows, makes the total non-finite.
-    if not math.isfinite(f_new.sum() + rho_new.sum()):
+    if p.second_order:
+        f_new -= df
+    # One sum over f and rho: a NaN or an infinity anywhere, or a sum that
+    # overflows, makes it non-finite.
+    if not math.isfinite(out.sum()):
         raise SolverFailureError("non-finite values after step")
     return f_new.T, rho_new
+
+
+def _d_slope_rows(p: StepPlan, rho: np.ndarray) -> None:
+    """The D-slope interface rows of ``rho``: rho_if[1:] - rho times the
+    v > 0 factor, rho_if[:-1] - rho times the negated v < 0 one."""
+    np.subtract(p.rho_if_pair, rho, out=p.slopes)
+    p.slopes *= p.d_slope
 
 
 def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
@@ -600,15 +662,17 @@ def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
 
     ``lu`` is a plan's ``lu``: the ``dgttrs`` routine that the plan bound
     when it factored, then the ``dgttrf`` factors of its tridiagonal bands.
-    ``rhs`` is overwritten with the solution, which is returned (for 2
-    cells, whose factors carry a decoupled third row, the padded copy is).
+    ``rhs``, a contiguous row, is overwritten with the solution and
+    returned (for 2 cells, whose factors carry a decoupled third row, the
+    solution of a padded copy is copied back).
     This is the same elimination as LAPACK ``gtsv`` on the bands, without
     factoring them again each step.  ``benchmarks/tracer.py`` times the
     solve by wrapping this module-level name, so keep it.
     """
     gttrs, *factors = lu
     if rhs.size < factors[1].size:
-        return gttrs(*factors, np.append(rhs, 0.0), overwrite_b=True)[0][:rhs.size]
+        rhs[:] = gttrs(*factors, np.append(rhs, 0.0), overwrite_b=True)[0][:rhs.size]
+        return rhs
     return gttrs(*factors, rhs, overwrite_b=True)[0]
 
 

@@ -1,11 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ugks1d.coeffs import (X_SWITCH, _C_G, _C_G2, _C_P, _C_R, _C_W2,
-                           _relative_exponentials, blend_parameter, flux_coefficients)
-from ugks1d.errors import InvalidArgumentError
+                           _relative_exponentials, blend_parameter, coefficient_arrays)
+from ugks1d.errors import InvalidArgumentError, InvalidDataError
+from ugks1d.grid import SpatialMesh, build_gauss_legendre, sample_material
+from ugks1d.ugks import BoundarySpec, SchemeConfig, StepPlan
+
+
+def interface_coefficients(dt: float, eps: float, sigma: float, alpha: float) -> SimpleNamespace:
+    """The coefficients of one interface as floats: a, b, c, d, e and nu."""
+    values = coefficient_arrays(dt, eps, sigma, alpha)
+    return SimpleNamespace(**{name: float(v) for name, v in zip(("a", "b", "c", "d", "e", "nu"), values)})
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -30,7 +39,7 @@ def _relative_exponentials_reference(x: np.ndarray):
 
 
 def test_unit_inputs_match_closed_forms():
-    c = flux_coefficients(dt=1.0, eps=1.0, sigma=1.0, alpha=0.0)
+    c = interface_coefficients(dt=1.0, eps=1.0, sigma=1.0, alpha=0.0)
     assert c.nu == pytest.approx(1.0)
     assert c.a == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
     assert c.e == pytest.approx(math.exp(-1.0), abs=1e-15)
@@ -41,7 +50,7 @@ def test_unit_inputs_match_closed_forms():
 
 
 def test_vanishing_collisions_exact_limits():
-    c = flux_coefficients(dt=0.7, eps=2.0, sigma=0.0, alpha=0.0)
+    c = interface_coefficients(dt=0.7, eps=2.0, sigma=0.0, alpha=0.0)
     assert c.a == 1.0 / 2.0
     assert c.c == 0.0
     assert c.d == 0.0
@@ -56,7 +65,7 @@ def test_free_transport_asymptotics_monotone():
     prev = None
     for k in range(2, 13):
         s = 10.0**-k
-        c = flux_coefficients(dt, eps, s, s)
+        c = interface_coefficients(dt, eps, s, s)
         gap = abs(c.a - 1.0 / eps)
         assert gap <= c.nu * dt
         if prev is not None:
@@ -73,7 +82,7 @@ def test_diffusive_asymptotics():
     gaps_a, gaps_d = [], []
     for k in range(1, 11):
         eps = 10.0**-k
-        c = flux_coefficients(dt, eps, sigma, 0.0)
+        c = interface_coefficients(dt, eps, sigma, 0.0)
         gaps_a.append(abs(c.a))
         gaps_d.append(abs(c.d + 1.0 / sigma))
     assert all(x >= y - 1e-18 for x, y in zip(gaps_a, gaps_a[1:]))
@@ -87,9 +96,6 @@ def test_diffusive_asymptotics():
 def test_macro_flux_diffusion_coefficient():
     # The macroscopic flux's slope term D <v^2>_h (rho_{i+1} - rho_i)/dx tends
     # to the diffusion flux -(1/(3 sigma)) (rho_{i+1} - rho_i)/dx as eps -> 0.
-    from ugks1d.coeffs import coefficient_arrays
-    from ugks1d.grid import build_gauss_legendre
-
     q = build_gauss_legendre(16)
     sigma = np.array([1.0, 0.1, 10.0])
     d = coefficient_arrays(2e-3, 1e-8, sigma, np.zeros(3))[3]
@@ -103,8 +109,6 @@ def test_sign_invariants_random_sweep():
     eps = 10.0 ** rng.uniform(-9, 1, n)
     sigma = np.where(rng.random(n) < 0.05, 0.0, 10.0 ** rng.uniform(-8, 3, n))
     alpha = np.where(rng.random(n) < 0.5, 0.0, 10.0 ** rng.uniform(-8, 2, n))
-    from ugks1d.coeffs import coefficient_arrays
-
     a, b, c, d, e, nu = coefficient_arrays(dt, eps, sigma, alpha)
     assert np.all(a >= 0) and np.all(c >= 0) and np.all(e >= 0)
     assert np.all(d <= 0) and np.all(b <= 0)
@@ -167,11 +171,16 @@ def test_blend_parameter():
 
 
 def test_invalid_arguments():
+    """The coefficients take their inputs from checked objects: a plan
+    rejects dt, the scheme eps and the sampled material the signs."""
+    mesh = SpatialMesh(0.0, 1.0, 4)
+    q = build_gauss_legendre(4)
+    bc = BoundarySpec.from_functions(0.0, 0.0, q)
     with pytest.raises(InvalidArgumentError):
-        flux_coefficients(0.0, 1.0, 1.0, 0.0)
+        StepPlan(0.0, SchemeConfig(eps=1.0), sample_material(1.0, 0.0, 0.0, mesh), mesh, q, bc)
     with pytest.raises(InvalidArgumentError):
-        flux_coefficients(1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        flux_coefficients(1.0, 1.0, -1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        flux_coefficients(1.0, 1.0, 1.0, -2.0)
+        SchemeConfig(eps=0.0)
+    with pytest.raises(InvalidDataError):
+        sample_material(-1.0, 0.0, 0.0, mesh)
+    with pytest.raises(InvalidDataError):
+        sample_material(1.0, -2.0, 0.0, mesh)

@@ -107,11 +107,25 @@ def test_penalized_step_is_independent_of_memory_order():
                 penalized_step(node_major, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan))
 
 
-@pytest.mark.parametrize("penalized", [False, True])
-def test_returned_state_survives_later_steps_on_its_plan(penalized):
-    """A returned state shares no memory with the plan's scratch."""
+def plan_arrays(obj):
+    """Every array a plan holds, also inside tuples (its scratch views,
+    stencil, moment buffers, factors and source fold)."""
+    items = vars(obj).values() if isinstance(obj, StepPlan) else obj
+    for item in items:
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, tuple):
+            yield from plan_arrays(item)
+
+
+@pytest.mark.parametrize("penalized", [False, True], ids=["isotropic", "penalized"])
+@pytest.mark.parametrize("reconstruction", ["first_order", "mc_limited"])
+@pytest.mark.parametrize("diffusion_mode", ["explicit_slopes", "implicit_slopes"])
+def test_returned_state_survives_later_steps_on_its_plan(diffusion_mode, reconstruction, penalized):
+    """A returned state shares no memory with the plan's buffers, though
+    its f and rho come from one allocation."""
     eps = 0.3
-    mesh, mat, cfg = setup(eps=eps, reconstruction="mc_limited", diffusion_mode="implicit_slopes")
+    mesh, mat, cfg = setup(eps=eps, reconstruction=reconstruction, diffusion_mode=diffusion_mode)
     bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="blended")
     if penalized:
         op = aniso_operator()
@@ -124,6 +138,11 @@ def test_returned_state_survives_later_steps_on_its_plan(penalized):
             return step(s, cfg, mat, mesh, Q16, bc, plan=plan)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     first = advance(rough_state())
+    buffers = list(plan_arrays(plan))
+    assert len(buffers) > 20
+    for buf in buffers:
+        assert not np.may_share_memory(first.rho, buf)
+        assert not np.may_share_memory(first.f, buf)
     kept = KineticState(f=first.f.copy(), rho=first.rho.copy(), t=first.t)
     state = first
     for _ in range(N_STEPS):

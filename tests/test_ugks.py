@@ -312,3 +312,38 @@ def test_single_non_finite_entry_is_detected(scheme, bad):
             f[cell, node] = bad
             with pytest.raises(SolverFailureError), np.errstate(invalid="ignore", over="ignore"):
                 advance(KineticState(f=f, rho=rho0, t=0.0))
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_overflowing_step_is_detected(scheme):
+    """A finite state whose step has finite entries that sum past the
+    largest float fails the step: the guard is one sum over f and rho."""
+    from ugks1d.errors import SolverFailureError
+    from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
+
+    n, big = 5, 5e306
+    # eps = 1 keeps sigma/eps^2 rho, which the step scales back down, finite.
+    mesh, mat, cfg = make_setup(n_cells=n, sigma=1.0, eps=1.0, **SCHEMES[scheme])
+    bc = BoundarySpec.from_functions(lambda v: v, 0.5, Q16, mode="blended")
+    if scheme == "penalized":
+        table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
+        op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
+        mat = op.material(mesh)
+
+        def advance(f):
+            state = KineticState(f=f, rho=average(Q16, f), t=0.0)
+            return penalized_step(state, cfg.eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+    else:
+        def advance(f):
+            return step(KineticState(f=f, rho=average(Q16, f), t=0.0), cfg, mat, mesh, Q16, bc, plan=plan)
+
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    f = np.full((n, Q16.n), big)
+    # The step is affine with O(1) inflow terms: scaled down, it shows that
+    # the full step's entries stay finite while their sum overflows.
+    scale = 2.0**40
+    small = advance(f / scale)
+    largest = np.finfo(float).max / scale
+    assert max(np.abs(small.f).max(), np.abs(small.rho).max()) < largest < small.f.sum() + small.rho.sum()
+    with pytest.raises(SolverFailureError), np.errstate(over="ignore", invalid="ignore"):
+        advance(f)
