@@ -24,10 +24,11 @@ import numpy as np
 
 from .coeffs import coefficient_arrays
 from .errors import ConfigError, InvalidArgumentError, SolverFailureError
-from .grid import SpatialMesh, average, build_double_gauss, build_gauss_legendre, sample_material
+from .grid import (WEIGHT_VARIANTS, SpatialMesh, average, build_double_gauss, build_gauss_legendre,
+                   sample_material)
 from .penalized import PenalizedOperator, ScatteringKernel, penalized_step
-from .reference import (ChandrasekharWeight, chandrasekhar_density, diffusion_run,
-                        diffusion_timestep, upwind_step, upwind_timestep)
+from .reference import (chandrasekhar_density, diffusion_run, diffusion_timestep, upwind_step,
+                        upwind_timestep)
 from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                    moment_defect, step)
 
@@ -82,6 +83,8 @@ class ExperimentSpec:
             raise InvalidArgumentError(f"diffusion_solver: unknown value {self.diffusion_solver!r}")
         if self.collision not in ("isotropic", "penalized"):
             raise InvalidArgumentError(f"collision: unknown value {self.collision!r}")
+        if self.weight_variant not in WEIGHT_VARIANTS:
+            raise InvalidArgumentError(f"weight_variant: unknown value {self.weight_variant!r}")
         if self.collision == "penalized" and self.kernel_constant is None and self.kernel_table is None:
             raise InvalidArgumentError("collision=penalized requires a kernel")
 
@@ -164,8 +167,6 @@ def _initial_state(spec: ExperimentSpec, mesh: SpatialMesh, q) -> KineticState:
 def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
     """Dirichlet data of the diffusion limit: the inflow value itself for
     isotropic inflow, the half-range weighted density otherwise."""
-    w = ChandrasekharWeight.build(spec.weight_variant, q)
-
     def side(fn, incoming_mask, sign):
         if not callable(fn):
             return float(fn)
@@ -174,7 +175,7 @@ def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
         if np.allclose(inc, inc[0], rtol=0.0, atol=1e-14):
             return float(inc[0])
         mirrored = np.array([float(fn(sign * abs(vk))) for vk in q.nodes])
-        return chandrasekhar_density(mirrored, w, q)
+        return chandrasekhar_density(mirrored, spec.weight_variant, q)
 
     return (side(spec.f_left, q.positive, 1.0),
             side(spec.f_right, ~q.positive, -1.0))
@@ -205,15 +206,13 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
 
     if spec.scheme == "upwind":
         dt_policy = spec.dt_override or upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl)
-        recompute_rho = True
 
         def stepper(s, dt):
             f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, dt,
                                 reconstruction=spec.reconstruction, theta_lim=spec.theta_lim)
-            return KineticState(f=f_new, rho=s.rho, t=s.t + dt)
+            return KineticState(f=f_new, rho=average(q, f_new), t=s.t + dt)
     else:
         dt_policy = spec.dt_override or cfl_timestep(cfg, mat, mesh)
-        recompute_rho = False
         if spec.collision == "penalized":
             if spec.kernel_table is not None:
                 kernel = ScatteringKernel.from_table(spec.kernel_table, q)
@@ -256,8 +255,6 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
             if track_moments:
                 defect = max(defect, moment_defect(state, q))
         t = t_target
-        if recompute_rho:
-            state = KineticState.from_distribution(state.f, q, t=state.t)
         profiles.append(np.array(state.rho))
         if store_f:
             f_tables.append(np.array(state.f))
@@ -289,9 +286,9 @@ def _run_diffusion(spec: ExperimentSpec, mesh: SpatialMesh, mat, q, t_start: flo
     for t_target in spec.times:
         span = t_target - t
         if span > 1e-13 * max(1.0, t_target):
-            rho = diffusion_run(rho, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx,
-                                span, mode, dirichlet, cfl=spec.cfl, dt=dt_policy)
-            n_steps += int(np.ceil(span / dt_policy - 1e-12))
+            rho, steps = diffusion_run(rho, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx,
+                                       span, mode, dirichlet, dt_policy)
+            n_steps += steps
         t = t_target
         profiles.append(np.array(rho))
     return RunResult(

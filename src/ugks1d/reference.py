@@ -11,8 +11,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverFailureError
@@ -20,7 +18,6 @@ from .grid import (MaterialField, SpatialMesh, VelocityQuadrature, average, mc_s
                    weight_samples)
 
 __all__ = [
-    "ChandrasekharWeight",
     "chandrasekhar_density",
     "upwind_timestep",
     "upwind_step",
@@ -30,25 +27,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChandrasekharWeight:
-    """W(v) sampled at the positive quadrature nodes."""
-
-    variant: str
-    samples: np.ndarray
-
-    @classmethod
-    def build(cls, variant: str, q: VelocityQuadrature) -> "ChandrasekharWeight":
-        vals = weight_samples(variant, q.nodes[q.positive])
-        return cls(variant=variant, samples=vals)
-
-
-def chandrasekhar_density(f_left: np.ndarray, weight: ChandrasekharWeight,
-                          q: VelocityQuadrature) -> float:
-    """Boundary density ``2 <W f_L 1_{v>0}>_h`` of the diffusion limit."""
+def chandrasekhar_density(f_left: np.ndarray, variant: str, q: VelocityQuadrature) -> float:
+    """Boundary density ``2 <W f_L 1_{v>0}>_h`` of the diffusion limit, with
+    the half-range weight W of ``variant`` (:func:`grid.weight_samples`)
+    sampled at the positive nodes of ``q``."""
     f_left = np.asarray(f_left, dtype=float)
     pos = q.positive
-    return float(np.sum(q.weights[pos] * weight.samples * f_left[pos]))
+    return float(np.sum(q.weights[pos] * weight_samples(variant, q.nodes[pos]) * f_left[pos]))
 
 
 def upwind_timestep(eps: float, mat: MaterialField, mesh: SpatialMesh, cfl: float = 0.9) -> float:
@@ -79,7 +64,7 @@ def upwind_step(f: np.ndarray, eps: float, mat: MaterialField, mesh: SpatialMesh
     n = f.shape[0]
 
     if reconstruction == "mc_limited":
-        df = mc_slopes(f, dx, theta_lim)
+        df = mc_slopes(f.T, dx, theta_lim).T
         shift = 0.5 * dx - v[None, :] * (0.5 * dt / eps)   # v>0 side
         shift_dn = -0.5 * dx - v[None, :] * (0.5 * dt / eps)
         up_vals = f + shift * df
@@ -160,36 +145,33 @@ def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
 
 def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: float,
                   t_end: float, mode: str, dirichlet: tuple[float, float],
-                  cfl: float = 0.9, dt: float | None = None,
-                  fast: bool = True) -> np.ndarray:
-    """Integrate the diffusion scheme to ``t_end`` (single output).
+                  dt: float) -> tuple[np.ndarray, int]:
+    """Integrate the diffusion scheme to ``t_end`` in steps of ``dt``, plus
+    one shorter step for any remainder; returns the final density and the
+    number of steps.
 
-    For the explicit mode with uniform alpha the result is computed through
-    the eigendecomposition of the (symmetric tridiagonal) update matrix; this
-    reproduces the step-by-step iterates to rounding at any step count in
-    O(n^2) work.  Set ``fast=False`` to force plain stepping.
+    For the explicit mode with uniform alpha the full steps are computed
+    through the eigendecomposition of the (symmetric tridiagonal) update
+    matrix; this reproduces the step-by-step iterates to rounding at any
+    step count in O(n^2) work, and counts as the steps it replaces.
     """
     rho = np.asarray(rho0, dtype=float).copy()
     n = rho.size
     alpha_arr = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
     source_arr = np.broadcast_to(np.asarray(source, dtype=float), (n,))
-    if dt is None:
-        dt = diffusion_timestep(kappa_iface, dx, cfl) if mode == "explicit" else cfl * dx
     n_full = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
 
     alpha0 = float(alpha_arr[0])
-    if mode == "explicit" and fast and np.all(alpha_arr == alpha0):
+    if mode == "explicit" and np.all(alpha_arr == alpha0):
         rho = _explicit_modal(rho, kappa_iface, alpha0, source_arr, dx, dt, n_full, dirichlet)
-        if remainder > 1e-14 * max(dt, 1.0):
-            rho = diffusion_step(rho, kappa_iface, alpha_arr, source_arr, dx, remainder, mode, dirichlet)
-        return rho
-
-    for _ in range(n_full):
-        rho = diffusion_step(rho, kappa_iface, alpha_arr, source_arr, dx, dt, mode, dirichlet)
+    else:
+        for _ in range(n_full):
+            rho = diffusion_step(rho, kappa_iface, alpha_arr, source_arr, dx, dt, mode, dirichlet)
     if remainder > 1e-14 * max(dt, 1.0):
         rho = diffusion_step(rho, kappa_iface, alpha_arr, source_arr, dx, remainder, mode, dirichlet)
-    return rho
+        return rho, n_full + 1
+    return rho, n_full
 
 
 def _explicit_modal(rho0: np.ndarray, kappa_iface: np.ndarray, alpha0: float,
@@ -224,18 +206,3 @@ def _explicit_modal(rho0: np.ndarray, kappa_iface: np.ndarray, alpha0: float,
     c0 = vecs.T @ (rho0 - rho_star)
     return rho_star + vecs @ (mult * c0)
 
-
-def dirichlet_series_profile(x: np.ndarray, t: float, kappa: float,
-                             rho_l: float, rho_r: float, n_terms: int = 400) -> np.ndarray:
-    """Analytic solution of rho_t = kappa rho_xx on [0,1] from rho(x,0)=0 with
-    constant Dirichlet data, via the sine series; used as an oracle for the
-    discrete references."""
-    steady = rho_l + (rho_r - rho_l) * x
-    out = steady.copy()
-    for k in range(1, n_terms + 1):
-        bk = 2.0 * (rho_l - rho_r * (-1.0) ** k) / (k * np.pi)
-        term = bk * np.sin(k * np.pi * x) * np.exp(-kappa * (k * np.pi) ** 2 * t)
-        out -= term
-        if np.max(np.abs(term)) < 1e-17:
-            break
-    return out

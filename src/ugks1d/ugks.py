@@ -592,7 +592,7 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         lam_g = np.ascontiguousarray(scaled_source.T)
         up_state = np.add(fn, lam_g, out=p.up_state)
     if p.second_order:
-        df = mc_slopes(fn, p.dx, p.theta_lim, axis=1, out=p.slope, work=p.mc_work)
+        df = mc_slopes(fn, p.dx, p.theta_lim, out=p.slope, work=p.mc_work)
         up_state = np.add(up_state, np.multiply(p.mc_lambda, df, out=p.scratch), out=p.up_state)
         df *= p.mc_diag
     _upwind_moments(p.moments, fn, p.iface, flux_x=None if up_state is fn else up_state)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ugks1d import reference
 from ugks1d.analysis import compare, convergence_study, restrict_profile
 from ugks1d.config import compile_expression, load_config
 from ugks1d.errors import ComparisonError, ConfigError, InvalidArgumentError
@@ -108,6 +109,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("eps = 0.1\nsigma = 1\ntimes = 0\n")
     with pytest.raises(ConfigError, match="times"):
         load_config(str(bad))
+    # a diffusion run with isotropic inflow reads no weight, but a typo is still one
+    bad.write_text("id = ex2\nscheme = diffusion\nweight_variant = chebyshev\n")
+    with pytest.raises(ConfigError, match="weight_variant"):
+        load_config(str(bad))
     bad.write_text("sigma = 1\n")  # custom run without eps
     with pytest.raises(ConfigError):
         load_config(str(bad))
@@ -133,6 +138,24 @@ def test_run_metadata_consistent_with_policy():
     assert len(out.rho) == 1
 
 
+def test_diffusion_step_count_is_the_steps_taken(monkeypatch):
+    # The output time lies 3e-12 dt past the 40th step: too close to take a
+    # 41st, which an estimate from span/dt would count.
+    dt = 0.9 * 0.04**2 / (2.0 / 3.0)
+    diffusion_step, step_sizes = reference.diffusion_step, []
+
+    def counted(rho, kappa_iface, alpha, source, dx, step_dt, *rest):
+        step_sizes.append(step_dt)
+        return diffusion_step(rho, kappa_iface, alpha, source, dx, step_dt, *rest)
+
+    monkeypatch.setattr(reference, "diffusion_step", counted)
+    spec = builtin_spec("ex5", scheme="diffusion", diffusion_solver="implicit", dt_override=dt,
+                        times=(40 * dt * (1 + 3e-12 / 40),))
+    out = run(spec, cells=25)
+    assert out.n_steps == 40
+    assert step_sizes == [dt] * out.n_steps
+
+
 def test_run_determinism(tmp_path):
     spec = builtin_spec("ex5", times=(0.05,))
     a = run(spec, cells=25, store_f=True)
@@ -149,6 +172,9 @@ def test_every_builtin_runs_at_coarse_resolution():
         out = run(spec, cells=spec.cells[0], track_moments=True)
         assert all(np.all(np.isfinite(p)) for p in out.rho)
         assert out.wall_time < 60.0
+        assert out.moment_defect < 1e-12
+    for eps in (1.0, 0.3):
+        out = run(builtin_spec("ex5", eps=eps, scheme="upwind"), cells=25, track_moments=True)
         assert out.moment_defect < 1e-12
     # ex2 with implicit diffusion at the fine resolution is cheap as well
     out = run(builtin_spec("ex2", scheme="ugks_id"), cells=200)

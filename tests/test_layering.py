@@ -3,6 +3,7 @@ observed in a fresh interpreter."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,3 +115,37 @@ def test_only_an_implicit_plan_loads_scipy_linalg(tmp_path):
     # The ugks_id run is the positive control: the probe does see SciPy load.
     assert seen == {"import": False, "ugks": False, "mc_limited": False, "upwind": False,
                     "penalized": False, "ugks_id": True}
+
+
+REPO = PACKAGE.parent.parent
+
+
+def public_definitions(tree: ast.Module) -> set:
+    """Names a module defines at its top level with a def, class or assignment, not private."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # Nothing public exists only to be tested: a name counts as used when the
+    # package reads it (re-exports from __init__.py do not count), or when the
+    # benchmark, the README or the packaging metadata names it.
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined |= public_definitions(tree)
+        if path.name != "__init__.py":
+            used.update(node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    texts = [p.read_text() for p in sorted((REPO / "benchmarks").glob("*")) if p.is_file()]
+    texts += [(REPO / name).read_text() for name in ("README.md", "pyproject.toml")]
+    words = set(re.findall(r"\w+", "\n".join(texts)))
+    assert defined, "no public definitions found"
+    assert sorted(defined - used - words) == []

@@ -31,7 +31,7 @@ def unfused_mc_step(first, q, state, source=None):
     """
     n, h, dx = first.shape[0], first.split, first.dx
     fn = np.ascontiguousarray(state.f.T)
-    df = mc_slopes(fn, dx, first.theta_lim, axis=1)
+    df = mc_slopes(fn, dx, first.theta_lim)
     w_half, v = 0.5 * q.weights, q.nodes
     slope_rows = ugks._half_rows(np.array((0.5 * dx * w_half * np.abs(v), w_half * v * v)), h)
     shift_flux, b_flux = ugks._upwind_moments(slope_rows, df, ugks._moment_scratch(2, n))

@@ -9,11 +9,13 @@ from ugks1d.experiments import builtin_spec, run
 from ugks1d.grid import (SpatialMesh, average, build_double_gauss, build_gauss_legendre,
                          sample_material)
 from ugks1d.penalized import (PenalizedOperator, ScatteringKernel, assemble_operator,
-                              homogeneous_stability_margin, penalization_theta,
-                              penalized_source, penalized_step, pseudo_inverse_v)
+                              penalization_theta, penalized_source, penalized_step,
+                              pseudo_inverse_v)
 from ugks1d.reference import diffusion_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                          moment_defect, step)
+
+from oracles import homogeneous_stability_margin
 
 Q16 = build_gauss_legendre(16)
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ugks1d.errors import InvalidArgumentError
-from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material
-from ugks1d.reference import (ChandrasekharWeight, chandrasekhar_density,
-                              diffusion_run, diffusion_step, diffusion_timestep,
-                              dirichlet_series_profile, upwind_step, upwind_timestep)
+from ugks1d.grid import (SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material,
+                         weight_samples)
+from ugks1d.reference import (chandrasekhar_density, diffusion_run, diffusion_step,
+                              diffusion_timestep, upwind_step, upwind_timestep)
+
+from oracles import dirichlet_series_profile
 
 Q16 = build_gauss_legendre(16)
 QD16 = build_double_gauss(16)
@@ -125,11 +127,12 @@ def test_diffusion_run_modal_matches_stepping():
     dt = diffusion_timestep(kappa, mesh.dx)
     t_end = 173 * dt
     rho0 = np.sin(np.pi * mesh.centers) ** 2
-    fast = diffusion_run(rho0, kappa, 0.0, 0.3, mesh.dx, t_end, "explicit", (1.0, 0.2),
-                         dt=dt, fast=True)
-    slow = diffusion_run(rho0, kappa, 0.0, 0.3, mesh.dx, t_end, "explicit", (1.0, 0.2),
-                         dt=dt, fast=False)
-    assert np.abs(fast - slow).max() < 1e-12
+    modal, steps = diffusion_run(rho0, kappa, 0.0, 0.3, mesh.dx, t_end, "explicit", (1.0, 0.2), dt)
+    stepped = rho0
+    for _ in range(173):
+        stepped = diffusion_step(stepped, kappa, 0.0, 0.3, mesh.dx, dt, "explicit", (1.0, 0.2))
+    assert steps == 173
+    assert np.abs(modal - stepped).max() < 1e-12
 
 
 def test_discrete_reference_tracks_analytic_series():
@@ -139,7 +142,8 @@ def test_discrete_reference_tracks_analytic_series():
     mesh = SpatialMesh(0.0, 1.0, n)
     kappa = np.full(n + 1, 1.0 / 3.0)
     for t, tol in ((0.05, 2e-3), (0.5, 5e-4)):
-        rho = diffusion_run(np.zeros(n), kappa, 0.0, 0.0, mesh.dx, t, "explicit", (1.0, 0.0))
+        rho, _ = diffusion_run(np.zeros(n), kappa, 0.0, 0.0, mesh.dx, t, "explicit", (1.0, 0.0),
+                               diffusion_timestep(kappa, mesh.dx))
         exact = dirichlet_series_profile(mesh.centers, t, 1.0 / 3.0, 1.0, 0.0)
         assert np.abs(rho - exact).max() < tol
 
@@ -147,27 +151,22 @@ def test_discrete_reference_tracks_analytic_series():
 # ---------------------------------------------------------------- boundary weight
 
 def test_chandrasekhar_isotropic_normalization():
-    w = ChandrasekharWeight.build("polynomial", QD16)
-    val = chandrasekhar_density(np.full(16, 0.6), w, QD16)
+    val = chandrasekhar_density(np.full(16, 0.6), "polynomial", QD16)
     assert val == pytest.approx(0.6, abs=1e-14)
-    w_fit = ChandrasekharWeight.build("fitted", QD16)
-    val_fit = chandrasekhar_density(np.full(16, 0.6), w_fit, QD16)
+    val_fit = chandrasekhar_density(np.full(16, 0.6), "fitted", QD16)
     # the fitted weight integrates to 0.99967, not exactly 1
     assert val_fit == pytest.approx(0.6, abs=4e-4)
 
 
 def test_chandrasekhar_anisotropic_values():
-    w = ChandrasekharWeight.build("polynomial", QD16)
-    val = chandrasekhar_density(QD16.nodes, w, QD16)
+    val = chandrasekhar_density(QD16.nodes, "polynomial", QD16)
     assert val == pytest.approx(17.0 / 24.0, abs=1e-14)
-    w_fit = ChandrasekharWeight.build("fitted", QD16)
-    val_fit = chandrasekhar_density(QD16.nodes, w_fit, QD16)
+    val_fit = chandrasekhar_density(QD16.nodes, "fitted", QD16)
     assert val_fit == pytest.approx(0.956 / 3.0 + 1.565 / 4.0, abs=1e-14)
 
 
 def test_discrete_weight_normalization_quadrature_level():
     for q in (Q16, QD16):
-        w = ChandrasekharWeight.build("polynomial", q)
         pos = q.positive
-        norm = float(np.sum(q.weights[pos] * w.samples))
+        norm = float(np.sum(q.weights[pos] * weight_samples("polynomial", q.nodes[pos])))
         assert norm == pytest.approx(1.0, abs=2e-3)
