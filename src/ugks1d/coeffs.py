@@ -49,52 +49,92 @@ _C_W2 = np.array([(-1.0) ** j * j / math.factorial(j + 1) for j in range(1, _N_T
 _SERIES = np.stack([_C_P, _C_G, _C_G2, _C_R, np.append(_C_W2, 0.0)], axis=1)
 
 
-def _relative_exponentials(x: np.ndarray):
-    """Return (p, g, g2, r, w2) evaluated elementwise on x >= 0.
+def _relative_exponentials(x) -> np.ndarray:
+    """(p, g, g2, r, w2) of x >= 0 as the rows of one (5,) + x.shape array.
 
     Each entry is evaluated by one branch only: the five series in a single
-    Horner pass below ``X_SWITCH``, the expm1 forms above it.
+    Horner pass below ``X_SWITCH``, the expm1 forms above it.  A branch runs
+    on the whole of x when every entry falls in it, and on the gathered
+    entries otherwise.
     """
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    out = np.empty((5, flat.size))
+    out = np.empty((5,) + x.shape)
+    flat, table = x.reshape(-1), out.reshape(5, -1)
     small = flat < X_SWITCH
-    if small.any():
-        xs = flat[small]
-        y = np.repeat(_SERIES[-1][:, None], xs.size, axis=1)
-        for ck in _SERIES[-2::-1, :, None]:
-            y *= xs
-            y += ck
-        out[:, small] = y
-    large = ~small
-    if large.any():
-        xl = flat[large]
-        em = np.expm1(-xl)
-        xl2 = xl**2
-        out[0, large] = -em / xl
-        out[1, large] = (xl + em) / xl
-        out[2, large] = (xl + em) / xl2
-        out[3, large] = (2.0 * (xl + em) + xl * em) / xl2
-        out[4, large] = (xl + em + xl * em) / xl2
-    return tuple(row.reshape(x.shape) for row in out)
+    n_small = np.count_nonzero(small)
+    if n_small == flat.size:
+        _series(flat, table)
+    elif n_small == 0:
+        _expm1_forms(flat, table)
+    else:
+        table[:, small] = _series(flat[small], np.empty((5, n_small)))
+        large = ~small
+        table[:, large] = _expm1_forms(flat[large], np.empty((5, flat.size - n_small)))
+    return out
+
+
+def _series(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The five Maclaurin series at x < ``X_SWITCH`` into the rows of ``out``.
+
+    x is copied onto every row first: a multiply that broadcasts a row
+    costs about twice one that does not, at a plan's sizes.
+    """
+    rows = np.empty(out.shape)
+    rows[...] = x
+    out[...] = _SERIES[-1][:, None]
+    for ck in _SERIES[-2::-1, :, None]:
+        out *= rows
+        out += ck
+    return out
+
+
+def _expm1_forms(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The five expm1 forms at x >= ``X_SWITCH`` into the rows of ``out``.
+
+    With em = expm1(-x), t = x + em and u = x em: p = -em/x, g = t/x,
+    g2 = t/x^2, r = (2t + u)/x^2 and w2 = (t + u)/x^2.  The numerators fill
+    the rows first, so two divisions finish all five.
+    """
+    em = np.expm1(-x)
+    p, g, g2, r, w2 = out
+    np.negative(em, out=p)
+    np.add(x, em, out=g)
+    np.multiply(x, em, out=w2)
+    np.multiply(g, 2.0, out=r)
+    r += w2
+    w2 += g
+    np.copyto(g2, g)
+    out[:2] /= x
+    out[2:] /= x * x
+    return out
 
 
 def coefficient_arrays(dt: float, eps: float, sigma, alpha):
-    """Vectorized coefficient evaluation; returns (a, b, c, d, e, nu) arrays."""
+    """Vectorized coefficient evaluation; returns (a, b, c, d, e, nu) arrays.
+
+    The relative exponentials p, g, g2, r, w2 are the rows of one block, in
+    which p, g, g2 and w2 become a, c, e and b in place.
+    """
     sigma = np.asarray(sigma, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     nu = sigma / eps**2 + alpha
     x = nu * dt
-    p, g, g2, r, w2 = _relative_exponentials(x)
+    block = _relative_exponentials(x)
     scale = sigma + eps**2 * alpha  # = eps^2 * nu
     safe = np.where(scale > 0, scale, 1.0)
-    s = np.where(sigma > 0, sigma / safe, 0.0)
-    a = p / eps
-    c = s * g / eps
-    d = np.where(sigma > 0, -sigma * x * r / safe**2, 0.0)
-    e = dt * g2 / eps
-    b = dt * w2 / eps**2
-    return a, b, c, d, e, nu
+    pos = sigma > 0
+    # sigma/(sigma + eps^2 alpha) for C, then D; both stay 0 where sigma = 0.
+    d = np.zeros(x.shape)
+    np.divide(sigma, safe, out=d, where=pos)
+    block[1] *= d
+    block[2] *= dt
+    block[4] *= dt
+    block[:3] /= eps
+    block[4] /= eps**2
+    num = np.negative(sigma) * x
+    num *= block[3]
+    np.divide(num, safe * safe, out=d, where=pos)
+    return block[0, ...], block[4, ...], block[1, ...], d, block[2, ...], nu
 
 
 def blend_parameter(nu, dt: float):
@@ -102,7 +142,7 @@ def blend_parameter(nu, dt: float):
     if not dt > 0:
         raise InvalidArgumentError(f"dt must be positive, got {dt}")
     nu_arr = np.asarray(nu, dtype=float)
-    if np.any(nu_arr < 0):
+    if (nu_arr < 0).any():
         raise InvalidArgumentError("nu must be nonnegative")
     out = -np.expm1(-nu_arr * dt)
     return float(out) if np.ndim(nu) == 0 else out

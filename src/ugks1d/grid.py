@@ -262,16 +262,22 @@ class MaterialField:
         return self.sigma_cell.size
 
 
-def _sample(fn: Callable[[float], float] | float, x: np.ndarray) -> np.ndarray:
+def _sample(fn: Callable[[float], float] | float, out: np.ndarray, mesh: SpatialMesh) -> None:
+    """Write ``fn`` at the cell centres of ``mesh`` into ``out``: a constant
+    fills it; a callable is called once on the centres and, if that fails or
+    gives another shape, once per centre."""
     if np.isscalar(fn) or isinstance(fn, (int, float)):
-        return np.full(x.shape, float(fn))
+        out.fill(float(fn))
+        return
+    x = mesh.centers
     try:
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape == x.shape:
-            return out
+        vals = np.asarray(fn(x), dtype=float)
+        if vals.shape == x.shape:
+            out[:] = vals
+            return
     except (TypeError, ValueError):
         pass
-    return np.array([float(fn(xi)) for xi in x])
+    out[:] = [float(fn(xi)) for xi in x]
 
 
 def sample_material(
@@ -287,8 +293,10 @@ def sample_material(
     three fields are rows of one (3, n) cell array and one (3, n + 1)
     interface array, validated and averaged together.
     """
-    x = mesh.centers
-    cell = np.array([_sample(fn, x) for fn in (sigma, alpha, source)])
+    n = mesh.n_cells
+    cell = np.empty((3, n))
+    for row, fn in zip(cell, (sigma, alpha, source)):
+        _sample(fn, row, mesh)
     sigma_neg, alpha_neg = (cell[:2] < 0).any(axis=1)
     if sigma_neg:
         raise InvalidDataError("sigma(x) sampled negative")
@@ -296,8 +304,9 @@ def sample_material(
         raise InvalidDataError("alpha(x) sampled negative")
     if not np.isfinite(cell).all():
         raise InvalidDataError("material sample is not finite")
-    iface = np.empty((3, x.size + 1))
-    iface[:, 1:-1] = 0.5 * (cell[:, :-1] + cell[:, 1:])
-    iface[:, 0] = cell[:, 0]
-    iface[:, -1] = cell[:, -1]
+    iface = np.empty((3, n + 1))
+    mid = np.add(cell[:, :-1], cell[:, 1:], out=iface[:, 1:-1])
+    mid *= 0.5
+    # Columns 0 and n of the interfaces copy columns 0 and n - 1 of the cells.
+    iface[:, ::n] = cell[:, ::n - 1]
     return MaterialField(*cell, *iface)

@@ -51,7 +51,11 @@ class ScatteringKernel:
         t = self.table
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidKernelError("kernel table must be square")
-        if not np.allclose(t, t.T, rtol=1e-12, atol=1e-14):
+        # np.allclose(t, t.T, rtol=1e-12, atol=1e-14), without its wrappers.
+        with np.errstate(invalid="ignore"):
+            tt = t.T
+            close = (np.abs(t - tt) <= 1e-14 + 1e-12 * np.abs(tt)) & np.isfinite(tt) | (t == tt)
+        if not close.all():
             raise InvalidKernelError("kernel table must be symmetric")
         if not (0 < self.k_min <= float(t.min()) + 1e-15):
             raise InvalidKernelError("kernel entries must satisfy 0 < k_min <= k(v, v')")
@@ -84,9 +88,9 @@ def assemble_operator(kernel: ScatteringKernel, q: VelocityQuadrature) -> np.nda
     """
     if kernel.table.shape != (q.n, q.n):
         raise InvalidArgumentError("kernel table does not match the quadrature")
-    gain = kernel.table * q.weights[None, :]
-    loss = gain.sum(axis=1)
-    return gain - np.diag(loss)
+    out = kernel.table * q.weights[None, :]
+    out.flat[::q.n + 1] -= out.sum(axis=1)
+    return out
 
 
 def pseudo_inverse_v(op: np.ndarray, q: VelocityQuadrature) -> np.ndarray:
@@ -109,8 +113,8 @@ def pseudo_inverse_v(op: np.ndarray, q: VelocityQuadrature) -> np.ndarray:
         raise InvalidKernelError(f"pseudo-inverse solve failed: {exc}") from exc
     psi = sol[:n]
     psi = psi - average(q, psi)
-    vmax = float(np.max(np.abs(v)))
-    if float(np.max(np.abs(op @ psi - v))) > 1e-10 * vmax:
+    vmax = float(np.abs(v).max())
+    if float(np.abs(op @ psi - v).max()) > 1e-10 * vmax:
         raise InvalidKernelError("pseudo-inverse residual too large; kernel likely violates k_min > 0")
     if abs(average(q, psi)) > 1e-12:
         raise InvalidKernelError("pseudo-inverse mean constraint violated")
@@ -127,19 +131,17 @@ def penalization_theta(op: np.ndarray, q: VelocityQuadrature) -> float:
 
 @dataclass(frozen=True)
 class PenalizedOperator:
-    """Precomputed collision matrix, penalization weight theta and the
-    kernel's upper bound k_max."""
+    """Precomputed collision matrix and penalization weight theta."""
 
     matrix: np.ndarray
     theta: float
-    k_max: float
 
     @classmethod
     def build(cls, kernel: ScatteringKernel, q: VelocityQuadrature) -> "PenalizedOperator":
         op = assemble_operator(kernel, q)
         theta = penalization_theta(op, q)
         op.setflags(write=False)
-        return cls(matrix=op, theta=theta, k_max=kernel.k_max)
+        return cls(matrix=op, theta=theta)
 
     def material(self, mesh: SpatialMesh, mat: Optional[MaterialField] = None) -> MaterialField:
         """The relaxation part as a material: sigma = theta, with the
@@ -154,25 +156,32 @@ class PenalizedOperator:
 
 
 def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float,
-                     lam=1.0) -> np.ndarray:
+                     lam=1.0, out: Optional[np.ndarray] = None,
+                     work: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell, per-node source lam g, g = (L f - theta R f)/eps^2; g has
     zero velocity mean.
 
     ``lam`` is a scalar or a node-major (nodes, cells) array; a step passes
     its plan's ``source_fold[0]``, which rides in the last pass.  The work
     runs on node-major data, which a stepped state already is, so that the
-    product's rounding does not depend on the memory order of ``f``.  It
-    allocates three state-size arrays: the product, rho - f, and a buffer
-    that numpy makes for that subtraction, which broadcasts rho over the
-    nodes (tracemalloc's peak at 200 cells x 16 nodes: 78.2 KB, three times
-    the state's 25.6 KB), and a fourth, the copy, for a C-ordered ``f``
-    (103.8 KB).  The result is the transpose of a node-major array.
+    product's rounding does not depend on the memory order of ``f``.
+    ``out`` receives M F and then the result, and ``work`` holds
+    theta (rho - F), filled by a copy of rho and a subtraction that do not
+    broadcast a row into a new array (a broadcasting subtraction makes numpy
+    allocate a state-size buffer).  Both are C-contiguous (nodes, cells)
+    arrays, allocated when omitted; a step passes its plan's
+    ``scaled_source`` and ``scratch``, so with a scalar lam it allocates no
+    state-size array.  An array lam adds one, lam / eps^2, and a C-ordered
+    ``f`` its node-major copy.  The result is the transpose of ``out``.
     """
     fn = np.ascontiguousarray(f.T)
-    src = op.matrix @ fn
-    rf = np.subtract(rho, fn)
-    rf *= op.theta
-    src -= rf
+    src = np.matmul(op.matrix, fn, out=out)
+    if work is None:
+        work = np.empty(fn.shape)
+    np.copyto(work, rho)
+    work -= fn
+    work *= op.theta
+    src -= work
     src *= lam / eps**2
     return src.T
 
@@ -194,6 +203,7 @@ def penalized_step(state: KineticState, eps: float, op: PenalizedOperator,
         mat = op.material(mesh)
         plan = StepPlan(cfl_timestep(cfg, mat, mesh) if dt is None else dt, cfg, mat, mesh, q, bc)
     _check_dt(plan, dt)
-    lam_g = penalized_source(state.f, state.rho, op, eps, plan.source_fold[0])
+    lam_g = penalized_source(state.f, state.rho, op, eps, plan.source_fold[0],
+                             out=plan.scaled_source, work=plan.scratch)
     f_new, rho_new = apply(plan, state.f, state.rho, lam_g)
     return KineticState(f=f_new, rho=rho_new, t=state.t + plan.dt)

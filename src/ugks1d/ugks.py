@@ -89,8 +89,8 @@ class BoundarySpec:
         v = q.nodes
         fl = np.array([float(f_left(vk)) for vk in v]) if callable(f_left) else np.full(q.n, float(f_left))
         fr = np.array([float(f_right(vk)) for vk in v]) if callable(f_right) else np.full(q.n, float(f_right))
-        pos = q.positive
-        if np.any(fl[pos] < 0) or np.any(fr[~pos] < 0):
+        h = q.split
+        if (fl[h:] < 0).any() or (fr[:h] < 0).any():
             raise InvalidDataError("inflow samples must be nonnegative on their incoming half-range")
         return cls(f_left=fl, f_right=fr, mode=mode, weight_variant=weight_variant)
 
@@ -137,11 +137,14 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
     """
     h = q.split
     wv = _node_tables(q).wv
+    thetas = (None, None)
     if bc.mode != "stabilized":
         w_weights = _corrected_weights(q, bc.weight_variant)
+    if bc.mode == "blended":
+        thetas = blend_parameter(np.array((nu_left, nu_right)), dt).tolist()
 
-    def wall(f_in, inc, m_out, nu):
-        stab_inflow = float(f_in[inc] @ wv[inc])
+    def wall(f_in, inc, m_out, theta):
+        stab_inflow = float(f_in[inc].dot(wv[inc]))
         rho_stab = -stab_inflow / m_out
         if bc.mode == "stabilized":
             return rho_stab, stab_inflow
@@ -149,12 +152,11 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
         corr_inflow = -m_out * rho_corr
         if bc.mode == "corrected":
             return rho_corr, corr_inflow
-        theta = blend_parameter(nu, dt)
         return ((1.0 - theta) * rho_stab + theta * rho_corr,
                 (1.0 - theta) * stab_inflow + theta * corr_inflow)
 
-    return (wall(bc.f_left, slice(h, None), q.m_v_neg, nu_left),
-            wall(bc.f_right, slice(0, h), q.m_v_pos, nu_right))
+    return (wall(bc.f_left, slice(h, None), q.m_v_neg, thetas[0]),
+            wall(bc.f_right, slice(0, h), q.m_v_pos, thetas[1]))
 
 
 @lru_cache(maxsize=16)
@@ -179,7 +181,7 @@ def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> fl
     dx = mesh.dx
     if cfg.diffusion_mode == "implicit_slopes":
         return max(0.9 * cfg.eps * dx, cfg.cfl * dx)
-    sigma_min = float(np.min(mat.sigma_cell))
+    sigma_min = float(mat.sigma_cell.min())
     transport = cfg.eps * dx
     diffusive = 1.5 * dx * dx * sigma_min
     if cfg.cfl_form == "sum":
@@ -236,9 +238,10 @@ class StepPlan:
     ``source_fold`` is built on a plan's first sourced step) and its
     scratch: ``iface``, the row block behind ``phi`` and ``cell_rows``,
     ``scratch``, the MC buffers ``slope`` and ``mc_work`` and, built on
-    first use, ``up_state``, which every :func:`apply` overwrites, so a plan
-    must not be applied from two threads at once.  Nothing a step returns aliases them: each step
-    writes f^{n+1} and rho^{n+1} into one new array that the caller owns.
+    first use, ``up_state`` and ``scaled_source``, which every step
+    overwrites, so a plan must not be applied from two threads at once.
+    Nothing a step returns aliases them: each step writes f^{n+1} and
+    rho^{n+1} into one new array that the caller owns.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -411,6 +414,12 @@ class StepPlan:
     def up_state(self) -> np.ndarray:
         """Scratch for the upwind state of a sourced or MC step, built on a
         plan's first such step."""
+        return np.empty(self.shape[::-1])
+
+    @cached_property
+    def scaled_source(self) -> np.ndarray:
+        """Scratch for the source lambda g of a sourced step
+        (``penalized_source``), built on a plan's first such step."""
         return np.empty(self.shape[::-1])
 
     @cached_property

@@ -213,7 +213,7 @@ def test_criterion_8_penalized_equivalence():
     ok = abs(theta - c) <= 1e-12
     op = PenalizedOperator.build(kernel, Q16)
     for dt in (1e-3, 1.0, 1e3, 1e6):
-        ok &= homogeneous_stability_margin(op.k_max, op.theta, dt, 1e-8) > 0
+        ok &= homogeneous_stability_margin(kernel.k_max, op.theta, dt, 1e-8) > 0
 
     mesh = SpatialMesh(0.0, 1.0, 25)
     mat = sample_material(1.0, 0.0, 0.0, mesh)

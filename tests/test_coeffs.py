@@ -157,6 +157,57 @@ def test_stacked_series_bit_identical_to_reference(x):
         assert got.shape == () and got == ref[0]
 
 
+def coefficients_reference(dt: float, eps: float, sigma, alpha) -> np.ndarray:
+    """(a, b, c, d, e, nu) as rows, one entry at a time: Python float
+    arithmetic in the order of the module docstring's formulas, np.expm1 of
+    a one-entry array, and each relative exponential by its own series or
+    expm1 form."""
+    out = np.empty((6, len(sigma)))
+    for i, (s, al) in enumerate(zip(map(float, sigma), map(float, alpha))):
+        nu = s / eps**2 + al
+        x = nu * dt
+        if x < X_SWITCH:
+            p, g, g2, r, w2 = (float(_horner(c, np.array([x]))[0])
+                               for c in (_C_P, _C_G, _C_G2, _C_R, _C_W2))
+        else:
+            em = float(np.expm1(np.array([-x]))[0])
+            x2 = x * x
+            p, g, g2 = -em / x, (x + em) / x, (x + em) / x2
+            r, w2 = (2.0 * (x + em) + x * em) / x2, (x + em + x * em) / x2
+        scale = s + eps**2 * al
+        safe = scale if scale > 0 else 1.0
+        ratio = s / safe if s > 0 else 0.0
+        d = -s * x * r / (safe * safe) if s > 0 else 0.0
+        out[:, i] = p / eps, dt * w2 / eps**2, ratio * g / eps, d, dt * g2 / eps, nu
+    return out
+
+
+_MIXED_SIGMA = np.concatenate(([0.0, 0.0, 1e-300], np.geomspace(1e-6, 1e3, 40), [0.0]))
+_MIXED_ALPHA = np.where(np.arange(_MIXED_SIGMA.size) % 3 == 0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("dt, eps, sigma, alpha", [
+    # sigma = 0, alpha > 0 and x = 0 entries, x mixed across X_SWITCH
+    (0.0225, 1.0, _MIXED_SIGMA, _MIXED_ALPHA),
+    (1e-3, 0.3, _MIXED_SIGMA, _MIXED_ALPHA),
+    (0.0, 1.0, np.array([0.0, 1.0, 5.0]), np.array([0.0, 0.0, 2.0])),
+    # all below the switch (ex5 at eps = 1), all above (eps = 1e-2, 1e-8)
+    (0.036, 1.0, np.ones(26), np.zeros(26)),
+    (3.6e-4, 1e-2, np.ones(26), np.zeros(26)),
+    (2.16e-3, 1e-8, np.linspace(1.0, 101.0, 201), np.linspace(0.0, 3.0, 201)),
+    # the ex4 material (sigma in {1, 10, 100}) at eps = 1, which straddles the switch
+    (0.0225, 1.0, np.repeat([1.0, 10.0, 100.0], [4, 16, 21]), np.zeros(41)),
+])
+def test_coefficients_bit_identical_to_per_entry_reference(dt, eps, sigma, alpha):
+    got = coefficient_arrays(dt, eps, sigma, alpha)
+    ref = coefficients_reference(dt, eps, sigma, alpha)
+    for name, g, r in zip("abcde", got, ref):
+        assert g.shape == sigma.shape, name
+        assert np.array_equal(g, r), name
+        assert np.array_equal(np.signbit(g), np.signbit(r)), name
+    assert np.array_equal(got[-1], ref[-1])
+
+
 def test_blend_parameter():
     assert blend_parameter(0.0, 1.0) == 0.0
     assert blend_parameter(1e12, 1.0) == pytest.approx(1.0)

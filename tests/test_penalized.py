@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,18 +105,21 @@ def test_stability_margin():
     assert homogeneous_stability_margin(k_max, theta, dt, eps) == pytest.approx(0.0, abs=1e-15)
     # isotropic kernel c/2 has k_max = c/2 < theta = c: uniformly stable
     c = 1.0
-    op = PenalizedOperator.build(ScatteringKernel.isotropic(c, Q16), Q16)
-    assert op.theta > op.k_max
-    assert homogeneous_stability_margin(op.k_max, op.theta, 1e6, 1e-8) > 0
+    kernel = ScatteringKernel.isotropic(c, Q16)
+    op = PenalizedOperator.build(kernel, Q16)
+    assert op.theta > kernel.k_max
+    assert homogeneous_stability_margin(kernel.k_max, op.theta, 1e6, 1e-8) > 0
 
 
 def test_homogeneous_iteration_contracts():
     # space-homogeneous penalized update with nonnegative margin: the
     # deviation from the mean decays monotonically
-    op = PenalizedOperator.build(anisotropic_kernel(), Q16)
+    kernel = anisotropic_kernel()
+    op = PenalizedOperator.build(kernel, Q16)
+    k_max = kernel.k_max
     eps = 0.5
-    dt = 0.9 * eps**2 / max(op.k_max - op.theta, 1e-30) if op.k_max > op.theta else 0.05
-    assert homogeneous_stability_margin(op.k_max, op.theta, dt, eps) >= 0
+    dt = 0.9 * eps**2 / max(k_max - op.theta, 1e-30) if k_max > op.theta else 0.05
+    assert homogeneous_stability_margin(k_max, op.theta, dt, eps) >= 0
     rng = np.random.default_rng(31)
     f = rng.uniform(0.0, 2.0, 16)
     prev = None
@@ -160,6 +164,30 @@ def test_penalized_isotropic_state_fixed_point():
     for _ in range(20):
         state = penalized_step(state, 0.5, op, mesh, Q16, bc)
     assert np.abs(state.f - 0.7).max() < 1e-12
+
+
+def test_penalized_step_allocates_only_its_output():
+    """Once a plan's first sourced step has built its buffers, a penalized
+    step at 200 cells allocates its (nodes + 1, cells) output block and
+    small objects only: the source and theta (rho - F) live in the plan's
+    ``scaled_source`` and ``scratch``."""
+    n, eps = 200, 1e-2
+    mesh = SpatialMesh(0.0, 1.0, n)
+    op = PenalizedOperator.build(anisotropic_kernel(), Q16)
+    bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
+    cfg = SchemeConfig(eps=eps)
+    mat = op.material(mesh)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    state = KineticState.from_distribution(np.full((n, 16), 0.5), Q16)
+    state = penalized_step(state, eps, op, mesh, Q16, bc, plan=plan)
+    tracemalloc.start()
+    try:
+        penalized_step(state, eps, op, mesh, Q16, bc, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = (16 + 1) * n * 8
+    assert output <= peak <= output + 4096
 
 
 def test_penalized_source_zero_mean():

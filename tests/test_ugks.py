@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ugks1d import ugks
-from ugks1d.errors import InvalidArgumentError
+from ugks1d.config import compile_expression
+from ugks1d.errors import InvalidArgumentError, InvalidDataError
 from ugks1d.grid import (SpatialMesh, average, build_double_gauss,
                          build_gauss_legendre, sample_material)
 from ugks1d.reference import diffusion_step, upwind_step
@@ -82,6 +85,34 @@ def test_boundary_unknown_mode_rejected():
     with pytest.raises(InvalidArgumentError):
         BoundarySpec(f_left=np.zeros(16), f_right=np.zeros(16), mode="corrected",
                      weight_variant="chebyshev")
+
+
+# Inflow data that an array call would reject or round differently: math.sqrt
+# and an ``if`` take one number, and ``^`` in a config expression is a power,
+# which for v^4 on the 512-node rule gives another last bit in 12 of 512
+# nodes when evaluated on the array at once.  ``shift`` moves each below
+# zero on part of both halves.
+INFLOWS = {
+    "math.sqrt": lambda shift: (lambda v: math.sqrt(abs(v)) - shift),
+    "if body": lambda shift: (lambda v: (v if v > 0 else -v) - shift),
+    "config ^": lambda shift: compile_expression(f"v^4 - {shift}"),
+    "scalar": lambda shift: 0.6 - 2.0 * shift,
+}
+
+
+@pytest.mark.parametrize("kind", INFLOWS)
+def test_inflow_sampled_node_by_node(kind):
+    for q in (Q16, build_double_gauss(16), build_gauss_legendre(512)):
+        fn = INFLOWS[kind](0.0)
+        bc = BoundarySpec.from_functions(fn, fn, q)
+        ref = np.array([float(fn(vk)) for vk in q.nodes]) if callable(fn) else np.full(q.n, fn)
+        assert np.array_equal(bc.f_left, ref) and np.array_equal(bc.f_right, ref)
+        with pytest.raises(InvalidDataError):
+            BoundarySpec.from_functions(INFLOWS[kind](0.5), 0.0, q)
+        with pytest.raises(InvalidDataError):
+            BoundarySpec.from_functions(0.0, INFLOWS[kind](0.5), q)
+    # Negative samples on the outgoing half are not inflow data.
+    BoundarySpec.from_functions(lambda v: v, lambda v: -v, Q16)
 
 
 # ---------------------------------------------------------------- CFL policy
