@@ -71,9 +71,12 @@ class VelocityQuadrature:
         object.__setattr__(self, "positive", pos)
         object.__setattr__(self, "split", int(np.count_nonzero(neg)))
         half = 0.5 * weights
-        object.__setattr__(self, "m_v_neg", float(np.sum(half[neg] * nodes[neg])))
+        # Both halves are summed outward from v = 0, so a mirrored rule's
+        # half-moments mirror exactly.
+        half_neg, nodes_neg = half[neg][::-1], nodes[neg][::-1]
+        object.__setattr__(self, "m_v_neg", float(np.sum(half_neg * nodes_neg)))
         object.__setattr__(self, "m_v_pos", float(np.sum(half[pos] * nodes[pos])))
-        object.__setattr__(self, "m_v2_neg", float(np.sum(half[neg] * nodes[neg] ** 2)))
+        object.__setattr__(self, "m_v2_neg", float(np.sum(half_neg * nodes_neg ** 2)))
         object.__setattr__(self, "m_v2_pos", float(np.sum(half[pos] * nodes[pos] ** 2)))
         object.__setattr__(self, "m_v2", float(np.sum(half * nodes**2)))
 

@@ -124,22 +124,19 @@ def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
         flux = _diffusion_flux(rho, kappa_iface, dx, rho_l, rho_r)
         return (rho / dt + np.diff(flux) / dx + source) / (1.0 / dt + alpha)
     if mode == "implicit":
+        # Symmetric, and positive definite: diagonally dominant by 1/dt.
         c = kappa_iface / dx**2
         diag = 1.0 / dt + alpha + c[1:] + c[:-1]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -c[1:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = -c[1:-1]
         rhs = rho / dt + source
         rhs[0] += c[0] * rho_l
         rhs[-1] += c[-1] * rho_r
         # SciPy's linear algebra is imported where a system is solved, so
         # runs that solve none never load it.
-        from scipy.linalg import solve_banded
-        try:
-            return solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # diagonally dominant: unreachable
-            raise SolverFailureError(f"implicit diffusion solve failed: {exc}") from exc
+        from scipy.linalg.lapack import dptsv
+        *_, x, info = dptsv(diag, -c[1:-1], rhs, overwrite_d=True, overwrite_b=True)
+        if info != 0:
+            raise SolverFailureError(f"implicit diffusion matrix not positive definite (dptsv info={info})")
+        return x
     raise InvalidArgumentError(f"unknown diffusion mode {mode!r}")
 
 

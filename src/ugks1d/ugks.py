@@ -194,14 +194,17 @@ class StepPlan:
 
     The update is linear, so for a fixed dt the interface coefficients, the
     boundary densities with their inflow fluxes, the reciprocals of dt and of
-    both relaxation denominators, and the implicit bands with their LU
+    both relaxation denominators, and the implicit bands with their LDL^T
     factors are constants.  A plan computes them once; build one per
     distinct dt and advance with :func:`apply`.  ``coeffs`` takes the
     ``coefficient_arrays`` tuple when the caller has already evaluated it.
     For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` is
-    LAPACK's ``dgttrs`` followed by the bands' ``dgttrf`` factors, so a step
-    only substitutes through them (:func:`solve_banded`); a singular system
-    raises ``SolverFailureError`` here.  Both routines are imported from
+    LAPACK's ``dpttrs`` followed by the bands' ``dpttrf`` (LDL^T) factors,
+    so a step only substitutes through them (:func:`solve_banded`).  The
+    system is symmetric positive definite (D <= 0, alpha >= 0) on a
+    mirrored quadrature, which ``ugks_id`` therefore needs: unequal v^2
+    half-moments raise ``InvalidArgumentError``, a failed factorization
+    ``SolverFailureError``.  Both routines are imported from
     ``scipy.linalg.lapack`` here, when an implicit plan factors, so
     explicit plans never load SciPy and a step runs no import.
 
@@ -383,19 +386,15 @@ class StepPlan:
             self.mc_work = big[6:].reshape(3, -1)[:, :k * n - 2]
 
         if self.implicit:
-            self.bands = _implicit_bands(d, q.m_v2_pos, q.m_v2_neg, dx, dt, mat.alpha_cell)
-            lower, diag, upper = self.bands
-            if n == 2:
-                # SciPy's gttrf/gttrs wrappers reject n = 2: factor the system
-                # with a decoupled unit third row (solve_banded pads the rhs).
-                lower, diag, upper = np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
-            from scipy.linalg.lapack import dgttrf, dgttrs
-            *factors, info = dgttrf(lower[1:], diag, upper[:-1])
+            if q.m_v2_pos != q.m_v2_neg:
+                raise InvalidArgumentError("ugks_id needs a mirrored quadrature: its v^2 half-moments differ")
+            self.bands = _implicit_bands(d, q.m_v2_pos, dx, dt, mat.alpha_cell)
+            _, diag, upper = self.bands
+            from scipy.linalg.lapack import dpttrf, dpttrs
+            *factors, info = dpttrf(diag, upper[:-1])
             if info != 0:
-                raise SolverFailureError(f"implicit density matrix is singular (dgttrf info={info})")
-            self.lu = (dgttrs, *factors)
-            # Explicit (time-n) part of each interior D-flux: the interface density.
-            self.expl_coef = (2.0 * d[1:-1] / dx) * (q.m_v2_pos - q.m_v2_neg)
+                raise SolverFailureError(f"implicit density matrix not positive definite (dpttrf info={info})")
+            self.lu = (dpttrs, *factors)
         else:
             self.m_v2_halves = tables.m_v2_halves
 
@@ -605,20 +604,17 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         up_state = np.add(up_state, np.multiply(p.mc_lambda, df, out=p.scratch), out=p.up_state)
         df *= p.mc_diag
     _upwind_moments(p.moments, fn, p.iface, flux_x=None if up_state is fn else up_state)
-    rho_if = p.rho_if
-    rho_if[0], rho_if[-1] = p.rho_half
+    p.rho_if[0], p.rho_if[-1] = p.rho_half
     np.multiply(p.coef_rows, p.moments_rev, out=p.iface_rows)
     phi = p.phi
     for wall, inflow, c_term, e_term, d_term in p.wall_terms:
         phi[wall] = float(phi[wall]) + inflow + c_term + e_term + d_term
     if p.eg is not None:
         p.iface_rows[1] += p.eg
-    # Row 4 is free until the difference: it holds Phi's last term.
-    if p.implicit:
-        # The D-terms couple the time-(n+1) densities: only their
-        # interface-density part is explicit, the rest is the banded solve.
-        phi[1:-1] += np.multiply(p.expl_coef, rho_if[1:-1], out=p.phi_term[:-2])
-    else:
+    # ugks_id's D-terms couple the time-(n+1) densities and go to the solve;
+    # like C rho_if, their interface-density part averages to zero.
+    if not p.implicit:
+        # Row 4 is free until the difference: it holds Phi's last term.
         _d_slope_rows(p, rho)
         phi += np.matmul(p.m_v2_halves, p.d_rows, out=p.phi_term)
     here, right, diff = p.row_diff[0]
@@ -669,38 +665,36 @@ def _d_slope_rows(p: StepPlan, rho: np.ndarray) -> None:
 def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
     """Solve the implicit density system for one right-hand side.
 
-    ``lu`` is a plan's ``lu``: the ``dgttrs`` routine that the plan bound
-    when it factored, then the ``dgttrf`` factors of its tridiagonal bands.
-    ``rhs``, a contiguous row, is overwritten with the solution and
-    returned (for 2 cells, whose factors carry a decoupled third row, the
-    solution of a padded copy is copied back).
-    This is the same elimination as LAPACK ``gtsv`` on the bands, without
-    factoring them again each step.  ``benchmarks/tracer.py`` times the
-    solve by wrapping this module-level name, so keep it.
+    ``lu`` is a plan's ``lu``: the ``dpttrs`` routine that the plan bound
+    when it factored, then the ``dpttrf`` factors (d, e) of its symmetric
+    positive-definite bands, A = L diag(d) L^T with unit lower bidiagonal L
+    of subdiagonal e.  ``rhs``, a contiguous row, is overwritten with the
+    solution and returned.  This is the same elimination as LAPACK ``ptsv``
+    on the bands, without factoring them again each step.
+    ``benchmarks/tracer.py`` times the solve by wrapping this module-level
+    name, so keep it.
     """
-    gttrs, *factors = lu
-    if rhs.size < factors[1].size:
-        rhs[:] = gttrs(*factors, np.append(rhs, 0.0), overwrite_b=True)[0][:rhs.size]
-        return rhs
-    return gttrs(*factors, rhs, overwrite_b=True)[0]
+    pttrs, d, e = lu
+    pttrs(d, e, rhs, overwrite_b=True)
+    return rhs
 
 
-def _implicit_bands(d_if: np.ndarray, mpp: float, mnn: float, dx: float, dt: float,
+def _implicit_bands(d_if: np.ndarray, m_v2_half: float, dx: float, dt: float,
                     alpha_c: np.ndarray):
     """Tridiagonal bands (lower, diag, upper) of the implicit density solve.
 
-    With c_j = 2 D_j / dx^2 <= 0, row i reads
+    With c_j = 2 D_j / dx^2 <= 0 and m the v^2 half-moment of either sign
+    (equal on a mirrored quadrature), row i reads
     ``lower[i] rho_{i-1} + diag[i] rho_i + upper[i] rho_{i+1} = rhs_i`` with
-    diag[i] = 1/dt + alpha_i - c_{i+1} mpp - c_i mnn, upper[i] = c_{i+1} mnn,
-    lower[i] = c_i mpp.
+    diag[i] = 1/dt + alpha_i - (c_i + c_{i+1}) m and lower[i + 1] =
+    upper[i] = c_{i+1} m: symmetric, and diagonally dominant by 1/dt.
     """
     n = alpha_c.size
     c = d_if * (2.0 / dx**2)
-    diag = 1.0 / dt + alpha_c - c[1:] * mpp - c[:-1] * mnn
+    diag = 1.0 / dt + alpha_c - c[1:] * m_v2_half - c[:-1] * m_v2_half
     lower = np.zeros(n)
     upper = np.zeros(n)
-    upper[:-1] = c[1:-1] * mnn
-    lower[1:] = c[1:-1] * mpp
+    upper[:-1] = lower[1:] = c[1:-1] * m_v2_half
     return lower, diag, upper
 
 

@@ -36,6 +36,20 @@ def test_quadrature_invariants(builder, n):
     assert np.array_equal(q.positive, q.nodes > 0)
 
 
+@pytest.mark.parametrize("builder", [build_gauss_legendre, build_double_gauss])
+def test_mirrored_rules_have_exactly_mirrored_half_moments(builder):
+    """Every built-in rule is mirrored bit for bit, and so are its computed
+    half-moments: the implicit density solve relies on m_v2_neg ==
+    m_v2_pos."""
+    for n in range(2, 513, 2):
+        q = builder(n)
+        h = q.split
+        assert np.array_equal(q.nodes[:h], -q.nodes[h:][::-1])
+        assert np.array_equal(q.weights[:h], q.weights[h:][::-1])
+        assert q.m_v2_neg == q.m_v2_pos, n
+        assert q.m_v_neg == -q.m_v_pos, n
+
+
 @pytest.mark.parametrize("nodes", [[0.5, -0.5], [-0.5, -0.5, 0.5, 0.7], [-0.5, 0.5, 0.3]])
 def test_quadrature_rejects_unsorted_nodes(nodes):
     with pytest.raises(InvalidArgumentError):

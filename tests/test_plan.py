@@ -10,7 +10,8 @@ import scipy.linalg
 from ugks1d.errors import InvalidArgumentError
 from ugks1d.experiments import builtin_spec, run
 from ugks1d import ugks
-from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material
+from ugks1d.grid import (SpatialMesh, VelocityQuadrature, build_double_gauss, build_gauss_legendre,
+                         sample_material)
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
 from ugks1d.ugks import (BC_MODES, BoundarySpec, KineticState, SchemeConfig, StepPlan,
                          apply, cfl_timestep, step)
@@ -189,7 +190,8 @@ def test_run_matches_manual_stepping_with_shortened_leg_ends(overrides):
 @pytest.mark.parametrize("n_cells", [25, 2000])
 def test_factored_solve_matches_the_banded_solve(example, alpha, build_quadrature, n_cells):
     """The plan's factors solve the density system to the bits of a fresh
-    banded solve on the same bands."""
+    symmetric banded solve (LAPACK ptsv) on the same bands, and to rounding
+    of the general tridiagonal solve."""
     spec = builtin_spec(example, alpha=alpha)
     mesh = SpatialMesh(spec.x_min, spec.x_max, n_cells)
     mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
@@ -199,19 +201,62 @@ def test_factored_solve_matches_the_banded_solve(example, alpha, build_quadratur
     dt = cfl_timestep(cfg, mat, mesh)
     plan = StepPlan(dt, cfg, mat, mesh, q, bc)
     lower, diag, upper = plan.bands
+    rhs = np.random.default_rng(n_cells).random(n_cells) / dt
+    got = ugks.solve_banded(plan.lu, rhs.copy())
+    # solveh_banded's upper form wants the superdiagonal upper[:-1] shifted
+    # one column right; the bands are symmetric, so that row is ``lower``.
+    assert np.array_equal(got, scipy.linalg.solveh_banded(np.array([lower, diag]), rhs))
     ab = np.zeros((3, n_cells))
     ab[0, 1:] = upper[:-1]
     ab[1] = diag
     ab[2, :-1] = lower[1:]
-    rhs = np.random.default_rng(n_cells).random(n_cells) / dt
-    expect = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    assert np.array_equal(ugks.solve_banded(plan.lu, rhs.copy()), expect)
+    general = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    assert np.abs(got - general).max() <= 1e-14 * np.abs(general).max()
+
+
+def test_solve_overwrites_its_right_hand_side():
+    """``apply`` ignores the solve's return value: the solution must land in
+    the row it passes."""
+    mesh, mat, cfg = setup(diffusion_mode="implicit_slopes")
+    bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    rhs = np.random.default_rng(3).random(N_CELLS) / plan.dt
+    original = rhs.copy()
+    assert ugks.solve_banded(plan.lu, rhs) is rhs
+    assert not np.array_equal(rhs, original)
+    assert np.array_equal(rhs, scipy.linalg.solveh_banded(np.array(plan.bands[:2]), original))
+
+
+def test_implicit_plan_needs_a_mirrored_quadrature():
+    """Half-moments that differ leave no symmetric density system: an
+    implicit plan refuses the quadrature, an explicit one builds."""
+    q = VelocityQuadrature(np.array([-0.9, -0.2, 0.5, 0.8]), np.full(4, 0.5))
+    assert q.m_v2_pos != q.m_v2_neg
+    mesh, mat, cfg = setup(diffusion_mode="implicit_slopes")
+    bc = BoundarySpec.from_functions(1.0, 0.0, q)
+    dt = cfl_timestep(cfg, mat, mesh)
+    with pytest.raises(InvalidArgumentError, match="mirrored"):
+        StepPlan(dt, cfg, mat, mesh, q, bc)
+    plan = StepPlan(dt, SchemeConfig(eps=cfg.eps), mat, mesh, q, bc)
+    f, rho = apply(plan, np.ones((N_CELLS, q.n)), np.ones(N_CELLS))
+    assert np.all(np.isfinite(f))
+
+
+@pytest.mark.parametrize("order", [2, 6, 16, 512])
+@pytest.mark.parametrize("build_quadrature", [build_gauss_legendre, build_double_gauss])
+def test_implicit_bands_are_symmetric(build_quadrature, order):
+    q = build_quadrature(order)
+    mesh, mat, cfg = setup(diffusion_mode="implicit_slopes")
+    bc = BoundarySpec.from_functions(1.0, 0.0, q)
+    lower, _, upper = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc).bands
+    assert np.array_equal(lower[1:], upper[:-1])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_two_cell_implicit_plan_solves(alpha):
-    """SciPy's gttrf/gttrs wrappers reject a 2 x 2 system; the plan factors
-    it with a decoupled third row, and the solve matches a banded solve."""
+    """The smallest mesh, 2 cells, factors and solves its 2 x 2 system like
+    any other: the solve matches a general banded solve, and steps stay
+    bounded."""
     mesh = SpatialMesh(0.0, 1.0, 2)
     mat = sample_material(1.0, alpha, 0.0, mesh)
     cfg = SchemeConfig(eps=0.1, diffusion_mode="implicit_slopes")
