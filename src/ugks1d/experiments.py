@@ -27,8 +27,8 @@ from .errors import ConfigError, InvalidArgumentError, SolverFailureError
 from .grid import (WEIGHT_VARIANTS, SpatialMesh, average, build_double_gauss, build_gauss_legendre,
                    sample_material)
 from .penalized import PenalizedOperator, ScatteringKernel, penalized_step
-from .reference import (chandrasekhar_density, diffusion_run, diffusion_timestep, upwind_step,
-                        upwind_timestep)
+from .reference import (chandrasekhar_density, diffusion_run, diffusion_timestep, leg_steps,
+                        upwind_step, upwind_timestep)
 from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                    moment_defect, step)
 
@@ -158,12 +158,6 @@ def _initial_profile(spec: ExperimentSpec, mesh: SpatialMesh) -> np.ndarray:
     return np.full(mesh.n_cells, float(init))
 
 
-def _initial_state(spec: ExperimentSpec, mesh: SpatialMesh, q) -> KineticState:
-    # node-major, like every stepped state
-    f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T
-    return KineticState(f=f0, rho=average(q, f0), t=0.0)
-
-
 def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
     """Dirichlet data of the diffusion limit: the inflow value itself for
     isotropic inflow, the half-range weighted density otherwise."""
@@ -181,120 +175,105 @@ def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
             side(spec.f_right, ~q.positive, -1.0))
 
 
+def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat):
+    """The spec's scheme as ``(policy, state, advance)``: its time-step
+    policy, its initial state and one step ``advance(state, h)``, or for
+    ``diffusion`` one leg ``advance(rho, t, t_end, dt) -> (rho, steps)``.
+    Steppers are looked up by their module-level names at each call."""
+    if spec.scheme == "diffusion":
+        if np.any(mat.sigma_iface <= 0):
+            raise InvalidArgumentError("diffusion scheme requires sigma > 0 everywhere")
+        kappa_iface = 1.0 / (3.0 * mat.sigma_iface)
+        dirichlet = _dirichlet_data(spec, q)
+
+        def leg(rho, t, t_end, dt):
+            return diffusion_run(rho, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx, t, t_end,
+                                 spec.diffusion_solver, dirichlet, dt)
+        explicit = spec.diffusion_solver == "explicit"
+        policy = diffusion_timestep(kappa_iface, mesh.dx, spec.cfl) if explicit else spec.cfl * mesh.dx
+        return policy, _initial_profile(spec, mesh), leg
+
+    bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, q,
+                                     mode=spec.bc_mode, weight_variant=spec.weight_variant)
+    cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
+                       theta_lim=spec.theta_lim, cfl_form=spec.cfl_form,
+                       diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
+    f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T   # node-major, as stepped
+    state = KineticState(f=f0, rho=average(q, f0), t=0.0)
+    if spec.scheme == "upwind":
+        def upwind(s, h):
+            f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, h,
+                                reconstruction=spec.reconstruction, theta_lim=spec.theta_lim)
+            return KineticState(f=f_new, rho=average(q, f_new), t=s.t + h)
+        return upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl), state, upwind
+
+    op, plan_mat = None, mat
+    if spec.collision == "penalized":
+        kernel = (ScatteringKernel.from_table(spec.kernel_table, q) if spec.kernel_table is not None
+                  else ScatteringKernel.isotropic(spec.kernel_constant, q))
+        op = PenalizedOperator.build(kernel, q)
+        plan_mat = op.material(mesh, mat)
+    plans: dict = {}   # one per distinct step size: the policy's and each shortened leg end
+
+    def ugks(s, h):
+        plan = plans.get(h)
+        if plan is None:
+            coeffs = coefficient_arrays(h, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
+            plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs)
+        if op is None:
+            return step(s, cfg, mat, mesh, q, bc, plan=plan)
+        return penalized_step(s, spec.eps, op, mesh, q, bc, cfg=cfg, plan=plan)
+    # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
+    return cfl_timestep(cfg, mat, mesh), state, ugks
+
+
 def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False,
         track_moments: bool = False) -> RunResult:
-    """Integrate the experiment to each output time, shrinking the final step
-    of each leg so states land exactly on the requested times."""
+    """Integrate the experiment to each output time.
+
+    Each leg, from one output time to the next, takes the steps of
+    :func:`reference.leg_steps` of the ``dt_override`` or the scheme's policy
+    dt, the last one shortened to land on the output time.  ``diffusion``
+    hands its legs to :func:`reference.diffusion_run` and stores no ``f``.
+    """
     n_cells = int(cells) if cells is not None else int(spec.cells[0])
     mesh = SpatialMesh(spec.x_min, spec.x_max, n_cells)
     q = _build_quadrature(spec)
     mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
     t_start = _time.perf_counter()
-
-    if spec.scheme == "diffusion":
-        return _run_diffusion(spec, mesh, mat, q, t_start)
-
-    bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, q,
-                                     mode=spec.bc_mode, weight_variant=spec.weight_variant)
-    cfg = SchemeConfig(
-        eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
-        theta_lim=spec.theta_lim,
-        diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes",
-        cfl_form=spec.cfl_form,
-    )
-    state = _initial_state(spec, mesh, q)
-
-    if spec.scheme == "upwind":
-        dt_policy = spec.dt_override or upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl)
-
-        def stepper(s, dt):
-            f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, dt,
-                                reconstruction=spec.reconstruction, theta_lim=spec.theta_lim)
-            return KineticState(f=f_new, rho=average(q, f_new), t=s.t + dt)
-    else:
-        dt_policy = spec.dt_override or cfl_timestep(cfg, mat, mesh)
-        if spec.collision == "penalized":
-            if spec.kernel_table is not None:
-                kernel = ScatteringKernel.from_table(spec.kernel_table, q)
-            else:
-                kernel = ScatteringKernel.isotropic(spec.kernel_constant, q)
-            op = PenalizedOperator.build(kernel, q)
-            plan_mat = op.material(mesh, mat)
-
-            def advance(s, plan):
-                return penalized_step(s, spec.eps, op, mesh, q, bc, cfg=cfg, plan=plan)
-        else:
-            plan_mat = mat
-
-            def advance(s, plan):
-                return step(s, cfg, mat, mesh, q, bc, plan=plan)
-
-        plans: dict = {}   # one per distinct dt: the policy's and each shortened leg end
-
-        def stepper(s, dt):
-            plan = plans.get(dt)
-            if plan is None:
-                coeffs = coefficient_arrays(dt, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
-                plan = plans[dt] = StepPlan(dt, cfg, plan_mat, mesh, q, bc, coeffs)
-            return advance(s, plan)
+    policy, state, advance = _scheme(spec, mesh, q, mat)
+    dt = spec.dt_override or policy
+    kinetic = spec.scheme != "diffusion"
 
     profiles = []
-    f_tables = [] if store_f else None
+    f_tables = [] if store_f and kinetic else None
     n_steps = 0
     defect = 0.0
     t = 0.0
-    for t_target in spec.times:
-        while t < t_target - 1e-13 * max(1.0, t_target):
-            dt = min(dt_policy, t_target - t)
-            try:
-                state = stepper(state, dt)
-            except SolverFailureError as exc:
-                raise SolverFailureError(f"step {n_steps + 1} at t={t:.6g}: {exc}") from exc
-            n_steps += 1
-            t += dt
-            if track_moments:
-                defect = max(defect, moment_defect(state, q))
-        t = t_target
-        profiles.append(np.array(state.rho))
-        if store_f:
+    for t_end in spec.times:
+        if not kinetic:
+            state, steps = advance(state, t, t_end, dt)
+            n_steps += steps
+        else:
+            for h, count in leg_steps(t, t_end, dt):
+                for _ in range(count):
+                    try:
+                        state = advance(state, h)
+                    except SolverFailureError as exc:
+                        raise SolverFailureError(f"step {n_steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
+                    n_steps += 1
+                    if track_moments:
+                        defect = max(defect, moment_defect(state, q))
+        t = t_end
+        profiles.append(np.array(state.rho if kinetic else state))
+        if f_tables is not None:
             f_tables.append(np.array(state.f))
 
     return RunResult(
         id=spec.id, scheme=spec.scheme, times=tuple(spec.times), x=mesh.centers,
-        rho=profiles, f=f_tables, n_cells=n_cells, dt=dt_policy, n_steps=n_steps,
+        rho=profiles, f=f_tables, n_cells=n_cells, dt=dt, n_steps=n_steps,
         wall_time=_time.perf_counter() - t_start,
-        moment_defect=defect if track_moments else None,
-    )
-
-
-def _run_diffusion(spec: ExperimentSpec, mesh: SpatialMesh, mat, q, t_start: float) -> RunResult:
-    if np.any(mat.sigma_iface <= 0):
-        raise InvalidArgumentError("diffusion scheme requires sigma > 0 everywhere")
-    kappa_iface = 1.0 / (3.0 * mat.sigma_iface)
-    dirichlet = _dirichlet_data(spec, q)
-    rho = _initial_profile(spec, mesh)
-    mode = spec.diffusion_solver
-    if spec.dt_override is not None:
-        dt_policy = spec.dt_override
-    elif mode == "explicit":
-        dt_policy = diffusion_timestep(kappa_iface, mesh.dx, spec.cfl)
-    else:
-        dt_policy = spec.cfl * mesh.dx
-    profiles = []
-    n_steps = 0
-    t = 0.0
-    for t_target in spec.times:
-        span = t_target - t
-        if span > 1e-13 * max(1.0, t_target):
-            rho, steps = diffusion_run(rho, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx,
-                                       span, mode, dirichlet, dt_policy)
-            n_steps += steps
-        t = t_target
-        profiles.append(np.array(rho))
-    return RunResult(
-        id=spec.id, scheme=spec.scheme, times=tuple(spec.times), x=mesh.centers,
-        rho=profiles, f=None, n_cells=mesh.n_cells, dt=dt_policy, n_steps=n_steps,
-        wall_time=_time.perf_counter() - t_start, moment_defect=None,
+        moment_defect=defect if track_moments and kinetic else None,
     )
 
 

@@ -157,31 +157,31 @@ def mc_slopes(f: np.ndarray, dx: float, theta_lim: float,
     The work runs on ``f``, copied only if it is not C-contiguous, and
     flattened: every pass is then one contiguous sweep, and the differences
     that cross from one row into the next land in first and last cells,
-    which are zeroed.  ``out`` (the shape of ``f``, C-contiguous) receives
-    the slopes and ``work``, of shape (3, f.size - 2), holds the three
-    differences; a stepper passes buffers it owns, so a step allocates
-    neither.  Both are allocated when omitted.
+    which are zeroed.  One difference array d, scaled by theta/dx in place,
+    gives both one-sided differences as d[:-1] and d[1:].  ``out`` (the
+    shape of ``f``, C-contiguous) receives the slopes and ``work``, of shape
+    (3, f.size - 1), holds the differences; a stepper passes buffers it
+    owns, so a step allocates neither.  Both are allocated when omitted.
     """
     x = np.ascontiguousarray(f)
     if out is None:
         out = np.empty(x.shape)
     if work is None:
-        work = np.empty((3, x.size - 2))
+        work = np.empty((3, x.size - 1))
     flat = x.reshape(-1)
-    prev, mid, nxt = flat[:-2], flat[1:-1], flat[2:]
-    a, b, c = work
-    np.subtract(nxt, prev, out=a)
+    d, a, lower = work[0], work[1, :-1], work[2, :-1]
+    np.subtract(flat[1:], flat[:-1], out=d)
+    np.subtract(flat[2:], flat[:-2], out=a)
     a /= 2.0 * dx
-    np.subtract(mid, prev, out=b)
-    np.subtract(nxt, mid, out=c)
-    one_sided = work[1:]
-    one_sided *= theta_lim
-    one_sided /= dx
+    # d * 2 theta, with one division by 2 dx after the minmod, rounds subnormals differently
+    d *= theta_lim
+    d /= dx
+    b, c = d[:-1], d[1:]
     # minmod of a, b and c: a clipped to [min(max(b, c), 0), max(min(b, c), 0)].
     # The interval is [0, min(b, c)] when b, c > 0, [max(b, c), 0] when
     # b, c < 0 and {0} otherwise; clipping only selects, so no bit changes.
     upper = np.minimum(b, c, out=out.reshape(-1)[1:-1])
-    lower = np.maximum(b, c, out=b)
+    np.maximum(b, c, out=lower)
     np.minimum(lower, 0.0, out=lower)
     np.maximum(upper, 0.0, out=upper)
     np.minimum(a, upper, out=upper)

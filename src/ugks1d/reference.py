@@ -24,6 +24,7 @@ __all__ = [
     "diffusion_timestep",
     "diffusion_step",
     "diffusion_run",
+    "leg_steps",
 ]
 
 
@@ -140,41 +141,59 @@ def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
     raise InvalidArgumentError(f"unknown diffusion mode {mode!r}")
 
 
-def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: float,
-                  t_end: float, mode: str, dirichlet: tuple[float, float],
-                  dt: float) -> tuple[np.ndarray, int]:
-    """Integrate the diffusion scheme to ``t_end`` in steps of ``dt``, plus
-    one shorter step for any remainder; returns the final density and the
-    number of steps.
+def leg_steps(t: float, t_end: float, dt: float):
+    """The leg-end rule: the steps from time ``t`` to ``t_end``, as runs
+    ``(h, count)`` of equal steps.
 
-    For the explicit mode with uniform alpha the full steps are computed
-    through the eigendecomposition of the (symmetric tridiagonal) update
-    matrix; this reproduces the step-by-step iterates to rounding at any
-    step count in O(n^2) work, and counts as the steps it replaces.
+    A step is ``min(dt, t_end - t)``, t adds the steps one by one, and the
+    leg ends once t is within ``1e-13 * max(1, t_end)`` of ``t_end``.  After
+    the first full step the next ones are counted in passes of 256 up to
+    65,536 steps, which ``np.add.accumulate`` sums in the same order.
     """
-    rho = np.asarray(rho0, dtype=float).copy()
-    n = rho.size
-    alpha_arr = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-    source_arr = np.broadcast_to(np.asarray(source, dtype=float), (n,))
-    n_full = int(np.floor(t_end / dt + 1e-12))
-    remainder = t_end - n_full * dt
+    stop = t_end - 1e-13 * max(1.0, t_end)
+    ahead = 256
+    while t < stop:
+        h = min(dt, t_end - t)
+        yield h, 1
+        t += h
+        if h == dt:
+            ts = np.full(ahead + 1, dt)
+            ts[0] = t
+            np.add.accumulate(ts, out=ts)
+            # both tests are monotone in the step count: the full steps are a prefix
+            k = int(np.count_nonzero((ts[:-1] < stop) & (t_end - ts[:-1] >= dt)))
+            yield dt, k
+            t = float(ts[k])
+            ahead = min(2 * ahead, 65536)
 
-    alpha0 = float(alpha_arr[0])
-    if mode == "explicit" and np.all(alpha_arr == alpha0):
-        rho = _explicit_modal(rho, kappa_iface, alpha0, source_arr, dx, dt, n_full, dirichlet)
-    else:
-        for _ in range(n_full):
-            rho = diffusion_step(rho, kappa_iface, alpha_arr, source_arr, dx, dt, mode, dirichlet)
-    if remainder > 1e-14 * max(dt, 1.0):
-        rho = diffusion_step(rho, kappa_iface, alpha_arr, source_arr, dx, remainder, mode, dirichlet)
-        return rho, n_full + 1
-    return rho, n_full
+
+def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: float,
+                  t: float, t_end: float, mode: str, dirichlet: tuple[float, float],
+                  dt: float) -> tuple[np.ndarray, int]:
+    """Integrate the diffusion scheme from time ``t`` to ``t_end`` in the
+    steps of :func:`leg_steps`; returns the final density and the number of
+    steps.  In the explicit mode with uniform alpha, :func:`_explicit_modal`
+    takes all the full steps at once, and a shortened last step follows."""
+    rho = np.asarray(rho0, dtype=float).copy()
+    runs = list(leg_steps(t, t_end, dt))
+    n_steps = sum(count for _, count in runs)
+    alpha0 = float(np.max(alpha))
+    if mode == "explicit" and np.all(np.asarray(alpha) == alpha0):
+        n_full = sum(count for h, count in runs if h == dt)
+        rho = _explicit_modal(rho, kappa_iface, alpha0, source, dx, dt, n_full, dirichlet)
+        runs = [(h, count) for h, count in runs if h != dt]
+    for h, count in runs:
+        for _ in range(count):
+            rho = diffusion_step(rho, kappa_iface, alpha, source, dx, h, mode, dirichlet)
+    return rho, n_steps
 
 
 def _explicit_modal(rho0: np.ndarray, kappa_iface: np.ndarray, alpha0: float,
-                    source: np.ndarray, dx: float, dt: float, nsteps: int,
+                    source, dx: float, dt: float, nsteps: int,
                     dirichlet: tuple[float, float]) -> np.ndarray:
-    """Exact n-step map of the explicit scheme via eigendecomposition.
+    """Exact n-step map of the explicit scheme via eigendecomposition: the
+    ``nsteps`` full steps of one :func:`diffusion_run` leg in O(n^2) work,
+    equal to the step-by-step iterates to rounding at any step count.
 
     The explicit update with implicit uniform absorption is the affine map
     rho -> (rho + dt (L rho + b + G)) / (1 + dt alpha0) with L the symmetric

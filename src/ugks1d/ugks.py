@@ -383,7 +383,7 @@ class StepPlan:
             lam[:h] -= 0.5 * dx
             self.mc_diag = np.multiply(lam, self.inv_dt * idf, out=big[4])
             self.slope = big[5]
-            self.mc_work = big[6:].reshape(3, -1)[:, :k * n - 2]
+            self.mc_work = big[6:].reshape(3, -1)[:, :k * n - 1]
 
         if self.implicit:
             if q.m_v2_pos != q.m_v2_neg:

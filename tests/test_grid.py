@@ -202,4 +202,5 @@ def test_mc_slopes_match_the_scalar_limiter(strided):
         for k in range(f.shape[1]):
             expect[i, k] = mc_slope(f[i - 1, k], f[i, k], f[i + 1, k], dx, theta)
     assert np.array_equal(df, expect)
+    assert np.array_equal(np.signbit(df), np.signbit(expect))   # zeros are +0.0 too
     assert np.count_nonzero(expect > 0) and np.count_nonzero(expect < 0)

@@ -156,6 +156,21 @@ def test_diffusion_step_count_is_the_steps_taken(monkeypatch):
     assert step_sizes == [dt] * out.n_steps
 
 
+SCHEMES = {"ugks": dict(scheme="ugks"), "ugks_id": dict(scheme="ugks_id"), "upwind": dict(scheme="upwind"),
+           "diffusion": dict(scheme="diffusion"),
+           "implicit_diffusion": dict(scheme="diffusion", diffusion_solver="implicit")}
+
+
+@pytest.mark.parametrize("past, steps", [(5e-14, 40), (2e-13, 41)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_ends_its_legs_by_one_rule(scheme, past, steps):
+    # An output time within 1e-13 of the 40th step ends the leg there; one
+    # 2e-13 past it takes a 41st, shortened step.
+    dt = 0.9 * 0.04**2 / (2.0 / 3.0)
+    spec = builtin_spec("ex5", eps=1.0, dt_override=dt, times=(40 * dt + past,), **SCHEMES[scheme])
+    assert run(spec, cells=25).n_steps == steps
+
+
 def test_run_determinism(tmp_path):
     spec = builtin_spec("ex5", times=(0.05,))
     a = run(spec, cells=25, store_f=True)

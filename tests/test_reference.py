@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from ugks1d import reference
 from ugks1d.errors import InvalidArgumentError
 from ugks1d.grid import (SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material,
                          weight_samples)
+from ugks1d.experiments import builtin_spec, run
 from ugks1d.reference import (chandrasekhar_density, diffusion_run, diffusion_step,
-                              diffusion_timestep, upwind_step, upwind_timestep)
+                              diffusion_timestep, leg_steps, upwind_step, upwind_timestep)
 
 from oracles import dirichlet_series_profile
 
@@ -127,12 +129,50 @@ def test_diffusion_run_modal_matches_stepping():
     dt = diffusion_timestep(kappa, mesh.dx)
     t_end = 173 * dt
     rho0 = np.sin(np.pi * mesh.centers) ** 2
-    modal, steps = diffusion_run(rho0, kappa, 0.0, 0.3, mesh.dx, t_end, "explicit", (1.0, 0.2), dt)
+    modal, steps = diffusion_run(rho0, kappa, 0.0, 0.3, mesh.dx, 0.0, t_end, "explicit", (1.0, 0.2), dt)
     stepped = rho0
     for _ in range(173):
         stepped = diffusion_step(stepped, kappa, 0.0, 0.3, mesh.dx, dt, "explicit", (1.0, 0.2))
     assert steps == 173
     assert np.abs(modal - stepped).max() < 1e-12
+
+
+def stepped_leg(t, t_end, dt):
+    """Reference leg-end rule, one step at a time: the step sizes a loop
+    takes from t to t_end."""
+    sizes = []
+    while t < t_end - 1e-13 * max(1.0, t_end):
+        h = min(dt, t_end - t)
+        sizes.append(h)
+        t += h
+    return sizes
+
+
+def test_leg_steps_are_the_steps_of_the_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        dt = rng.uniform(1e-4, 0.1)
+        t = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+        near = rng.choice([0.0, 1e-16, 5e-14, 2e-13, -3e-14, rng.uniform(-dt, dt)])
+        t_end = max(t, t + rng.integers(0, 2000) * dt + near)
+        got = [h for h, count in leg_steps(t, t_end, dt) for _ in range(count)]
+        assert got == stepped_leg(t, t_end, dt)
+
+
+def test_modal_run_counts_the_steps_of_the_leg_rule(monkeypatch):
+    # ex3 (sigma = 1 + (10x)^2, alpha = 0) runs its full steps through the
+    # eigendecomposition, yet reports what stepping one by one would take
+    modal, full_steps = reference._explicit_modal, []
+
+    def counted(*args):
+        full_steps.append(args[6])
+        return modal(*args)
+
+    monkeypatch.setattr(reference, "_explicit_modal", counted)
+    out = run(builtin_spec("ex3", scheme="diffusion"), cells=200)
+    sizes = stepped_leg(0.0, 0.4, out.dt)
+    assert out.n_steps == len(sizes) == 11845
+    assert full_steps == [sizes.count(out.dt)]
 
 
 def test_discrete_reference_tracks_analytic_series():
@@ -142,7 +182,7 @@ def test_discrete_reference_tracks_analytic_series():
     mesh = SpatialMesh(0.0, 1.0, n)
     kappa = np.full(n + 1, 1.0 / 3.0)
     for t, tol in ((0.05, 2e-3), (0.5, 5e-4)):
-        rho, _ = diffusion_run(np.zeros(n), kappa, 0.0, 0.0, mesh.dx, t, "explicit", (1.0, 0.0),
+        rho, _ = diffusion_run(np.zeros(n), kappa, 0.0, 0.0, mesh.dx, 0.0, t, "explicit", (1.0, 0.0),
                                diffusion_timestep(kappa, mesh.dx))
         exact = dirichlet_series_profile(mesh.centers, t, 1.0 / 3.0, 1.0, 0.0)
         assert np.abs(rho - exact).max() < tol
