@@ -17,6 +17,7 @@ driven by the inflow data.
 from __future__ import annotations
 
 import time as _time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,6 +37,7 @@ __all__ = ["ExperimentSpec", "RunResult", "builtin_ids", "builtin_spec", "run",
            "write_csv", "read_csv"]
 
 SCHEMES = ("ugks", "ugks_id", "upwind", "diffusion")
+_Density = namedtuple("_Density", "rho f", defaults=(None,))   # a diffusion state: no f to store
 
 
 @dataclass(frozen=True)
@@ -175,105 +177,115 @@ def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
             side(spec.f_right, ~q.positive, -1.0))
 
 
-def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat):
-    """The spec's scheme as ``(policy, state, advance)``: its time-step
-    policy, its initial state and one step ``advance(state, h)``, or for
-    ``diffusion`` one leg ``advance(rho, t, t_end, dt) -> (rho, steps)``.
+def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool):
+    """The spec's scheme as ``(policy, leg)``: its time-step policy and
+    ``leg(t, t_end, dt) -> (state, steps, moment_defect)``, which advances the
+    scheme's own state, from its initial one on, to the next output time.
+    Only the leg holds the state, so each step frees the one before it.
     Steppers are looked up by their module-level names at each call."""
     if spec.scheme == "diffusion":
         if np.any(mat.sigma_iface <= 0):
             raise InvalidArgumentError("diffusion scheme requires sigma > 0 everywhere")
         kappa_iface = 1.0 / (3.0 * mat.sigma_iface)
         dirichlet = _dirichlet_data(spec, q)
+        rho = _initial_profile(spec, mesh)
 
-        def leg(rho, t, t_end, dt):
-            return diffusion_run(rho, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx, t, t_end,
-                                 spec.diffusion_solver, dirichlet, dt)
+        def diffusion(t, t_end, dt):
+            nonlocal rho
+            rho, steps = diffusion_run(rho, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx, t, t_end,
+                                       spec.diffusion_solver, dirichlet, dt)
+            return _Density(rho), steps, None
         explicit = spec.diffusion_solver == "explicit"
         policy = diffusion_timestep(kappa_iface, mesh.dx, spec.cfl) if explicit else spec.cfl * mesh.dx
-        return policy, _initial_profile(spec, mesh), leg
+        return policy, diffusion
 
     bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, q,
                                      mode=spec.bc_mode, weight_variant=spec.weight_variant)
-    cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
-                       theta_lim=spec.theta_lim, cfl_form=spec.cfl_form,
-                       diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
-    f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T   # node-major, as stepped
-    state = KineticState(f=f0, rho=average(q, f0), t=0.0)
     if spec.scheme == "upwind":
-        def upwind(s, h):
+        policy = upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl)
+
+        def advance(s, h):
             f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, h,
                                 reconstruction=spec.reconstruction, theta_lim=spec.theta_lim)
             return KineticState(f=f_new, rho=average(q, f_new), t=s.t + h)
-        return upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl), state, upwind
+    else:
+        cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
+                           theta_lim=spec.theta_lim, cfl_form=spec.cfl_form,
+                           diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
+        # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
+        policy = cfl_timestep(cfg, mat, mesh)
+        op, plan_mat = None, mat
+        if spec.collision == "penalized":
+            kernel = (ScatteringKernel.from_table(spec.kernel_table, q) if spec.kernel_table is not None
+                      else ScatteringKernel.isotropic(spec.kernel_constant, q))
+            op = PenalizedOperator.build(kernel, q)
+            plan_mat = op.material(mesh, mat)
+        plans: dict = {}   # one per distinct step size: the policy's and each shortened leg end
 
-    op, plan_mat = None, mat
-    if spec.collision == "penalized":
-        kernel = (ScatteringKernel.from_table(spec.kernel_table, q) if spec.kernel_table is not None
-                  else ScatteringKernel.isotropic(spec.kernel_constant, q))
-        op = PenalizedOperator.build(kernel, q)
-        plan_mat = op.material(mesh, mat)
-    plans: dict = {}   # one per distinct step size: the policy's and each shortened leg end
+        def advance(s, h):
+            plan = plans.get(h)
+            if plan is None:
+                coeffs = coefficient_arrays(h, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
+                plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs)
+            if op is None:
+                return step(s, cfg, mat, mesh, q, bc, plan=plan)
+            return penalized_step(s, spec.eps, op, mesh, q, bc, cfg=cfg, plan=plan)
+    f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T   # node-major, as stepped
+    state = KineticState(f=f0, rho=average(q, f0), t=0.0)
+    taken, worst = 0, 0.0
 
-    def ugks(s, h):
-        plan = plans.get(h)
-        if plan is None:
-            coeffs = coefficient_arrays(h, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
-            plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs)
-        if op is None:
-            return step(s, cfg, mat, mesh, q, bc, plan=plan)
-        return penalized_step(s, spec.eps, op, mesh, q, bc, cfg=cfg, plan=plan)
-    # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
-    return cfl_timestep(cfg, mat, mesh), state, ugks
+    def leg(t, t_end, dt):
+        # one advance per step of leg_steps; a failing step is named by its
+        # number in the run, and the defect returned is the run's largest so far
+        nonlocal state, taken, worst
+        steps = 0
+        for h, count in leg_steps(t, t_end, dt):
+            for _ in range(count):
+                try:
+                    state = advance(state, h)
+                except SolverFailureError as exc:
+                    raise SolverFailureError(f"step {taken + steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
+                steps += 1
+                if track_moments:
+                    worst = max(worst, moment_defect(state, q))
+        taken += steps
+        return state, steps, worst if track_moments else None
+    return policy, leg
 
 
 def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False,
         track_moments: bool = False) -> RunResult:
-    """Integrate the experiment to each output time.
-
-    Each leg, from one output time to the next, takes the steps of
-    :func:`reference.leg_steps` of the ``dt_override`` or the scheme's policy
-    dt, the last one shortened to land on the output time.  ``diffusion``
-    hands its legs to :func:`reference.diffusion_run` and stores no ``f``.
-    """
+    """Integrate the experiment to each output time, one leg of the scheme
+    (:func:`_scheme`) from each output time to the next, with the
+    ``dt_override`` or the scheme's policy dt.  Every leg takes the steps of
+    :func:`reference.leg_steps`, the last one shortened to land on its output
+    time; ``diffusion`` legs are :func:`reference.diffusion_run` calls."""
     n_cells = int(cells) if cells is not None else int(spec.cells[0])
     mesh = SpatialMesh(spec.x_min, spec.x_max, n_cells)
     q = _build_quadrature(spec)
     mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
     t_start = _time.perf_counter()
-    policy, state, advance = _scheme(spec, mesh, q, mat)
+    policy, leg = _scheme(spec, mesh, q, mat, track_moments)
     dt = spec.dt_override or policy
-    kinetic = spec.scheme != "diffusion"
 
     profiles = []
-    f_tables = [] if store_f and kinetic else None
+    f_tables = [] if store_f else None
     n_steps = 0
-    defect = 0.0
+    defect = None
     t = 0.0
     for t_end in spec.times:
-        if not kinetic:
-            state, steps = advance(state, t, t_end, dt)
-            n_steps += steps
-        else:
-            for h, count in leg_steps(t, t_end, dt):
-                for _ in range(count):
-                    try:
-                        state = advance(state, h)
-                    except SolverFailureError as exc:
-                        raise SolverFailureError(f"step {n_steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
-                    n_steps += 1
-                    if track_moments:
-                        defect = max(defect, moment_defect(state, q))
+        state, steps, defect = leg(t, t_end, dt)
+        n_steps += steps
         t = t_end
-        profiles.append(np.array(state.rho if kinetic else state))
-        if f_tables is not None:
+        profiles.append(np.array(state.rho))
+        if f_tables is not None and state.f is not None:
             f_tables.append(np.array(state.f))
+        del state   # the next leg frees each state it steps past
 
     return RunResult(
         id=spec.id, scheme=spec.scheme, times=tuple(spec.times), x=mesh.centers,
-        rho=profiles, f=f_tables, n_cells=n_cells, dt=dt, n_steps=n_steps,
-        wall_time=_time.perf_counter() - t_start,
-        moment_defect=defect if track_moments and kinetic else None,
+        rho=profiles, f=f_tables or None, n_cells=n_cells, dt=dt, n_steps=n_steps,
+        wall_time=_time.perf_counter() - t_start, moment_defect=defect,
     )
 
 

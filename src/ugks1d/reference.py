@@ -147,45 +147,54 @@ def leg_steps(t: float, t_end: float, dt: float):
 
     A step is ``min(dt, t_end - t)``, t adds the steps one by one, and the
     leg ends once t is within ``1e-13 * max(1, t_end)`` of ``t_end``.  After
-    the first full step the next ones are counted in passes of 256 up to
-    65,536 steps, which ``np.add.accumulate`` sums in the same order.
+    the first full step, the full steps left are counted in passes as long
+    as the leg's remaining ``(t_end - t) / dt`` steps, at most 65,536, which
+    ``np.add.accumulate`` sums in the same order.  A dt that is not
+    positive raises ``InvalidArgumentError``: its leg would never end.
     """
+    if not dt > 0:
+        raise InvalidArgumentError(f"dt must be positive, got {dt}")
     stop = t_end - 1e-13 * max(1.0, t_end)
-    ahead = 256
     while t < stop:
         h = min(dt, t_end - t)
         yield h, 1
         t += h
         if h == dt:
-            ts = np.full(ahead + 1, dt)
+            ts = np.full(int(min((t_end - t) / dt, 65536.0)) + 2, dt)
             ts[0] = t
             np.add.accumulate(ts, out=ts)
             # both tests are monotone in the step count: the full steps are a prefix
             k = int(np.count_nonzero((ts[:-1] < stop) & (t_end - ts[:-1] >= dt)))
             yield dt, k
             t = float(ts[k])
-            ahead = min(2 * ahead, 65536)
 
 
 def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: float,
                   t: float, t_end: float, mode: str, dirichlet: tuple[float, float],
                   dt: float) -> tuple[np.ndarray, int]:
-    """Integrate the diffusion scheme from time ``t`` to ``t_end`` in the
-    steps of :func:`leg_steps`; returns the final density and the number of
-    steps.  In the explicit mode with uniform alpha, :func:`_explicit_modal`
-    takes all the full steps at once, and a shortened last step follows."""
+    """Integrate the diffusion scheme from time ``t`` to ``t_end``; returns
+    the final density and the number of steps.
+
+    :func:`leg_steps` gives the number n of full steps.  In the explicit
+    mode with uniform alpha, :func:`_explicit_modal` takes them all at once.
+    A shortened last step, where the rule takes one, is ``t_end - t - n dt``
+    long, so the oracle lands on ``t_end`` however far the rule's summed
+    time has drifted over a long leg (no step is left if the drift exceeds
+    it).
+    """
     rho = np.asarray(rho0, dtype=float).copy()
     runs = list(leg_steps(t, t_end, dt))
-    n_steps = sum(count for _, count in runs)
+    n_full = sum(count for h, count in runs if h == dt)
     alpha0 = float(np.max(alpha))
     if mode == "explicit" and np.all(np.asarray(alpha) == alpha0):
-        n_full = sum(count for h, count in runs if h == dt)
         rho = _explicit_modal(rho, kappa_iface, alpha0, source, dx, dt, n_full, dirichlet)
-        runs = [(h, count) for h, count in runs if h != dt]
-    for h, count in runs:
-        for _ in range(count):
-            rho = diffusion_step(rho, kappa_iface, alpha, source, dx, h, mode, dirichlet)
-    return rho, n_steps
+    else:
+        for _ in range(n_full):
+            rho = diffusion_step(rho, kappa_iface, alpha, source, dx, dt, mode, dirichlet)
+    last = (t_end - t) - n_full * dt
+    if runs and runs[-1][0] < dt and last > 0:
+        return diffusion_step(rho, kappa_iface, alpha, source, dx, last, mode, dirichlet), n_full + 1
+    return rho, n_full
 
 
 def _explicit_modal(rho0: np.ndarray, kappa_iface: np.ndarray, alpha0: float,

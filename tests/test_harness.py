@@ -171,6 +171,14 @@ def test_every_scheme_ends_its_legs_by_one_rule(scheme, past, steps):
     assert run(spec, cells=25).n_steps == steps
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_negative_dt_override_is_rejected(scheme):
+    # a negative step moves a leg away from its output time, so it would never end
+    spec = builtin_spec("ex5", eps=1.0, dt_override=-0.01, **SCHEMES[scheme])
+    with pytest.raises(InvalidArgumentError, match="dt must be positive"):
+        run(spec, cells=25)
+
+
 def test_run_determinism(tmp_path):
     spec = builtin_spec("ex5", times=(0.05,))
     a = run(spec, cells=25, store_f=True)

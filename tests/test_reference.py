@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,12 @@ def test_leg_steps_are_the_steps_of_the_loop():
         assert got == stepped_leg(t, t_end, dt)
 
 
+@pytest.mark.parametrize("dt", [-0.01, 0.0, float("nan")])
+def test_leg_steps_rejects_a_step_that_is_not_positive(dt):
+    with pytest.raises(InvalidArgumentError, match="dt must be positive"):
+        next(leg_steps(0.0, 1.0, dt))
+
+
 def test_modal_run_counts_the_steps_of_the_leg_rule(monkeypatch):
     # ex3 (sigma = 1 + (10x)^2, alpha = 0) runs its full steps through the
     # eigendecomposition, yet reports what stepping one by one would take
@@ -173,6 +181,29 @@ def test_modal_run_counts_the_steps_of_the_leg_rule(monkeypatch):
     sizes = stepped_leg(0.0, 0.4, out.dt)
     assert out.n_steps == len(sizes) == 11845
     assert full_steps == [sizes.count(out.dt)]
+
+
+def test_diffusion_oracle_lands_on_its_output_time(monkeypatch):
+    # ex2 explicit diffusion at 200 cells to t = 1: the rule's summed time is
+    # 7.9e-13 past 29,629 dt when it takes the last, shortened step, which is
+    # sized from n dt instead, so the oracle's steps add up to t = 1.
+    modal, step, taken = reference._explicit_modal, reference.diffusion_step, {}
+
+    def counted(*args):
+        taken["full"] = args[6]
+        return modal(*args)
+
+    def recorded(*args):
+        taken.setdefault("short", []).append(args[5])
+        return step(*args)
+
+    monkeypatch.setattr(reference, "_explicit_modal", counted)
+    monkeypatch.setattr(reference, "diffusion_step", recorded)
+    out = run(builtin_spec("ex2", scheme="diffusion", times=(1.0,)), cells=200)
+    assert out.n_steps == taken["full"] + 1 == 29630
+    assert len(taken["short"]) == 1
+    simulated = taken["full"] * Fraction(out.dt) + Fraction(taken["short"][0])
+    assert abs(simulated - 1) <= 2 * np.spacing(1.0)
 
 
 def test_discrete_reference_tracks_analytic_series():
