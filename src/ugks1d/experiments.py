@@ -19,6 +19,7 @@ from __future__ import annotations
 import time as _time
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -180,7 +181,8 @@ def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
 def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool):
     """The spec's scheme as ``(policy, leg)``: its time-step policy and
     ``leg(t, t_end, dt) -> (state, steps, moment_defect)``, which advances the
-    scheme's own state, from its initial one on, to the next output time.
+    scheme's own state, from its initial one on, to the next output time by
+    the steps of :func:`reference.leg_steps`.
     Only the leg holds the state, so each step frees the one before it.
     Steppers are looked up by their module-level names at each call."""
     if spec.scheme == "diffusion":
@@ -238,16 +240,16 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
         # one advance per step of leg_steps; a failing step is named by its
         # number in the run, and the defect returned is the run's largest so far
         nonlocal state, taken, worst
+        n, last = leg_steps(t, t_end, dt)
         steps = 0
-        for h, count in leg_steps(t, t_end, dt):
-            for _ in range(count):
-                try:
-                    state = advance(state, h)
-                except SolverFailureError as exc:
-                    raise SolverFailureError(f"step {taken + steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
-                steps += 1
-                if track_moments:
-                    worst = max(worst, moment_defect(state, q))
+        for h in chain(repeat(dt, n), (last,) if last else ()):
+            try:
+                state = advance(state, h)
+            except SolverFailureError as exc:
+                raise SolverFailureError(f"step {taken + steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
+            steps += 1
+            if track_moments:
+                worst = max(worst, moment_defect(state, q))
         taken += steps
         return state, steps, worst if track_moments else None
     return policy, leg
@@ -257,16 +259,17 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
         track_moments: bool = False) -> RunResult:
     """Integrate the experiment to each output time, one leg of the scheme
     (:func:`_scheme`) from each output time to the next, with the
-    ``dt_override`` or the scheme's policy dt.  Every leg takes the steps of
-    :func:`reference.leg_steps`, the last one shortened to land on its output
-    time; ``diffusion`` legs are :func:`reference.diffusion_run` calls."""
+    ``dt_override`` (0 and negative values raise) or else the scheme's policy
+    dt.  Every leg takes the n full steps and the shortened last step of
+    :func:`reference.leg_steps`, so it lands on its output time to rounding;
+    ``diffusion`` legs are :func:`reference.diffusion_run` calls."""
     n_cells = int(cells) if cells is not None else int(spec.cells[0])
     mesh = SpatialMesh(spec.x_min, spec.x_max, n_cells)
     q = _build_quadrature(spec)
     mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
     t_start = _time.perf_counter()
     policy, leg = _scheme(spec, mesh, q, mat, track_moments)
-    dt = spec.dt_override or policy
+    dt = policy if spec.dt_override is None else spec.dt_override
 
     profiles = []
     f_tables = [] if store_f else None

@@ -141,32 +141,28 @@ def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
     raise InvalidArgumentError(f"unknown diffusion mode {mode!r}")
 
 
-def leg_steps(t: float, t_end: float, dt: float):
-    """The leg-end rule: the steps from time ``t`` to ``t_end``, as runs
-    ``(h, count)`` of equal steps.
+def leg_steps(t: float, t_end: float, dt: float) -> tuple[int, float]:
+    """The leg-end rule: the steps from time ``t`` to ``t_end``, as
+    ``(n, last)``, n full steps of ``dt`` and then one shortened step of
+    ``last`` (0.0 if there is none).
 
-    A step is ``min(dt, t_end - t)``, t adds the steps one by one, and the
-    leg ends once t is within ``1e-13 * max(1, t_end)`` of ``t_end``.  After
-    the first full step, the full steps left are counted in passes as long
-    as the leg's remaining ``(t_end - t) / dt`` steps, at most 65,536, which
-    ``np.add.accumulate`` sums in the same order.  A dt that is not
-    positive raises ``InvalidArgumentError``: its leg would never end.
+    Step k starts at ``t + k dt``.  It is a full step if it starts before
+    ``t_end - 1e-13 * max(1, t_end)`` with a whole dt left to ``t_end``;
+    after the n full steps, a start still before that bound takes a last
+    step of ``(t_end - t) - n dt``, which lands on ``t_end`` to rounding.
+    A dt that is not positive raises ``InvalidArgumentError``: its leg
+    would never end.
     """
     if not dt > 0:
         raise InvalidArgumentError(f"dt must be positive, got {dt}")
     stop = t_end - 1e-13 * max(1.0, t_end)
-    while t < stop:
-        h = min(dt, t_end - t)
-        yield h, 1
-        t += h
-        if h == dt:
-            ts = np.full(int(min((t_end - t) / dt, 65536.0)) + 2, dt)
-            ts[0] = t
-            np.add.accumulate(ts, out=ts)
-            # both tests are monotone in the step count: the full steps are a prefix
-            k = int(np.count_nonzero((ts[:-1] < stop) & (t_end - ts[:-1] >= dt)))
-            yield dt, k
-            t = float(ts[k])
+    # both tests are monotone in k, so the full steps are a prefix: correct the estimate to its end
+    n = max(int((t_end - t) / dt), 0)
+    while n > 0 and not (t + (n - 1) * dt < stop and t_end - (t + (n - 1) * dt) >= dt):
+        n -= 1
+    while t + n * dt < stop and t_end - (t + n * dt) >= dt:
+        n += 1
+    return n, (t_end - t) - n * dt if t + n * dt < stop else 0.0
 
 
 def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: float,
@@ -175,26 +171,20 @@ def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
     """Integrate the diffusion scheme from time ``t`` to ``t_end``; returns
     the final density and the number of steps.
 
-    :func:`leg_steps` gives the number n of full steps.  In the explicit
-    mode with uniform alpha, :func:`_explicit_modal` takes them all at once.
-    A shortened last step, where the rule takes one, is ``t_end - t - n dt``
-    long, so the oracle lands on ``t_end`` however far the rule's summed
-    time has drifted over a long leg (no step is left if the drift exceeds
-    it).
+    The steps are those of :func:`leg_steps`.  In the explicit mode with
+    uniform alpha, :func:`_explicit_modal` takes the n full steps at once.
     """
     rho = np.asarray(rho0, dtype=float).copy()
-    runs = list(leg_steps(t, t_end, dt))
-    n_full = sum(count for h, count in runs if h == dt)
+    n, last = leg_steps(t, t_end, dt)
     alpha0 = float(np.max(alpha))
     if mode == "explicit" and np.all(np.asarray(alpha) == alpha0):
-        rho = _explicit_modal(rho, kappa_iface, alpha0, source, dx, dt, n_full, dirichlet)
+        rho = _explicit_modal(rho, kappa_iface, alpha0, source, dx, dt, n, dirichlet)
     else:
-        for _ in range(n_full):
+        for _ in range(n):
             rho = diffusion_step(rho, kappa_iface, alpha, source, dx, dt, mode, dirichlet)
-    last = (t_end - t) - n_full * dt
-    if runs and runs[-1][0] < dt and last > 0:
-        return diffusion_step(rho, kappa_iface, alpha, source, dx, last, mode, dirichlet), n_full + 1
-    return rho, n_full
+    if last:
+        return diffusion_step(rho, kappa_iface, alpha, source, dx, last, mode, dirichlet), n + 1
+    return rho, n
 
 
 def _explicit_modal(rho0: np.ndarray, kappa_iface: np.ndarray, alpha0: float,

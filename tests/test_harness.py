@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ugks1d import reference
+from ugks1d import experiments, reference
 from ugks1d.analysis import compare, convergence_study, restrict_profile
 from ugks1d.config import compile_expression, load_config
 from ugks1d.errors import ComparisonError, ConfigError, InvalidArgumentError
@@ -173,10 +174,34 @@ def test_every_scheme_ends_its_legs_by_one_rule(scheme, past, steps):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_negative_dt_override_is_rejected(scheme):
-    # a negative step moves a leg away from its output time, so it would never end
-    spec = builtin_spec("ex5", eps=1.0, dt_override=-0.01, **SCHEMES[scheme])
-    with pytest.raises(InvalidArgumentError, match="dt must be positive"):
-        run(spec, cells=25)
+    # a negative step moves a leg away from its output time and a zero one
+    # stays put, so neither leg would ever end; zero is no "unset" either
+    for dt in (-0.01, 0.0):
+        spec = builtin_spec("ex5", eps=1.0, dt_override=dt, **SCHEMES[scheme])
+        with pytest.raises(InvalidArgumentError, match="dt must be positive"):
+            run(spec, cells=25)
+
+
+def test_every_leg_lands_on_its_output_time(monkeypatch):
+    # ex2 ugks at 200 cells: each leg ends in a shortened step, and a leg's
+    # steps add up, exactly, to its span to within 2 ulps of its output time
+    sizes = []
+
+    def recorded(state, *args, plan, **kwargs):
+        sizes.append(plan.dt)
+        return state   # the step sizes are all this test reads
+
+    monkeypatch.setattr(experiments, "step", recorded)
+    times = (0.01, 0.05, 0.15, 2.0)
+    out = run(builtin_spec("ex2", times=times), cells=200)
+    assert len(sizes) == out.n_steps
+    ends = [k for k, h in enumerate(sizes) if h != out.dt]
+    assert len(ends) == len(times) and ends[-1] == len(sizes) - 1
+    t, start = 0.0, 0
+    for t_end, end in zip(times, ends):
+        leg = sizes[start:end + 1]
+        assert abs(sum(map(Fraction, leg)) - (Fraction(t_end) - Fraction(t))) <= 2 * np.spacing(t_end)
+        t, start = t_end, end + 1
 
 
 def test_run_determinism(tmp_path):

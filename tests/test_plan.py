@@ -171,14 +171,16 @@ def test_run_matches_manual_stepping_with_shortened_leg_ends(overrides):
     state = KineticState.from_distribution(np.zeros((N_CELLS, Q16.n)), Q16)
     t, shortened = 0.0, 0
     for t_target, rho_run, f_run in zip(spec.times, res.rho, res.f):
-        while t < t_target - 1e-13:
-            dt = min(dt_policy, t_target - t)
-            shortened += dt < dt_policy
+        k = 0   # step k starts at t + k dt; a leg's last step lands on t_target
+        while t + k * dt_policy < t_target - 1e-13:
+            full = t_target - (t + k * dt_policy) >= dt_policy
+            dt = dt_policy if full else (t_target - t) - k * dt_policy
+            shortened += not full
             if spec.collision == "penalized":
                 state = penalized_step(state, spec.eps, op, mesh, Q16, bc, dt=dt, cfg=cfg)
             else:
                 state = step(state, cfg, mat, mesh, Q16, bc, dt=dt)
-            t += dt
+            k += 1
         t = t_target
         assert np.array_equal(state.rho, rho_run)
         assert np.array_equal(state.f, f_run)

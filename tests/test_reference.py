@@ -141,12 +141,12 @@ def test_diffusion_run_modal_matches_stepping():
 
 def stepped_leg(t, t_end, dt):
     """Reference leg-end rule, one step at a time: the step sizes a loop
-    takes from t to t_end."""
-    sizes = []
-    while t < t_end - 1e-13 * max(1.0, t_end):
-        h = min(dt, t_end - t)
-        sizes.append(h)
-        t += h
+    takes from t to t_end, step k starting at t + k dt."""
+    sizes, stop = [], t_end - 1e-13 * max(1.0, t_end)
+    while t + len(sizes) * dt < stop:
+        if t_end - (t + len(sizes) * dt) < dt:
+            return sizes + [(t_end - t) - len(sizes) * dt]
+        sizes.append(dt)
     return sizes
 
 
@@ -157,14 +157,14 @@ def test_leg_steps_are_the_steps_of_the_loop():
         t = rng.choice([0.0, rng.uniform(0.0, 3.0)])
         near = rng.choice([0.0, 1e-16, 5e-14, 2e-13, -3e-14, rng.uniform(-dt, dt)])
         t_end = max(t, t + rng.integers(0, 2000) * dt + near)
-        got = [h for h, count in leg_steps(t, t_end, dt) for _ in range(count)]
-        assert got == stepped_leg(t, t_end, dt)
+        n, last = leg_steps(t, t_end, dt)
+        assert [dt] * n + ([last] if last else []) == stepped_leg(t, t_end, dt)
 
 
 @pytest.mark.parametrize("dt", [-0.01, 0.0, float("nan")])
 def test_leg_steps_rejects_a_step_that_is_not_positive(dt):
     with pytest.raises(InvalidArgumentError, match="dt must be positive"):
-        next(leg_steps(0.0, 1.0, dt))
+        leg_steps(0.0, 1.0, dt)
 
 
 def test_modal_run_counts_the_steps_of_the_leg_rule(monkeypatch):
