@@ -170,8 +170,8 @@ def mc_slopes(f: np.ndarray, dx: float, theta_lim: float,
         work = np.empty((3, x.size - 1))
     flat = x.reshape(-1)
     d, a, lower = work[0], work[1, :-1], work[2, :-1]
-    np.subtract(flat[1:], flat[:-1], out=d)
-    np.subtract(flat[2:], flat[:-2], out=a)
+    np.subtract(flat[1:], flat[:-1], d)
+    np.subtract(flat[2:], flat[:-2], a)
     a /= 2.0 * dx
     # d * 2 theta, with one division by 2 dx after the minmod, rounds subnormals differently
     d *= theta_lim

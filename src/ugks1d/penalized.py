@@ -167,15 +167,16 @@ def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps:
     product's rounding does not depend on the memory order of ``f``.
     ``out`` receives M F and then the result, and ``work`` holds
     theta (rho - F), filled by a copy of rho and a subtraction that do not
-    broadcast a row into a new array (a broadcasting subtraction makes numpy
-    allocate a state-size buffer).  Both are C-contiguous (nodes, cells)
+    broadcast a row: numpy 2.4 buffers the broadcast row of one subtraction
+    ``np.subtract(rho, F, work)`` in a state-size array, and at 2000 cells
+    that takes 1.8 times as long.  Both are C-contiguous (nodes, cells)
     arrays, allocated when omitted; a step passes its plan's
     ``scaled_source`` and ``scratch``, so with a scalar lam it allocates no
     state-size array.  An array lam adds one, lam / eps^2, and a C-ordered
     ``f`` its node-major copy.  The result is the transpose of ``out``.
     """
     fn = np.ascontiguousarray(f.T)
-    src = np.matmul(op.matrix, fn, out=out)
+    src = np.matmul(op.matrix, fn, out)
     if work is None:
         work = np.empty(fn.shape)
     np.copyto(work, rho)

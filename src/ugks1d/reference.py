@@ -141,6 +141,9 @@ def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
     raise InvalidArgumentError(f"unknown diffusion mode {mode!r}")
 
 
+_MAX_LEG_STEPS = 10**9
+
+
 def leg_steps(t: float, t_end: float, dt: float) -> tuple[int, float]:
     """The leg-end rule: the steps from time ``t`` to ``t_end``, as
     ``(n, last)``, n full steps of ``dt`` and then one shortened step of
@@ -151,13 +154,19 @@ def leg_steps(t: float, t_end: float, dt: float) -> tuple[int, float]:
     after the n full steps, a start still before that bound takes a last
     step of ``(t_end - t) - n dt``, which lands on ``t_end`` to rounding.
     A dt that is not positive raises ``InvalidArgumentError``: its leg
-    would never end.
+    would never end.  So does a leg of more than 1e9 steps, far more than
+    any real run takes (the 2000-cell ex2 oracle takes about 3e6): a dt
+    that small would not finish, or would overflow the step count.
     """
     if not dt > 0:
         raise InvalidArgumentError(f"dt must be positive, got {dt}")
+    span = (t_end - t) / dt
+    if span > _MAX_LEG_STEPS:
+        raise InvalidArgumentError(f"dt={dt} needs more than {_MAX_LEG_STEPS:.0e} steps "
+                                   f"from t={t:g} to t={t_end:g}")
     stop = t_end - 1e-13 * max(1.0, t_end)
     # both tests are monotone in k, so the full steps are a prefix: correct the estimate to its end
-    n = max(int((t_end - t) / dt), 0)
+    n = max(int(span), 0)
     while n > 0 and not (t + (n - 1) * dt < stop and t_end - (t + (n - 1) * dt) >= dt):
         n -= 1
     while t + n * dt < stop and t_end - (t + n * dt) >= dt:

@@ -237,14 +237,18 @@ class StepPlan:
 
     The plan owns its constants (``stencil``, ``node_cols``, ``row_scale``,
     ``d_slope``, ``coef_rows``, ``mc_lambda`` and the wall terms; the moment
-    rows are a read-only table shared by every plan on one quadrature;
+    rows are a read-only table shared by every plan on one quadrature, and
+    ``ones``, the finite guard's vectors of nodes + 1 and of cells ones,
+    are shared by every plan of their sizes;
     ``source_fold`` is built on a plan's first sourced step) and its
     scratch: ``iface``, the row block behind ``phi`` and ``cell_rows``,
-    ``scratch``, the MC buffers ``slope`` and ``mc_work`` and, built on
-    first use, ``up_state`` and ``scaled_source``, which every step
-    overwrites, so a plan must not be applied from two threads at once.
-    Nothing a step returns aliases them: each step writes f^{n+1} and
-    rho^{n+1} into one new array that the caller owns.
+    ``scratch`` and ``stencil_scratch``, its flat shifted views for the
+    stencil's downwind add (:func:`_stencil_scratch`), the MC buffers
+    ``slope`` and ``mc_work`` and, built on first use, ``up_state`` and
+    ``scaled_source``, which every step overwrites, so a plan must not be
+    applied from two threads at once.  Nothing a step returns aliases
+    them: each step writes f^{n+1} and rho^{n+1} into one new array that
+    the caller owns.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -295,14 +299,14 @@ class StepPlan:
 
         self.iface = _moment_scratch(2, n)
         moments = self.iface[-1]
-        self.rho_if = moments[0]
-        # (rho_if[1:], rho_if[:-1]) as one view: the row stride is one
-        # element back.
-        self.rho_if_pair = np.ndarray((2, n), buffer=self.iface[3], offset=moments.itemsize,
-                                      strides=(-moments.itemsize, moments.itemsize))
-        # Paired with the moments reversed, (A <v f_up>_h, C rho_if) in one multiply.
+        self.rho_if = moments[1]
+        # (rho_if[1:], rho_if[:-1]) as one view of the flat result, in which
+        # rho_if starts at n + 1: the row stride is one element back.
+        size = moments.itemsize
+        self.rho_if_pair = np.ndarray((2, n), buffer=self.iface[3], offset=(n + 2) * size,
+                                      strides=(-size, size))
+        # Times the moments, (A <v f_up>_h, C rho_if) in one multiply.
         self.coef_rows = np.array((a, c))
-        self.moments_rev = moments[::-1]
 
         # One zeroed (11, cells + 1) block of per-step rows.  Rows 0-3 are the
         # interface rows: the macroscopic flux Phi, C rho_if + E G, then the
@@ -369,6 +373,8 @@ class StepPlan:
         self.stencil = _stencil_pair(tables.upwind_cols, a[None, :], idf_dx, self.inv_dt * idf,
                                      out=big[:2])
         self.scratch = big[2]
+        self.stencil_scratch = _stencil_scratch(self.scratch, h)
+        self.ones = (_ones(k + 1), _ones(n))
         if self.second_order:
             # The reconstruction moves each upwind value dx/2 toward its exit
             # interface, and B v^2 df_up joins A v f_up there: the flux is
@@ -439,11 +445,21 @@ class StepPlan:
         return lam, kappa
 
 
+@lru_cache(maxsize=16)
+def _ones(size: int) -> np.ndarray:
+    """A read-only vector of ``size`` ones, shared by every plan that
+    needs one of that size for its finite guard."""
+    out = np.ones(size)
+    out.setflags(write=False)
+    return out
+
+
 class _NodeTables:
     """Plan constants that depend only on the quadrature, built once per
     quadrature by :func:`_node_tables`.
 
-    ``moments``: the half rows (:func:`_half_rows`) of (w/2, w v/2).
+    ``moments``: the half rows (:func:`_half_rows`) of (w v/2, w/2), the
+    flux moment first, in the order of the plan's interface rows.
     ``cell_cols``: (v, v^2 1_{v>0}, v^2 1_{v<0}, 1, 0, 0), the columns of
     f^{n+1}'s product before the plan fills in the wall columns.  ``wv``:
     the weights of <v .>_h.
@@ -456,7 +472,7 @@ class _NodeTables:
         h, v = q.split, q.nodes
         w_half = 0.5 * q.weights
         self.wv = w_half * v
-        self.moments = _half_rows(np.array((w_half, self.wv)), h)
+        self.moments = _half_rows(np.array((self.wv, w_half)), h)
         self.cell_cols = np.zeros((q.n, 6))
         self.cell_cols[:, 0] = v
         self.cell_cols[h:, 1] = v[h:] * v[h:]
@@ -504,15 +520,15 @@ def _upwind_moments(half_rows: np.ndarray, x: np.ndarray, scratch,
     cell j, and the inflow half of each wall interface is zero.
     ``half_rows`` comes from :func:`_half_rows` and ``scratch`` from
     :func:`_moment_scratch`; returns the (m, cells + 1) result.  With
-    ``flux_x``, the moments are a plan's (density, flux) pair, and the flux
+    ``flux_x``, the moments are a plan's (flux, density) pair, and the flux
     moment is taken of ``flux_x`` instead."""
     per_cell, pos, neg, out, result = scratch
     if flux_x is None:
-        np.matmul(half_rows, x, out=per_cell)
+        np.matmul(half_rows, x, per_cell)
     else:
-        np.matmul(half_rows[0::2], x, out=per_cell[0::2])
-        np.matmul(half_rows[1::2], flux_x, out=per_cell[1::2])
-    np.add(pos, neg, out=out)
+        np.matmul(half_rows[0::2], flux_x, per_cell[0::2])
+        np.matmul(half_rows[1::2], x, per_cell[1::2])
+    np.add(pos, neg, out)
     return result
 
 
@@ -554,19 +570,30 @@ def _stencil_pair(cols: np.ndarray, iface_rows: np.ndarray, scale: np.ndarray, d
     return np.matmul(cols, rows, out=out)
 
 
-def _add_stencil(out: np.ndarray, stencil, x: np.ndarray, tmp: np.ndarray, split: int) -> None:
+def _stencil_scratch(tmp: np.ndarray, split: int):
+    """Buffers of :func:`_add_stencil` on a C-contiguous (nodes, cells)
+    temporary ``tmp`` whose v < 0 rows are the first ``split``: ``tmp``,
+    the flat views of it that the shifted add reads for the v > 0 and the
+    v < 0 rows, and the flat offset of the v > 0 rows."""
+    t = tmp.reshape(-1)
+    cut = split * tmp.shape[1]
+    return tmp, t[cut:-1], t[1:cut], cut
+
+
+def _add_stencil(out: np.ndarray, stencil, x: np.ndarray, scratch) -> None:
     """out += S_d x, plus S_o x moved one cell downwind: right in the v > 0
     rows, left in the v < 0 rows.  The move is a shifted add on each half's
     flattened rows; S_o is zero in the column that would wrap into the next
-    row."""
+    row.  ``scratch`` comes from :func:`_stencil_scratch`."""
     s_d, s_o = stencil
-    np.multiply(s_d, x, out=tmp)
-    out += tmp
-    np.multiply(s_o, x, out=tmp)
-    o, t = out.reshape(-1), tmp.reshape(-1)
-    cut = split * out.shape[1]
-    o[cut + 1:] += t[cut:-1]
-    o[:cut - 1] += t[1:cut]
+    tmp, t_pos, t_neg, cut = scratch
+    np.multiply(s_d, x, tmp)
+    np.add(out, tmp, out)
+    np.multiply(s_o, x, tmp)
+    o = out.reshape(-1)
+    pos, neg = o[cut + 1:], o[:cut - 1]
+    np.add(pos, t_pos, pos)
+    np.add(neg, t_neg, neg)
 
 
 def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
@@ -588,7 +615,15 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     cell-local rest.  The MC slope df joins that state the same way, as
     ``plan.mc_lambda`` df; it is zero in the wall cells, so the wall
     interfaces' moments keep the bits of the first-order step.  A
-    non-finite result raises ``SolverFailureError``.
+    non-finite result raises ``SolverFailureError``: the guard sums f and
+    rho by a BLAS gemv and dot with the plan's vectors of ones.
+
+    At a few hundred cells a numpy call costs more in dispatch than in
+    arithmetic, so every ``add``, ``subtract``, ``multiply`` and ``matmul``
+    of the step takes its output positionally, 35-100 ns less than
+    ``out=``; ``minimum`` and ``maximum`` keep ``out=``, since numpy 2.4
+    deprecates a positional output there and its warning path made
+    ``mc_slopes`` 1.9 times as slow at 25 cells.
     """
     p = plan
     if f.shape != p.shape or rho.shape != p.shape[:1]:
@@ -598,14 +633,14 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     up_state = fn
     if scaled_source is not None:
         lam_g = np.ascontiguousarray(scaled_source.T)
-        up_state = np.add(fn, lam_g, out=p.up_state)
+        up_state = np.add(fn, lam_g, p.up_state)
     if p.second_order:
         df = mc_slopes(fn, p.dx, p.theta_lim, out=p.slope, work=p.mc_work)
-        up_state = np.add(up_state, np.multiply(p.mc_lambda, df, out=p.scratch), out=p.up_state)
+        up_state = np.add(up_state, np.multiply(p.mc_lambda, df, p.scratch), p.up_state)
         df *= p.mc_diag
-    _upwind_moments(p.moments, fn, p.iface, flux_x=None if up_state is fn else up_state)
+    moments = _upwind_moments(p.moments, fn, p.iface, flux_x=None if up_state is fn else up_state)
     p.rho_if[0], p.rho_if[-1] = p.rho_half
-    np.multiply(p.coef_rows, p.moments_rev, out=p.iface_rows)
+    np.multiply(p.coef_rows, moments, p.iface_rows)
     phi = p.phi
     for wall, inflow, c_term, e_term, d_term in p.wall_terms:
         phi[wall] = float(phi[wall]) + inflow + c_term + e_term + d_term
@@ -616,13 +651,13 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     if not p.implicit:
         # Row 4 is free until the difference: it holds Phi's last term.
         _d_slope_rows(p, rho)
-        phi += np.matmul(p.m_v2_halves, p.d_rows, out=p.phi_term)
+        phi += np.matmul(p.m_v2_halves, p.d_rows, p.phi_term)
     here, right, diff = p.row_diff[0]
-    np.subtract(here, right, out=diff)
+    np.subtract(here, right, diff)
 
     out = np.empty((k + 1, n))
     f_new, rho_new = out[:k], out[k]
-    np.multiply(rho, p.inv_dt, out=rho_new)
+    np.multiply(rho, p.inv_dt, rho_new)
     div_phi = p.div_phi
     div_phi *= p.inv_dx
     rho_new += div_phi
@@ -632,25 +667,28 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         solve_banded(p.lu, rho_new)
         _d_slope_rows(p, rho_new)
         here, right, diff = p.row_diff[1]
-        np.subtract(here, right, out=diff)
+        np.subtract(here, right, diff)
     else:
         rho_new *= p.inv_den_rho
 
     relax_row = p.relax_row
-    np.multiply(p.relax, rho_new, out=relax_row)
+    np.multiply(p.relax, rho_new, relax_row)
     if p.g_cell is not None:
         relax_row += p.g_cell
     p.scaled_rows *= p.row_scale
-    np.matmul(p.node_cols, p.cell_rows, out=f_new)
-    _add_stencil(f_new, p.stencil, up_state, p.scratch, p.split)
+    np.matmul(p.node_cols, p.cell_rows, f_new)
+    _add_stencil(f_new, p.stencil, up_state, p.stencil_scratch)
     if scaled_source is not None:
-        np.multiply(p.source_fold[1], lam_g, out=p.scratch)
+        np.multiply(p.source_fold[1], lam_g, p.scratch)
         f_new += p.scratch
     if p.second_order:
         f_new -= df
-    # One sum over f and rho: a NaN or an infinity anywhere, or a sum that
-    # overflows, makes it non-finite.
-    if not math.isfinite(out.sum()):
+    # The row sums of f and rho and then their sum, a BLAS gemv and dot
+    # with ones: a NaN or an infinity anywhere, or a sum that overflows,
+    # makes it non-finite.  A flat dot with (nodes + 1) * cells ones is
+    # cheaper alone, but made the 2000-cell ugks_id step 4% slower.
+    row_ones, cell_ones = p.ones
+    if not math.isfinite(row_ones.dot(out.dot(cell_ones))):
         raise SolverFailureError("non-finite values after step")
     return f_new.T, rho_new
 
@@ -658,7 +696,7 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
 def _d_slope_rows(p: StepPlan, rho: np.ndarray) -> None:
     """The D-slope interface rows of ``rho``: rho_if[1:] - rho times the
     v > 0 factor, rho_if[:-1] - rho times the negated v < 0 one."""
-    np.subtract(p.rho_if_pair, rho, out=p.slopes)
+    np.subtract(p.rho_if_pair, rho, p.slopes)
     p.slopes *= p.d_slope
 
 

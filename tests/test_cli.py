@@ -43,6 +43,13 @@ def test_run_subcommand_and_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_run_with_a_step_too_small_to_finish_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "tiny.txt"
+    cfg.write_text("id = ex5\ntimes = 0.1\ncells = 25\ndt_override = 5e-324\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2
+    assert "needs more than" in capsys.readouterr().err
+
+
 def test_compare_subcommand_threshold(tmp_path):
     x = (np.arange(10) + 0.5) / 10
     write_csv(tmp_path / "a.csv", x, np.zeros(10))

@@ -51,7 +51,7 @@ def unfused_mc_step(first, q, state, source=None):
         f_new = f0.T + first.relax * d_rho * first.inv_den_f
     cols = ugks._signed_cols(np.column_stack((0.5 * np.abs(v), v * v)), h)
     pair = ugks._stencil_pair(cols, np.array((first.a * dx, first.b)), first.inv_den_f / dx, 0.0)
-    ugks._add_stencil(f_new, pair, df, np.empty_like(df), h)
+    ugks._add_stencil(f_new, pair, df, ugks._stencil_scratch(np.empty_like(df), h))
     return f_new.T, rho_new
 
 

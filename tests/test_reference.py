@@ -167,6 +167,13 @@ def test_leg_steps_rejects_a_step_that_is_not_positive(dt):
         leg_steps(0.0, 1.0, dt)
 
 
+@pytest.mark.parametrize("dt", [5e-324, 1e-300])
+def test_leg_steps_rejects_a_step_too_small_to_finish(dt):
+    # 5e-324 made the step estimate overflow, 1e-300 asked for 1e299 steps
+    with pytest.raises(InvalidArgumentError, match="steps from t=0 to t=1"):
+        leg_steps(0.0, 1.0, dt)
+
+
 def test_modal_run_counts_the_steps_of_the_leg_rule(monkeypatch):
     # ex3 (sigma = 1 + (10x)^2, alpha = 0) runs its full steps through the
     # eigendecomposition, yet reports what stepping one by one would take
@@ -184,9 +191,9 @@ def test_modal_run_counts_the_steps_of_the_leg_rule(monkeypatch):
 
 
 def test_diffusion_oracle_lands_on_its_output_time(monkeypatch):
-    # ex2 explicit diffusion at 200 cells to t = 1: the rule's summed time is
-    # 7.9e-13 past 29,629 dt when it takes the last, shortened step, which is
-    # sized from n dt instead, so the oracle's steps add up to t = 1.
+    # ex2 explicit diffusion at 200 cells to t = 1: leg_steps gives 29,629
+    # full steps, taken at once by the modal map, and one shortened step of
+    # (t_end - t) - n dt, so the oracle's steps add up to t = 1 to rounding.
     modal, step, taken = reference._explicit_modal, reference.diffusion_step, {}
 
     def counted(*args):

@@ -35,7 +35,7 @@ def plan_interface_density(f_i, f_ip1, q=Q16):
     mesh, mat, cfg = make_setup(n_cells=2)
     plan = StepPlan(0.01, cfg, mat, mesh, q, BoundarySpec.from_functions(0.0, 0.0, q))
     fn = np.ascontiguousarray(np.array([f_i, f_ip1], dtype=float).T)
-    return ugks._upwind_moments(plan.moments, fn, ugks._moment_scratch(2, 2))[0, 1]
+    return ugks._upwind_moments(plan.moments, fn, ugks._moment_scratch(2, 2))[1, 1]
 
 
 def test_interface_density_constant_and_half_range():
@@ -348,7 +348,7 @@ def test_single_non_finite_entry_is_detected(scheme, bad):
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_overflowing_step_is_detected(scheme):
     """A finite state whose step has finite entries that sum past the
-    largest float fails the step: the guard is one sum over f and rho."""
+    largest float fails the step: the guard sums f and rho."""
     from ugks1d.errors import SolverFailureError
     from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
 
