@@ -238,18 +238,21 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
 
     def leg(t, t_end, dt):
         # one advance per step of leg_steps; a failing step is named by its
-        # number in the run, and the defect returned is the run's largest so far
+        # number in the run, and the defect returned is the run's largest so far.
+        # A diverging step's overflow and NaN reach its output, whose finite
+        # guard raises, so numpy's warnings would only precede that error.
         nonlocal state, taken, worst
         n, last = leg_steps(t, t_end, dt)
         steps = 0
-        for h in chain(repeat(dt, n), (last,) if last else ()):
-            try:
-                state = advance(state, h)
-            except SolverFailureError as exc:
-                raise SolverFailureError(f"step {taken + steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
-            steps += 1
-            if track_moments:
-                worst = max(worst, moment_defect(state, q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in chain(repeat(dt, n), (last,) if last else ()):
+                try:
+                    state = advance(state, h)
+                except SolverFailureError as exc:
+                    raise SolverFailureError(f"step {taken + steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
+                steps += 1
+                if track_moments:
+                    worst = max(worst, moment_defect(state, q))
         taken += steps
         return state, steps, worst if track_moments else None
     return policy, leg

@@ -228,10 +228,6 @@ class SpatialMesh:
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    @property
-    def interfaces(self) -> np.ndarray:
-        return self.x_min + np.arange(self.n_cells + 1) * self.dx
-
 
 @dataclass(frozen=True)
 class MaterialField:

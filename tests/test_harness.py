@@ -7,7 +7,7 @@ import pytest
 from ugks1d import experiments, reference
 from ugks1d.analysis import compare, convergence_study, restrict_profile
 from ugks1d.config import compile_expression, load_config
-from ugks1d.errors import ComparisonError, ConfigError, InvalidArgumentError
+from ugks1d.errors import ComparisonError, ConfigError, InvalidArgumentError, SolverFailureError
 from ugks1d.experiments import (builtin_ids, builtin_spec, read_csv,
                                 result_filename, run, write_csv)
 
@@ -180,6 +180,15 @@ def test_a_negative_dt_override_is_rejected(scheme):
         spec = builtin_spec("ex5", eps=1.0, dt_override=dt, **SCHEMES[scheme])
         with pytest.raises(InvalidArgumentError, match="dt must be positive"):
             run(spec, cells=25)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diverging_run_raises_before_any_numpy_warning():
+    # ex3 ugks_id at 200 cells overflows in its 729th step; the overflow and
+    # the NaN after it reach the step's finite guard, which names the step
+    spec = builtin_spec("ex3", scheme="ugks_id", times=(4.0,))
+    with pytest.raises(SolverFailureError, match="^step 729, leg to t=4: non-finite values after step$"):
+        run(spec, cells=200)
 
 
 def test_every_leg_lands_on_its_output_time(monkeypatch):

@@ -132,20 +132,44 @@ def public_definitions(tree: ast.Module) -> set:
     return {name for name in names if not name.startswith("_")}
 
 
+def public_members(tree: ast.Module) -> set:
+    """Methods, properties and dataclass fields of the public classes a
+    module defines at its top level, not private."""
+    names = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_every_public_name_has_a_user_outside_the_tests():
     # Nothing public exists only to be tested: a name counts as used when the
     # package reads it (re-exports from __init__.py do not count), or when the
-    # benchmark, the README or the packaging metadata names it.
-    defined, used = set(), set()
+    # benchmark, the README or the packaging metadata names it.  A member of a
+    # public class counts as used when the package reads it as an attribute or
+    # passes it as a keyword, or when the benchmark or the README writes it as
+    # ``.name``.
+    defined, used, members, used_members = set(), set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         defined |= public_definitions(tree)
+        members |= public_members(tree)
         if path.name != "__init__.py":
             used.update(node.id for node in ast.walk(tree)
                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
             used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+            used_members.update(node.attr for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+            used_members.update(node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword))
     texts = [p.read_text() for p in sorted((REPO / "benchmarks").glob("*")) if p.is_file()]
-    texts += [(REPO / name).read_text() for name in ("README.md", "pyproject.toml")]
-    words = set(re.findall(r"\w+", "\n".join(texts)))
+    texts.append((REPO / "README.md").read_text())
+    words = set(re.findall(r"\w+", "\n".join(texts + [(REPO / "pyproject.toml").read_text()])))
+    used_members.update(re.findall(r"\.(\w+)", "\n".join(texts)))
     assert defined, "no public definitions found"
     assert sorted(defined - used - words) == []
+    assert {"dx", "from_distribution", "eps"} <= members, "no public members found"
+    assert sorted(members - used_members) == []

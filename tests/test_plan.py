@@ -152,6 +152,30 @@ def test_returned_state_survives_later_steps_on_its_plan(diffusion_mode, reconst
     assert not np.array_equal(state.f, first.f)
 
 
+@pytest.mark.parametrize("kind", ["first_order", "mc_limited", "ugks_id", "penalized"])
+def test_state_size_plan_buffers_start_on_a_cache_line(kind):
+    """Every (nodes, cells) buffer a 2000-cell plan owns starts on a 64-byte
+    boundary, where a numpy store into it is fastest."""
+    mesh = SpatialMesh(0.0, 1.0, 2000)
+    mat = sample_material(lambda x: 1.0 + (4.0 * x) ** 2, 0.2, 0.5, mesh)
+    cfg = SchemeConfig(eps=0.05, reconstruction="mc_limited" if kind == "mc_limited" else "first_order",
+                       diffusion_mode="implicit_slopes" if kind == "ugks_id" else "explicit_slopes")
+    bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16)
+    state = KineticState.from_distribution(np.random.default_rng(7).random((2000, Q16.n)), Q16)
+    if kind == "penalized":
+        op = aniso_operator()
+        mat = op.material(mesh)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    if kind == "penalized":
+        penalized_step(state, cfg.eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+    else:
+        step(state, cfg, mat, mesh, Q16, bc, plan=plan)
+    buffers = [*plan.stencil, plan.scratch, plan.up_state, plan.scaled_source]
+    if kind == "mc_limited":
+        buffers += [plan.mc_lambda, plan.mc_diag, plan.slope, *plan.mc_work]
+    assert [buf.ctypes.data % 64 for buf in buffers] == [0] * len(buffers)
+
+
 @pytest.mark.parametrize("overrides", [
     dict(),
     dict(scheme="ugks_id", bc_mode="blended"),
