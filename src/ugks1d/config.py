@@ -188,8 +188,7 @@ def compile_expression(text: str) -> Callable[[float], float]:
 _FUNCTION_KEYS = ("sigma", "alpha", "source", "f_left", "f_right", "initial")
 _FLOAT_KEYS = ("eps", "x_min", "x_max", "cfl", "theta_lim", "dt_override", "kernel_constant")
 _INT_KEYS = ("quadrature",)
-_STR_KEYS = ("scheme", "bc_mode", "weight_variant", "reconstruction", "quad_kind",
-             "cfl_form", "collision", "diffusion_solver")
+_STR_KEYS = ("scheme", "bc_mode", "reconstruction", "quad_kind", "collision", "diffusion_solver")
 _ALIASES = {
     "bc": "bc_mode",
     "quad": "quadrature",

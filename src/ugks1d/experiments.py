@@ -26,11 +26,10 @@ import numpy as np
 
 from .coeffs import coefficient_arrays
 from .errors import ConfigError, InvalidArgumentError, SolverFailureError
-from .grid import (WEIGHT_VARIANTS, SpatialMesh, average, build_double_gauss, build_gauss_legendre,
-                   sample_material)
+from .grid import (SpatialMesh, average, build_double_gauss, build_gauss_legendre, sample_material,
+                   wall_density)
 from .penalized import PenalizedOperator, ScatteringKernel, penalized_step
-from .reference import (chandrasekhar_density, diffusion_run, diffusion_timestep, leg_steps,
-                        upwind_step, upwind_timestep)
+from .reference import diffusion_run, diffusion_timestep, leg_steps, upwind_step, upwind_timestep
 from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                    moment_defect, step)
 
@@ -59,13 +58,11 @@ class ExperimentSpec:
     cells: tuple = (25, 200)
     scheme: str = "ugks"
     bc_mode: str = "stabilized"
-    weight_variant: str = "polynomial"
     reconstruction: str = "first_order"
     theta_lim: float = 1.5
     quadrature: int = 16
     quad_kind: str = "gauss_legendre"
     cfl: float = 0.9
-    cfl_form: str = "max"
     dt_override: Optional[float] = None
     diffusion_solver: str = "explicit"
     collision: str = "isotropic"
@@ -86,8 +83,6 @@ class ExperimentSpec:
             raise InvalidArgumentError(f"diffusion_solver: unknown value {self.diffusion_solver!r}")
         if self.collision not in ("isotropic", "penalized"):
             raise InvalidArgumentError(f"collision: unknown value {self.collision!r}")
-        if self.weight_variant not in WEIGHT_VARIANTS:
-            raise InvalidArgumentError(f"weight_variant: unknown value {self.weight_variant!r}")
         if self.collision == "penalized" and self.kernel_constant is None and self.kernel_table is None:
             raise InvalidArgumentError("collision=penalized requires a kernel")
 
@@ -161,21 +156,18 @@ def _initial_profile(spec: ExperimentSpec, mesh: SpatialMesh) -> np.ndarray:
     return np.full(mesh.n_cells, float(init))
 
 
-def _dirichlet_data(spec: ExperimentSpec, q) -> tuple[float, float]:
-    """Dirichlet data of the diffusion limit: the inflow value itself for
-    isotropic inflow, the half-range weighted density otherwise."""
-    def side(fn, incoming_mask, sign):
-        if not callable(fn):
-            return float(fn)
-        vals = np.array([float(fn(vk)) for vk in q.nodes])
-        inc = vals[incoming_mask]
-        if np.allclose(inc, inc[0], rtol=0.0, atol=1e-14):
-            return float(inc[0])
-        mirrored = np.array([float(fn(sign * abs(vk))) for vk in q.nodes])
-        return chandrasekhar_density(mirrored, spec.weight_variant, q)
+def _dirichlet_data(bc: BoundarySpec, q) -> tuple[float, float]:
+    """Dirichlet data of the diffusion limit from the sampled inflow of
+    ``bc``: the inflow value itself for isotropic inflow, which the weighted
+    sum can miss by an ulp, otherwise the corrected boundary density
+    :func:`grid.wall_density`."""
+    def side(f_in, inc):
+        vals = f_in[inc]
+        if np.allclose(vals, vals[0], rtol=0.0, atol=1e-14):
+            return float(vals[0])
+        return wall_density(q, f_in, inc)
 
-    return (side(spec.f_left, q.positive, 1.0),
-            side(spec.f_right, ~q.positive, -1.0))
+    return side(bc.f_left, slice(q.split, None)), side(bc.f_right, slice(0, q.split))
 
 
 def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool):
@@ -185,11 +177,12 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
     the steps of :func:`reference.leg_steps`.
     Only the leg holds the state, so each step frees the one before it.
     Steppers are looked up by their module-level names at each call."""
+    bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, q, mode=spec.bc_mode)
     if spec.scheme == "diffusion":
         if np.any(mat.sigma_iface <= 0):
             raise InvalidArgumentError("diffusion scheme requires sigma > 0 everywhere")
         kappa_iface = 1.0 / (3.0 * mat.sigma_iface)
-        dirichlet = _dirichlet_data(spec, q)
+        dirichlet = _dirichlet_data(bc, q)
         rho = _initial_profile(spec, mesh)
 
         def diffusion(t, t_end, dt):
@@ -201,8 +194,6 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
         policy = diffusion_timestep(kappa_iface, mesh.dx, spec.cfl) if explicit else spec.cfl * mesh.dx
         return policy, diffusion
 
-    bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, q,
-                                     mode=spec.bc_mode, weight_variant=spec.weight_variant)
     if spec.scheme == "upwind":
         policy = upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl)
 
@@ -212,7 +203,7 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
             return KineticState(f=f_new, rho=average(q, f_new), t=s.t + h)
     else:
         cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
-                           theta_lim=spec.theta_lim, cfl_form=spec.cfl_form,
+                           theta_lim=spec.theta_lim,
                            diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
         # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
         policy = cfl_timestep(cfg, mat, mesh)

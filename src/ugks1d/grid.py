@@ -23,8 +23,7 @@ __all__ = [
     "build_gauss_legendre",
     "build_double_gauss",
     "average",
-    "WEIGHT_VARIANTS",
-    "weight_samples",
+    "wall_density",
     "mc_slopes",
     "sample_material",
 ]
@@ -131,20 +130,26 @@ def _double_gauss(n: int) -> VelocityQuadrature:
     return VelocityQuadrature(nodes, weights)
 
 
-# Half-range weight W(v) = c1 v + c2 v^2 on [0, 1], by variant: (c1, c2).
-WEIGHT_VARIANTS = {"polynomial": (1.0, 1.5), "fitted": (0.956, 1.565)}
+@lru_cache(maxsize=16)
+def _half_range_weights(q: VelocityQuadrature) -> np.ndarray:
+    """w W(|v|) at the nodes of ``q`` for the Chandrasekhar-type half-range
+    weight W(v) = v + (3/2) v^2, scaled so that sum_{v>0} w W = 1 on this
+    quadrature, so isotropic inflow maps to itself to rounding."""
+    v = np.abs(q.nodes)
+    w_norm = v + 1.5 * v**2
+    w_norm = w_norm / float(np.sum(q.weights[q.split:] * w_norm[q.split:]))
+    out = q.weights * w_norm
+    out.setflags(write=False)
+    return out
 
 
-def weight_samples(variant: str, v):
-    """Half-range weight W(v) of a :data:`WEIGHT_VARIANTS` entry at v in [0, 1].
-
-    ``fitted``: 0.956 v + 1.565 v^2; ``polynomial``: v + (3/2) v^2.
-    """
-    if variant not in WEIGHT_VARIANTS:
-        raise InvalidArgumentError(f"unknown weight variant {variant!r}")
-    c1, c2 = WEIGHT_VARIANTS[variant]
-    v = np.asarray(v, dtype=float)
-    return c1 * v + c2 * v**2
+def wall_density(q: VelocityQuadrature, f_in: np.ndarray, inc: slice) -> float:
+    """Wall density ``2 <W f_in 1_inc>_h`` of inflow ``f_in`` sampled at the
+    nodes of ``q``, over its incoming half ``inc`` (``slice(split, None)``
+    at the left wall, ``slice(0, split)`` at the right): the corrected
+    boundary density of the UGKS and the Dirichlet value of its diffusion
+    limit."""
+    return float((_half_range_weights(q)[inc] * f_in[inc]).sum())
 
 
 def mc_slopes(f: np.ndarray, dx: float, theta_lim: float,

@@ -4,9 +4,7 @@
   order in space;
 * explicit and implicit 3-point diffusion schemes with interface diffusion
   coefficients kappa = 1/(3 sigma), boundary cells differencing the Dirichlet
-  value against the first cell over a full cell width;
-* the half-range boundary weight giving the Dirichlet value of the diffusion
-  limit for anisotropic inflow.
+  value against the first cell over a full cell width.
 """
 
 from __future__ import annotations
@@ -14,11 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverFailureError
-from .grid import (MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes,
-                   weight_samples)
+from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes
 
 __all__ = [
-    "chandrasekhar_density",
     "upwind_timestep",
     "upwind_step",
     "diffusion_timestep",
@@ -26,15 +22,6 @@ __all__ = [
     "diffusion_run",
     "leg_steps",
 ]
-
-
-def chandrasekhar_density(f_left: np.ndarray, variant: str, q: VelocityQuadrature) -> float:
-    """Boundary density ``2 <W f_L 1_{v>0}>_h`` of the diffusion limit, with
-    the half-range weight W of ``variant`` (:func:`grid.weight_samples`)
-    sampled at the positive nodes of ``q``."""
-    f_left = np.asarray(f_left, dtype=float)
-    pos = q.positive
-    return float(np.sum(q.weights[pos] * weight_samples(variant, q.nodes[pos]) * f_left[pos]))
 
 
 def upwind_timestep(eps: float, mat: MaterialField, mesh: SpatialMesh, cfl: float = 0.9) -> float:

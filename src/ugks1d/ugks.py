@@ -24,8 +24,7 @@ import numpy as np
 
 from .coeffs import blend_parameter, coefficient_arrays
 from .errors import InvalidArgumentError, InvalidDataError, SolverFailureError
-from .grid import (WEIGHT_VARIANTS, MaterialField, SpatialMesh, VelocityQuadrature, average,
-                   mc_slopes, weight_samples)
+from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes, wall_density
 
 __all__ = [
     "KineticState",
@@ -66,33 +65,29 @@ class BoundarySpec:
     """Inflow data at quadrature nodes plus the boundary-condition mode.
 
     f_left is used for v > 0, f_right for v < 0.  ``mode`` selects between the
-    stabilized, corrected, and blended boundary densities; ``weight_variant``
-    picks the half-range weight used by the corrected/blended modes.
+    stabilized, corrected, and blended boundary densities.
     """
 
     f_left: np.ndarray
     f_right: np.ndarray
     mode: str = "stabilized"
-    weight_variant: str = "polynomial"
 
     def __post_init__(self) -> None:
         if self.mode not in BC_MODES:
             raise InvalidArgumentError(f"unknown boundary mode {self.mode!r}")
-        if self.weight_variant not in WEIGHT_VARIANTS:
-            raise InvalidArgumentError(f"unknown weight variant {self.weight_variant!r}")
         self.f_left.setflags(write=False)
         self.f_right.setflags(write=False)
 
     @classmethod
     def from_functions(cls, f_left, f_right, q: VelocityQuadrature,
-                       mode: str = "stabilized", weight_variant: str = "polynomial") -> "BoundarySpec":
+                       mode: str = "stabilized") -> "BoundarySpec":
         v = q.nodes
         fl = np.array([float(f_left(vk)) for vk in v]) if callable(f_left) else np.full(q.n, float(f_left))
         fr = np.array([float(f_right(vk)) for vk in v]) if callable(f_right) else np.full(q.n, float(f_right))
         h = q.split
         if (fl[h:] < 0).any() or (fr[:h] < 0).any():
             raise InvalidDataError("inflow samples must be nonnegative on their incoming half-range")
-        return cls(f_left=fl, f_right=fr, mode=mode, weight_variant=weight_variant)
+        return cls(f_left=fl, f_right=fr, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,6 @@ class SchemeConfig:
     reconstruction: str = "first_order"
     theta_lim: float = 1.5
     diffusion_mode: str = "explicit_slopes"
-    cfl_form: str = "max"
 
     def __post_init__(self) -> None:
         if not self.eps > 0:
@@ -119,8 +113,6 @@ class SchemeConfig:
             raise InvalidArgumentError("theta_lim must lie in [1, 2]")
         if self.diffusion_mode not in ("explicit_slopes", "implicit_slopes"):
             raise InvalidArgumentError(f"unknown diffusion mode {self.diffusion_mode!r}")
-        if self.cfl_form not in ("max", "sum"):
-            raise InvalidArgumentError(f"unknown cfl form {self.cfl_form!r}")
 
 
 def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_right: float,
@@ -131,15 +123,12 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
     rho_{N+1/2}, and the inflow parts of the two macroscopic boundary fluxes
     times eps.  The right wall is the left wall under v -> -v: its incoming
     nodes are the negative half and its outgoing moment <v 1_{v>0}>_h.  The
-    corrected density uses the half-range weight W(|v|), normalized so that
-    ``sum_{v>0} w_k W(v_k) = 1`` under this quadrature; the normalization
-    makes it map isotropic inflow to itself exactly.
+    corrected density is :func:`grid.wall_density`, the half-range weighted
+    density that the diffusion oracle takes as its Dirichlet value.
     """
     h = q.split
     wv = _node_tables(q).wv
     thetas = (None, None)
-    if bc.mode != "stabilized":
-        w_weights = _corrected_weights(q, bc.weight_variant)
     if bc.mode == "blended":
         thetas = blend_parameter(np.array((nu_left, nu_right)), dt).tolist()
 
@@ -148,7 +137,7 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
         rho_stab = -stab_inflow / m_out
         if bc.mode == "stabilized":
             return rho_stab, stab_inflow
-        rho_corr = float((w_weights[inc] * f_in[inc]).sum())  # = 2<W f 1_inc>_h
+        rho_corr = wall_density(q, f_in, inc)
         corr_inflow = -m_out * rho_corr
         if bc.mode == "corrected":
             return rho_corr, corr_inflow
@@ -159,34 +148,17 @@ def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_
             wall(bc.f_right, slice(0, h), q.m_v_pos, thetas[1]))
 
 
-@lru_cache(maxsize=16)
-def _corrected_weights(q: VelocityQuadrature, variant: str) -> np.ndarray:
-    """w W(|v|) at the nodes for the half-range weight ``variant``, with W
-    scaled so that sum_{v>0} w W = 1."""
-    h = q.split
-    w_norm = weight_samples(variant, np.abs(q.nodes))
-    w_norm = w_norm / float(np.sum(q.weights[h:] * w_norm[h:]))
-    out = q.weights * w_norm
-    out.setflags(write=False)
-    return out
-
-
 def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> float:
     """Time-step policy.
 
-    Explicit slopes: dt = cfl * max(eps dx, (3/2) dx^2 sigma_min), optionally
-    the sum form cfl * (eps dx + (3/2) dx^2 sigma_min).  Implicit slopes:
-    dt = max(0.9 eps dx, cfl dx).
+    Explicit slopes: dt = cfl * max(eps dx, (3/2) dx^2 sigma_min).  Implicit
+    slopes: dt = max(0.9 eps dx, cfl dx).
     """
     dx = mesh.dx
     if cfg.diffusion_mode == "implicit_slopes":
         return max(0.9 * cfg.eps * dx, cfg.cfl * dx)
     sigma_min = float(mat.sigma_cell.min())
-    transport = cfg.eps * dx
-    diffusive = 1.5 * dx * dx * sigma_min
-    if cfg.cfl_form == "sum":
-        return cfg.cfl * (transport + diffusive)
-    return cfg.cfl * max(transport, diffusive)
+    return cfg.cfl * max(cfg.eps * dx, 1.5 * dx * dx * sigma_min)
 
 
 class StepPlan:

@@ -16,10 +16,11 @@ import pytest
 from ugks1d.analysis import compare, convergence_study, restrict_profile
 from ugks1d.coeffs import coefficient_arrays
 from ugks1d.experiments import ExperimentSpec, builtin_ids, builtin_spec, run
-from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material
+from ugks1d.grid import (SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material,
+                         wall_density)
 from ugks1d.penalized import (PenalizedOperator, ScatteringKernel, penalization_theta,
                               assemble_operator, penalized_step)
-from ugks1d.reference import chandrasekhar_density, diffusion_step
+from ugks1d.reference import diffusion_step
 from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
 from oracles import dirichlet_series_profile, homogeneous_stability_margin
@@ -125,7 +126,7 @@ def test_criterion_3_diffusion_degeneration():
 
 def test_criterion_4_boundary_density_scalar():
     qd = build_double_gauss(16)
-    val = chandrasekhar_density(qd.nodes, "polynomial", qd)
+    val = wall_density(qd, qd.nodes, slice(qd.split, None))
     ok = abs(val - 17.0 / 24.0) <= 1e-14
     # the corrected and blended boundary modes reproduce the same value
     mesh = SpatialMesh(0.0, 1.0, 25)

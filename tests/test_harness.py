@@ -7,7 +7,8 @@ import pytest
 from ugks1d import experiments, reference
 from ugks1d.analysis import compare, convergence_study, restrict_profile
 from ugks1d.config import compile_expression, load_config
-from ugks1d.errors import ComparisonError, ConfigError, InvalidArgumentError, SolverFailureError
+from ugks1d.errors import (ComparisonError, ConfigError, InvalidArgumentError, InvalidDataError,
+                           SolverFailureError)
 from ugks1d.experiments import (builtin_ids, builtin_spec, read_csv,
                                 result_filename, run, write_csv)
 
@@ -110,7 +111,7 @@ def test_load_config_errors(tmp_path):
     bad.write_text("eps = 0.1\nsigma = 1\ntimes = 0\n")
     with pytest.raises(ConfigError, match="times"):
         load_config(str(bad))
-    # a diffusion run with isotropic inflow reads no weight, but a typo is still one
+    # the half-range weight has no variants, so this is an unknown key
     bad.write_text("id = ex2\nscheme = diffusion\nweight_variant = chebyshev\n")
     with pytest.raises(ConfigError, match="weight_variant"):
         load_config(str(bad))
@@ -254,6 +255,12 @@ def test_diffusion_scheme_implicit_solver(tmp_path):
     exp = run(builtin_spec("ex2", scheme="diffusion", times=(2.0,)), cells=200)
     assert np.abs(imp.rho[0] - exp.rho[0]).max() < 1e-3
     assert imp.n_steps < exp.n_steps / 100
+
+
+def test_diffusion_rejects_inflow_the_kinetic_schemes_reject():
+    # f_L(v) = -v is negative on the whole incoming half of the left wall
+    with pytest.raises(InvalidDataError):
+        run(builtin_spec("ex5", f_left=lambda v: -v, scheme="diffusion"), cells=25)
 
 
 def test_penalized_run_via_kernel_config(tmp_path):

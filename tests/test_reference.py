@@ -3,13 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ugks1d import reference
+from ugks1d import experiments, reference
 from ugks1d.errors import InvalidArgumentError
 from ugks1d.grid import (SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material,
-                         weight_samples)
+                         wall_density)
 from ugks1d.experiments import builtin_spec, run
-from ugks1d.reference import (chandrasekhar_density, diffusion_run, diffusion_step,
-                              diffusion_timestep, leg_steps, upwind_step, upwind_timestep)
+from ugks1d.reference import (diffusion_run, diffusion_step, diffusion_timestep, leg_steps,
+                              upwind_step, upwind_timestep)
+from ugks1d.ugks import BoundarySpec, SchemeConfig, StepPlan
 
 from oracles import dirichlet_series_profile
 
@@ -228,23 +229,53 @@ def test_discrete_reference_tracks_analytic_series():
 
 # ---------------------------------------------------------------- boundary weight
 
+WEIGHT_RULES = {"GL4": build_gauss_legendre(4), "GL16": Q16, "DG16": QD16}
+
+
 def test_chandrasekhar_isotropic_normalization():
-    val = chandrasekhar_density(np.full(16, 0.6), "polynomial", QD16)
-    assert val == pytest.approx(0.6, abs=1e-14)
-    val_fit = chandrasekhar_density(np.full(16, 0.6), "fitted", QD16)
-    # the fitted weight integrates to 0.99967, not exactly 1
-    assert val_fit == pytest.approx(0.6, abs=4e-4)
+    h = QD16.split
+    assert wall_density(QD16, np.full(16, 0.6), slice(h, None)) == pytest.approx(0.6, abs=1e-14)
+    assert wall_density(QD16, np.full(16, 0.6), slice(0, h)) == pytest.approx(0.6, abs=1e-14)
 
 
 def test_chandrasekhar_anisotropic_values():
-    val = chandrasekhar_density(QD16.nodes, "polynomial", QD16)
+    # W(v) = v + (3/2) v^2 has unit weight on a half-range-exact rule, so
+    # f_L(v) = v gives 1/3 + 3/8 there
+    val = wall_density(QD16, QD16.nodes, slice(QD16.split, None))
     assert val == pytest.approx(17.0 / 24.0, abs=1e-14)
-    val_fit = chandrasekhar_density(QD16.nodes, "fitted", QD16)
-    assert val_fit == pytest.approx(0.956 / 3.0 + 1.565 / 4.0, abs=1e-14)
 
 
 def test_discrete_weight_normalization_quadrature_level():
     for q in (Q16, QD16):
-        pos = q.positive
-        norm = float(np.sum(q.weights[pos] * weight_samples("polynomial", q.nodes[pos])))
+        v = q.nodes[q.positive]
+        norm = float(np.sum(q.weights[q.positive] * (v + 1.5 * v**2)))
         assert norm == pytest.approx(1.0, abs=2e-3)
+
+
+@pytest.mark.parametrize("rule", WEIGHT_RULES)
+def test_shared_weight_is_normalized_on_its_rule(rule):
+    # unit inflow reads the weight's own sum on the incoming half
+    q = WEIGHT_RULES[rule]
+    norm = wall_density(q, np.ones(q.n), slice(q.split, None))
+    assert abs(norm - 1.0) <= 2 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("rule", WEIGHT_RULES)
+def test_oracle_dirichlet_data_is_the_corrected_wall_density(rule):
+    # anisotropic inflow at both walls: f_L(v) = v and f_R(v) = 1 - v
+    q = WEIGHT_RULES[rule]
+    bc = BoundarySpec.from_functions(lambda v: v, lambda v: 1.0 - v, q, mode="corrected")
+    mesh = SpatialMesh(0.0, 1.0, 25)
+    plan = StepPlan(0.01, SchemeConfig(eps=1e-2), sample_material(1.0, 0.0, 0.0, mesh), mesh, q, bc)
+    assert experiments._dirichlet_data(bc, q) == plan.rho_half
+
+
+@pytest.mark.parametrize("quad_kind", ["gauss_legendre", "double_gauss"])
+def test_corrected_ugks_meets_the_diffusion_oracle_at_small_eps(quad_kind):
+    # The boundary layer of ex5 is O(eps) thin at eps = 1e-8: with one wall
+    # density for both, the two runs differ by the AP limit's rounding only.
+    spec = builtin_spec("ex5", eps=1e-8, times=(2.0,), bc_mode="corrected", quad_kind=quad_kind)
+    kinetic = run(spec, cells=25).rho[0]
+    diffusion = run(builtin_spec("ex5", eps=1e-8, times=(2.0,), scheme="diffusion",
+                                 quad_kind=quad_kind), cells=25).rho[0]
+    assert np.abs(kinetic - diffusion).max() <= 1e-7 * np.abs(diffusion).max()
