@@ -16,6 +16,7 @@ driven by the inflow data.
 
 from __future__ import annotations
 
+import importlib
 import time as _time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -89,7 +90,11 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Density profiles at the requested output times plus run metadata."""
+    """Density profiles at the requested output times plus run metadata.
+
+    ``wall_time`` covers the legs of :func:`run`: the steps, the plans they
+    build and the profile copies, not the set-up before them, which
+    includes SciPy's one-time import for ``ugks_id`` and ``diffusion``."""
 
     id: str
     scheme: str
@@ -176,7 +181,11 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
     scheme's own state, from its initial one on, to the next output time by
     the steps of :func:`reference.leg_steps`.
     Only the leg holds the state, so each step frees the one before it.
-    Steppers are looked up by their module-level names at each call."""
+    Steppers are looked up by their module-level names at each call.
+    ``ugks_id`` and ``diffusion`` import SciPy's linear algebra here, once
+    per process (about 0.3 s), so that no leg pays for it."""
+    if spec.scheme in ("ugks_id", "diffusion"):
+        importlib.import_module("scipy.linalg")
     bc = BoundarySpec.from_functions(spec.f_left, spec.f_right, q, mode=spec.bc_mode)
     if spec.scheme == "diffusion":
         if np.any(mat.sigma_iface <= 0):
@@ -221,8 +230,8 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
                 coeffs = coefficient_arrays(h, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
                 plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs)
             if op is None:
-                return step(s, cfg, mat, mesh, q, bc, plan=plan)
-            return penalized_step(s, spec.eps, op, mesh, q, bc, cfg=cfg, plan=plan)
+                return step(s, plan)
+            return penalized_step(s, op, plan)
     f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T   # node-major, as stepped
     state = KineticState(f=f0, rho=average(q, f0), t=0.0)
     taken, worst = 0, 0.0
@@ -261,8 +270,8 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
     mesh = SpatialMesh(spec.x_min, spec.x_max, n_cells)
     q = _build_quadrature(spec)
     mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
-    t_start = _time.perf_counter()
     policy, leg = _scheme(spec, mesh, q, mat, track_moments)
+    t_start = _time.perf_counter()
     dt = policy if spec.dt_override is None else spec.dt_override
 
     profiles = []

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidKernelError
 from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average
-from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, _check_dt, apply,
-                   cfl_timestep)
+from .ugks import KineticState, StepPlan, apply
 
 __all__ = [
     "ScatteringKernel",
@@ -187,24 +186,14 @@ def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps:
     return src.T
 
 
-def penalized_step(state: KineticState, eps: float, op: PenalizedOperator,
-                   mesh: SpatialMesh, q: VelocityQuadrature, bc: BoundarySpec,
-                   dt: Optional[float] = None, cfg: Optional[SchemeConfig] = None,
-                   plan: Optional[StepPlan] = None) -> KineticState:
-    """One UGKS step with sigma -> theta and the penalization leftover as a
-    per-node source evaluated at time n.
+def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan) -> KineticState:
+    """One UGKS step of ``plan`` with sigma -> theta and the penalization
+    leftover, at the plan's eps, as a per-node source evaluated at time n.
 
     ``plan`` is a :class:`StepPlan` built on ``op.material(mesh)``, or on
-    ``op.material(mesh, mat)`` to keep the absorption and source of ``mat``;
-    without one, a plan is built for ``dt`` (default: the CFL policy with
-    sigma_min = theta) on ``op.material(mesh)``.
+    ``op.material(mesh, mat)`` to keep the absorption and source of ``mat``.
     """
-    if plan is None:
-        cfg = SchemeConfig(eps=eps) if cfg is None else replace(cfg, eps=eps)
-        mat = op.material(mesh)
-        plan = StepPlan(cfl_timestep(cfg, mat, mesh) if dt is None else dt, cfg, mat, mesh, q, bc)
-    _check_dt(plan, dt)
-    lam_g = penalized_source(state.f, state.rho, op, eps, plan.source_fold[0],
+    lam_g = penalized_source(state.f, state.rho, op, plan.eps, plan.source_fold[0],
                              out=plan.scaled_source, work=plan.scratch)
     f_new, rho_new = apply(plan, state.f, state.rho, lam_g)
     return KineticState(f=f_new, rho=rho_new, t=state.t + plan.dt)

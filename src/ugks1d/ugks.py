@@ -93,8 +93,10 @@ class BoundarySpec:
 @dataclass(frozen=True)
 class SchemeConfig:
     """Scheme selection: scaling parameter, CFL policy, reconstruction order
-    and diffusion (slope) time level.  The collision model is not part of
-    it: :func:`step` is the isotropic one, ``penalized_step`` the general."""
+    and diffusion (slope) time level, which a :class:`StepPlan` fixes;
+    ``cfl`` enters only :func:`cfl_timestep`.  The collision model is not
+    part of it: :func:`step` is the isotropic one, ``penalized_step`` the
+    general."""
 
     eps: float
     cfl: float = 0.9
@@ -168,9 +170,12 @@ class StepPlan:
     boundary densities with their inflow fluxes, the reciprocals of dt and of
     both relaxation denominators, and the implicit bands with their LDL^T
     factors are constants.  A plan computes them once; build one per
-    distinct dt and advance with :func:`apply`.  ``coeffs`` takes the
-    ``coefficient_arrays`` tuple when the caller has already evaluated it.
-    For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` is
+    distinct dt and advance with :func:`apply`, :func:`step` or
+    ``penalized_step``: besides the state, the plan is a step's whole input,
+    its dt, scheme (``eps`` kept for the penalized source), material, mesh,
+    quadrature and inflow.  ``coeffs`` takes the ``coefficient_arrays``
+    tuple when the caller has already evaluated it.  For
+    ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` is
     LAPACK's ``dpttrs`` followed by the bands' ``dpttrf`` (LDL^T) factors,
     so a step only substitutes through them (:func:`solve_banded`).  The
     system is symmetric positive definite (D <= 0, alpha >= 0) on a
@@ -244,7 +249,7 @@ class StepPlan:
         a, b, c, d, e, nu = coeffs
         eps, dx = cfg.eps, mesh.dx
         inv_dx = 1.0 / dx
-        self.dt, self.dx = dt, dx
+        self.dt, self.dx, self.eps = dt, dx, eps
         self.shape, self.split = (n, k), h
         self.implicit = cfg.diffusion_mode == "implicit_slopes"
         self.second_order = cfg.reconstruction == "mc_limited"
@@ -733,25 +738,12 @@ def _implicit_bands(d_if: np.ndarray, m_v2_half: float, dx: float, dt: float,
     return lower, diag, upper
 
 
-def step(state: KineticState, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
-         q: VelocityQuadrature, bc: BoundarySpec, dt: Optional[float] = None,
-         plan: Optional[StepPlan] = None) -> KineticState:
-    """Advance the state by one UGKS step (isotropic collision operator).
-
-    ``plan`` holds the step's constants for its dt; without one, a plan is
-    built for ``dt`` (default: :func:`cfl_timestep`).  Repeated steps of
-    one size should share a plan.
-    """
-    if plan is None:
-        plan = StepPlan(cfl_timestep(cfg, mat, mesh) if dt is None else dt, cfg, mat, mesh, q, bc)
-    _check_dt(plan, dt)
+def step(state: KineticState, plan: StepPlan) -> KineticState:
+    """Advance the state by one step of ``plan`` (isotropic collision
+    operator): its dt, scheme, material, mesh, quadrature and inflow.
+    Repeated steps of one size share a plan."""
     f_new, rho_new = apply(plan, state.f, state.rho)
     return KineticState(f=f_new, rho=rho_new, t=state.t + plan.dt)
-
-
-def _check_dt(plan: StepPlan, dt: Optional[float]) -> None:
-    if dt is not None and dt != plan.dt:
-        raise InvalidArgumentError(f"dt={dt} differs from the plan's dt={plan.dt}")
 
 
 def moment_defect(state: KineticState, q: VelocityQuadrature) -> float:

@@ -24,6 +24,7 @@ from ugks1d.reference import diffusion_step
 from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
 from oracles import dirichlet_series_profile, homogeneous_stability_margin
+from plans import cfl_plan, penalized_plan
 
 Q16 = build_gauss_legendre(16)
 
@@ -90,7 +91,7 @@ def test_criterion_3_diffusion_degeneration():
     rho0 = 0.5 * (1.0 + np.cos(np.pi * mesh.centers))
     state = KineticState.from_distribution(np.repeat(rho0[:, None], 16, axis=1), Q16)
     dt = cfl_timestep(cfg, mat, mesh)
-    one = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+    one = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     ref_step = diffusion_step(rho0, 1.0 / (3.0 * mat.sigma_iface), 0.0, 0.0,
                               mesh.dx, dt, "explicit", (1.0, 0.0))
     per_step = float(np.abs(one.rho - ref_step).max() / np.abs(ref_step).max())
@@ -196,8 +197,9 @@ def test_criterion_7_moment_consistency():
     bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode="corrected")
     state = KineticState.from_distribution(np.zeros((50, 16)), Q16)
     interior_defect = 0.0
+    plan = cfl_plan(cfg, mat, mesh, Q16, bc)
     for _ in range(100):
-        state = step(state, cfg, mat, mesh, q=Q16, bc=bc)
+        state = step(state, plan)
         rho_f = state.f @ (0.5 * Q16.weights)
         gap = np.abs(state.rho - rho_f) / (1.0 + np.abs(state.rho))
         interior_defect = max(interior_defect, float(gap[1:].max()))
@@ -221,12 +223,14 @@ def test_criterion_8_penalized_equivalence():
     cfg = SchemeConfig(eps=1.0)
     bc = BoundarySpec.from_functions(0.0, 1.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
+    iso_plan = StepPlan(dt, cfg, mat, mesh, Q16, bc)
+    pen_plan = penalized_plan(op, mesh, Q16, bc, cfg, dt)
     s_iso = KineticState.from_distribution(np.zeros((25, 16)), Q16)
     s_pen = s_iso
     worst = 0.0
     for _ in range(100):
-        s_iso = step(s_iso, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
-        s_pen = penalized_step(s_pen, 1.0, op, mesh, Q16, bc, dt=dt)
+        s_iso = step(s_iso, iso_plan)
+        s_pen = penalized_step(s_pen, op, pen_plan)
         worst = max(worst, float(np.abs(s_pen.f - s_iso.f).max()))
     ok &= worst <= 1e-11
     report(8, ok, f"theta-c = {theta - c:.1e}; trajectory gap {worst:.2e} "

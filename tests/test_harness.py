@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +201,7 @@ def test_every_leg_lands_on_its_output_time(monkeypatch):
     # steps add up, exactly, to its span to within 2 ulps of its output time
     sizes = []
 
-    def recorded(state, *args, plan, **kwargs):
+    def recorded(state, plan):
         sizes.append(plan.dt)
         return state   # the step sizes are all this test reads
 
@@ -415,3 +419,20 @@ def test_convergence_study_degenerate():
     res = convergence_study(spec, (8, 16, 32), reference_cells=64)
     assert res.degenerate
     assert math.isnan(res.observed_order)
+
+
+# ---------------------------------------------------------------- wall time
+
+@pytest.mark.parametrize("scheme", ["diffusion", "ugks_id"])
+def test_first_run_in_a_process_reports_its_own_wall_time(scheme):
+    # Both schemes load SciPy's linear algebra, about 0.3 s the first time
+    # in a process; run() loads it before its clock starts, so the first
+    # 25-cell run reports a wall time near the next one's, about 1 ms.
+    script = ("from ugks1d.experiments import builtin_spec, run\n"
+              f"print(run(builtin_spec('ex5', scheme={scheme!r}), cells=25).wall_time)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(experiments.__file__).parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.1

@@ -82,6 +82,26 @@ def test_no_module_imports_scipy_when_it_loads():
     assert {stem: names for stem, names in loaded.items() if names} == {}
 
 
+def unused_imports(tree: ast.Module) -> list:
+    """Names that ``tree`` imports, at module or function level, and never
+    reads or writes."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; every other module imports to use.
+    unused = {path.stem: unused_imports(ast.parse(path.read_text(), filename=str(path)))
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {"ugks", "penalized", "experiments"} <= set(unused)
+    assert {stem: names for stem, names in unused.items() if names} == {}
+
+
 SCIPY_PROBE = """
 import sys
 

@@ -62,8 +62,8 @@ def rough_material(mesh):
 
 
 def plans(q, cells, eps, mode, diffusion_mode, penalized):
-    """(MC plan, first-order plan, and the mesh, material, bc, cfg and
-    source that step them) of one grid point."""
+    """(MC plan, first-order plan, and the source (op, eps) of a penalized
+    step or None) of one grid point."""
     mesh = SpatialMesh(0.0, 1.0, cells)
     mat = rough_material(mesh)
     source = None
@@ -77,14 +77,13 @@ def plans(q, cells, eps, mode, diffusion_mode, penalized):
     dt = cfl_timestep(cfg, mat, mesh)
     plan = StepPlan(dt, cfg, mat, mesh, q, bc)
     first = StepPlan(dt, replace(cfg, reconstruction="first_order"), mat, mesh, q, bc)
-    return plan, first, (mesh, mat, bc, cfg, source)
+    return plan, first, source
 
 
-def advance(plan, state, q, mesh, mat, bc, cfg, source):
+def advance(plan, state, source):
     if source is None:
-        return step(state, cfg, mat, mesh, q, bc, plan=plan)
-    op, eps = source
-    return penalized_step(state, eps, op, mesh, q, bc, cfg=cfg, plan=plan)
+        return step(state, plan)
+    return penalized_step(state, source[0], plan)
 
 
 def assert_fold_matches_reference(q, cells, eps, mode, diffusion_mode, penalized, steps=10):
@@ -92,13 +91,12 @@ def assert_fold_matches_reference(q, cells, eps, mode, diffusion_mode, penalized
     slope-stencil reference from the same state to 1e-13 relative.
     Returns False, checking nothing further, once the run grows past 10
     times its data."""
-    plan, first, setup = plans(q, cells, eps, mode, diffusion_mode, penalized)
-    source = setup[-1]
+    plan, first, source = plans(q, cells, eps, mode, diffusion_mode, penalized)
     rng = np.random.default_rng(q.n * 1000 + cells)
     state = KineticState.from_distribution(rng.uniform(0.0, 1.0, (cells, q.n)), q)
     for _ in range(steps):
         f_ref, rho_ref = unfused_mc_step(first, q, state, source)
-        state = advance(plan, state, q, *setup)
+        state = advance(plan, state, source)
         scale = max(1.0, float(np.abs(f_ref).max()))
         if scale > 10.0:
             return False

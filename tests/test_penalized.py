@@ -17,6 +17,7 @@ from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl
                          moment_defect, step)
 
 from oracles import homogeneous_stability_margin
+from plans import penalized_plan
 
 Q16 = build_gauss_legendre(16)
 
@@ -148,11 +149,13 @@ def test_penalized_matches_isotropic_trajectory():
     cfg = SchemeConfig(eps=1.0)
     op = PenalizedOperator.build(ScatteringKernel.isotropic(1.0, Q16), Q16)
     dt = cfl_timestep(cfg, mat, mesh)
+    iso_plan = StepPlan(dt, cfg, mat, mesh, Q16, bc)
+    pen_plan = penalized_plan(op, mesh, Q16, bc, cfg, dt)
     s_iso = KineticState.from_distribution(np.zeros((20, 16)), Q16)
     s_pen = s_iso
     for _ in range(50):
-        s_iso = step(s_iso, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
-        s_pen = penalized_step(s_pen, 1.0, op, mesh, Q16, bc, dt=dt)
+        s_iso = step(s_iso, iso_plan)
+        s_pen = penalized_step(s_pen, op, pen_plan)
         assert np.abs(s_pen.f - s_iso.f).max() < 1e-12
 
 
@@ -161,8 +164,9 @@ def test_penalized_isotropic_state_fixed_point():
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
     bc = BoundarySpec.from_functions(0.7, 0.7, Q16)
     state = KineticState.from_distribution(np.full((10, 16), 0.7), Q16)
+    plan = penalized_plan(op, mesh, Q16, bc, SchemeConfig(eps=0.5))
     for _ in range(20):
-        state = penalized_step(state, 0.5, op, mesh, Q16, bc)
+        state = penalized_step(state, op, plan)
     assert np.abs(state.f - 0.7).max() < 1e-12
 
 
@@ -205,7 +209,7 @@ def test_penalized_step_allocates_only_its_output(monkeypatch):
     mat = op.material(mesh)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     assert_step_allocates_only_its_output(
-        lambda s: penalized_step(s, eps, op, mesh, Q16, bc, plan=plan), n, monkeypatch)
+        lambda s: penalized_step(s, op, plan), n, monkeypatch)
 
 
 @pytest.mark.parametrize("reconstruction, diffusion_mode", [
@@ -222,7 +226,7 @@ def test_step_allocates_only_its_output(reconstruction, diffusion_mode, monkeypa
     cfg = SchemeConfig(eps=1e-2, reconstruction=reconstruction, diffusion_mode=diffusion_mode)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     assert_step_allocates_only_its_output(
-        lambda s: step(s, cfg, mat, mesh, Q16, bc, plan=plan), n, monkeypatch)
+        lambda s: step(s, plan), n, monkeypatch)
 
 
 def test_penalized_source_zero_mean():
@@ -240,8 +244,9 @@ def test_penalized_moment_consistency():
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
     rng = np.random.default_rng(51)
     state = KineticState.from_distribution(rng.uniform(0.0, 1.0, size=(20, 16)), Q16)
+    plan = penalized_plan(op, mesh, Q16, bc, SchemeConfig(eps=0.7))
     for _ in range(5):
-        state = penalized_step(state, 0.7, op, mesh, Q16, bc)
+        state = penalized_step(state, op, plan)
         assert moment_defect(state, Q16) < 1e-12
 
 
@@ -255,7 +260,7 @@ def test_penalized_diffusion_limit_macro_update():
     rho0 = 0.5 * (1.0 + np.cos(np.pi * mesh.centers))
     state = KineticState.from_distribution(np.repeat(rho0[:, None], 16, axis=1), Q16)
     dt = 0.9 * max(eps * mesh.dx, 1.5 * mesh.dx**2 * op.theta)
-    out = penalized_step(state, eps, op, mesh, Q16, bc, dt=dt)
+    out = penalized_step(state, op, penalized_plan(op, mesh, Q16, bc, SchemeConfig(eps=eps), dt))
     kappa = np.full(n + 1, Q16.m_v2 / op.theta)
     ref = diffusion_step(rho0, kappa, 0.0, 0.0, mesh.dx, dt, "explicit", (1.0, 0.0))
     assert np.abs(out.rho - ref).max() < 1e-6 * np.abs(ref).max()
@@ -294,7 +299,7 @@ def unfused_penalized_step(plan, q, state, op, eps):
     return f_new.T, rho_new
 
 
-def assert_fold_matches_reference(plan, q, op, eps, mesh, bc, cfg, steps=10):
+def assert_fold_matches_reference(plan, q, op, eps, mesh, steps=10):
     """Along the folded trajectory from random data, each step matches the
     unfused reference from the same state to 1e-13 relative.  Returns
     False, checking nothing further, once the run grows past 10 times its
@@ -303,7 +308,7 @@ def assert_fold_matches_reference(plan, q, op, eps, mesh, bc, cfg, steps=10):
     state = KineticState.from_distribution(rng.uniform(0.0, 1.0, (mesh.n_cells, q.n)), q)
     for _ in range(steps):
         f_ref, rho_ref = unfused_penalized_step(plan, q, state, op, eps)
-        state = penalized_step(state, eps, op, mesh, q, bc, cfg=cfg, plan=plan)
+        state = penalized_step(state, op, plan)
         scale = max(1.0, float(np.abs(f_ref).max()))
         if scale > 10.0:
             return False
@@ -327,7 +332,7 @@ def test_folded_source_matches_the_unfused_reference(diffusion_mode, reconstruct
         bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)
         plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
         assert np.ndim(plan.source_fold[0]) == 0     # uniform material: scalar lambda
-        kept += assert_fold_matches_reference(plan, q, op, eps, mesh, bc, cfg)
+        kept += assert_fold_matches_reference(plan, q, op, eps, mesh)
     assert kept >= 60                                # of 72; the rest grow
 
 
@@ -345,7 +350,7 @@ def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
     lam, kappa = plan.source_fold
     assert lam.shape == kappa.shape == (q.n, mesh.n_cells)
     assert not np.array_equal(lam[q.split:], lam[:q.split])
-    assert assert_fold_matches_reference(plan, q, op, eps, mesh, bc, cfg)
+    assert assert_fold_matches_reference(plan, q, op, eps, mesh)
 
 
 def test_source_fold_is_built_only_by_a_sourced_step():
@@ -355,9 +360,9 @@ def test_source_fold_is_built_only_by_a_sourced_step():
     cfg = SchemeConfig(eps=0.5)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     state = KineticState.from_distribution(np.zeros((20, 16)), Q16)
-    state = step(state, cfg, mat, mesh, Q16, bc, plan=plan)
+    state = step(state, plan)
     assert "source_fold" not in vars(plan)
-    penalized_step(state, 0.5, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+    penalized_step(state, op, plan)
     assert "source_fold" in vars(plan)
 
 

@@ -16,6 +16,8 @@ from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
 from ugks1d.ugks import (BC_MODES, BoundarySpec, KineticState, SchemeConfig, StepPlan,
                          apply, cfl_timestep, step)
 
+from plans import cfl_plan, penalized_plan
+
 Q16 = build_gauss_legendre(16)
 N_CELLS = 20
 N_STEPS = 12
@@ -54,8 +56,8 @@ def test_reused_plan_matches_fresh_plans(mode, reconstruction, diffusion_mode):
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     reused = fresh = rough_state()
     for _ in range(N_STEPS):
-        reused = step(reused, cfg, mat, mesh, Q16, bc, plan=plan)
-        fresh = step(fresh, cfg, mat, mesh, Q16, bc, plan=None)
+        reused = step(reused, plan)
+        fresh = step(fresh, cfl_plan(cfg, mat, mesh, Q16, bc))
         assert_same(reused, fresh)
     assert np.ptp(reused.rho) > 1e-3        # the data still varies
 
@@ -70,8 +72,8 @@ def test_reused_penalized_plan_matches_fresh_plans(diffusion_mode):
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     reused = fresh = rough_state()
     for _ in range(N_STEPS):
-        reused = penalized_step(reused, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
-        fresh = penalized_step(fresh, eps, op, mesh, Q16, bc, cfg=cfg)
+        reused = penalized_step(reused, op, plan)
+        fresh = penalized_step(fresh, op, penalized_plan(op, mesh, Q16, bc, cfg))
         assert_same(reused, fresh)
 
 
@@ -104,8 +106,7 @@ def test_penalized_step_is_independent_of_memory_order():
     mat = op.material(mesh)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     c_order, node_major = layouts(rough_state())
-    assert_same(penalized_step(c_order, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan),
-                penalized_step(node_major, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan))
+    assert_same(penalized_step(c_order, op, plan), penalized_step(node_major, op, plan))
 
 
 def plan_arrays(obj):
@@ -133,10 +134,10 @@ def test_returned_state_survives_later_steps_on_its_plan(diffusion_mode, reconst
         mat = op.material(mesh)
 
         def advance(s):
-            return penalized_step(s, eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+            return penalized_step(s, op, plan)
     else:
         def advance(s):
-            return step(s, cfg, mat, mesh, Q16, bc, plan=plan)
+            return step(s, plan)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     first = advance(rough_state())
     buffers = list(plan_arrays(plan))
@@ -167,9 +168,9 @@ def test_state_size_plan_buffers_start_on_a_cache_line(kind):
         mat = op.material(mesh)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     if kind == "penalized":
-        penalized_step(state, cfg.eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+        penalized_step(state, op, plan)
     else:
-        step(state, cfg, mat, mesh, Q16, bc, plan=plan)
+        step(state, plan)
     buffers = [*plan.stencil, plan.scratch, plan.up_state, plan.scaled_source]
     if kind == "mc_limited":
         buffers += [plan.mc_lambda, plan.mc_diag, plan.slope, *plan.mc_work]
@@ -201,9 +202,9 @@ def test_run_matches_manual_stepping_with_shortened_leg_ends(overrides):
             dt = dt_policy if full else (t_target - t) - k * dt_policy
             shortened += not full
             if spec.collision == "penalized":
-                state = penalized_step(state, spec.eps, op, mesh, Q16, bc, dt=dt, cfg=cfg)
+                state = penalized_step(state, op, penalized_plan(op, mesh, Q16, bc, cfg, dt))
             else:
-                state = step(state, cfg, mat, mesh, Q16, bc, dt=dt)
+                state = step(state, cfl_plan(cfg, mat, mesh, Q16, bc, dt))
             k += 1
         t = t_target
         assert np.array_equal(state.rho, rho_run)
@@ -296,7 +297,7 @@ def test_two_cell_implicit_plan_solves(alpha):
     assert np.abs(ugks.solve_banded(plan.lu, rhs.copy()) - expect).max() <= 1e-15 * np.abs(expect).max()
     state = KineticState.from_distribution(np.zeros((2, Q16.n)), Q16)
     for _ in range(5):
-        state = step(state, cfg, mat, mesh, Q16, bc, plan=plan)
+        state = step(state, plan)
     assert np.all(np.isfinite(state.f)) and 0.0 < state.rho.min() <= state.rho.max() < 1.0
 
 
@@ -330,8 +331,6 @@ def test_plan_rejects_a_mismatched_step():
     dt = cfl_timestep(cfg, mat, mesh)
     plan = StepPlan(dt, cfg, mat, mesh, Q16, bc)
     state = rough_state()
-    with pytest.raises(InvalidArgumentError):
-        step(state, cfg, mat, mesh, Q16, bc, dt=0.5 * dt, plan=plan)
     with pytest.raises(InvalidArgumentError):
         apply(plan, state.f[:-1], state.rho[:-1])
     with pytest.raises(InvalidArgumentError):

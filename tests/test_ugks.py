@@ -12,6 +12,8 @@ from ugks1d.reference import diffusion_step, upwind_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan,
                          cfl_timestep, moment_defect, step)
 
+from plans import cfl_plan, penalized_plan
+
 Q16 = build_gauss_legendre(16)
 
 
@@ -134,8 +136,9 @@ def test_equilibrium_fixed_point(mode, diffusion_mode):
                                 diffusion_mode=diffusion_mode)
     bc = BoundarySpec.from_functions(c, c, Q16, mode=mode)
     state = isotropic_state(np.full(12, c))
+    plan = cfl_plan(cfg, mat, mesh, Q16, bc)
     for _ in range(40):
-        state = step(state, cfg, mat, mesh, q=Q16, bc=bc)
+        state = step(state, plan)
     assert np.abs(state.f - c).max() < 5e-13
     assert np.all(state.rho >= 0)
 
@@ -147,8 +150,9 @@ def test_equilibrium_with_absorption_and_matching_source():
                                 source=alpha * c, eps=0.5)
     bc = BoundarySpec.from_functions(c, c, Q16)
     state = isotropic_state(np.full(10, c))
+    plan = cfl_plan(cfg, mat, mesh, Q16, bc)
     for _ in range(30):
-        state = step(state, cfg, mat, mesh, q=Q16, bc=bc)
+        state = step(state, plan)
     assert np.abs(state.f - c).max() < 5e-13
 
 
@@ -161,7 +165,7 @@ def test_free_transport_step_equals_upwind():
     dt = cfl_timestep(cfg, mat, mesh)
     for mode in ("stabilized", "blended"):
         bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode=mode)
-        out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+        out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
         ref = upwind_step(f0, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
         assert np.abs(out.f - ref).max() < 1e-13
 
@@ -175,7 +179,7 @@ def test_micro_flux_free_transport_is_upwind():
     state = KineticState.from_distribution(f0, Q16)
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
-    out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+    out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     ref = upwind_step(f0, 0.5, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
     assert np.abs(out.f[1:-1] - ref[1:-1]).max() < 1e-13
 
@@ -190,7 +194,7 @@ def test_boundary_free_transport_flux_is_upwind():
     dt = cfl_timestep(cfg, mat, mesh)
     for mode in ("stabilized", "blended"):
         bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode=mode)
-        out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+        out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
         ref = upwind_step(f1, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
         assert out.rho[0] == pytest.approx(average(Q16, ref[0]), rel=1e-13)
 
@@ -202,7 +206,7 @@ def test_second_order_free_transport_matches_traced_upwind():
     state = isotropic_state(prof)
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
-    out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+    out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     ref = upwind_step(state.f, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt,
                       reconstruction="mc_limited", theta_lim=1.5)
     assert np.abs(out.f - ref).max() < 1e-13
@@ -214,7 +218,7 @@ def test_diffusive_macro_update_matches_three_point_scheme():
     state = isotropic_state(rho0)
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
-    out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+    out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     kappa = 1.0 / (3.0 * mat.sigma_iface)
     ref = diffusion_step(rho0, kappa, 0.0, 0.0, mesh.dx, dt, "explicit", (1.0, 0.0))
     assert np.abs(out.rho - ref).max() < 1e-6 * np.abs(ref).max()
@@ -227,7 +231,7 @@ def test_implicit_macro_update_matches_implicit_diffusion():
     state = isotropic_state(rho0)
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
-    out = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+    out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     kappa = 1.0 / (3.0 * mat.sigma_iface)
     ref = diffusion_step(rho0, kappa, 0.0, 0.0, mesh.dx, dt, "implicit", (1.0, 0.0))
     assert np.abs(out.rho - ref).max() < 1e-6 * np.abs(ref).max()
@@ -267,9 +271,9 @@ def assert_moments_consistent(cfg, mat, mesh, rng, n_steps, dt=None):
     """Step a random state and check rho = <f>_h after every step."""
     f0 = rng.uniform(0.0, 2.0, size=(mesh.n_cells, 16))
     state = KineticState.from_distribution(f0, Q16)
-    bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
+    plan = cfl_plan(cfg, mat, mesh, Q16, BoundarySpec.from_functions(1.0, 0.0, Q16), dt)
     for _ in range(n_steps):
-        state = step(state, cfg, mat, mesh, q=Q16, bc=bc, dt=dt)
+        state = step(state, plan)
         assert moment_defect(state, Q16) < 1e-12
 
 
@@ -281,8 +285,9 @@ def test_boundary_modes_identical_for_isotropic_inflow():
     for mode in ("stabilized", "corrected", "blended"):
         bc = BoundarySpec.from_functions(1.0, 0.25, Q16, mode=mode)
         state = KineticState.from_distribution(f0, Q16)
+        plan = cfl_plan(cfg, mat, mesh, Q16, bc)
         for _ in range(20):
-            state = step(state, cfg, mat, mesh, q=Q16, bc=bc)
+            state = step(state, plan)
         results.append(state.rho)
     assert np.abs(results[0] - results[1]).max() < 1e-12
     assert np.abs(results[0] - results[2]).max() < 1e-12
@@ -296,7 +301,7 @@ def test_nan_detection():
     state = KineticState(f=bad, rho=np.full(5, np.nan), t=0.0)
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
     with pytest.raises(SolverFailureError):
-        step(state, cfg, mat, mesh, q=Q16, bc=bc)
+        step(state, cfl_plan(cfg, mat, mesh, Q16, bc))
 
 
 SCHEMES = {
@@ -325,11 +330,15 @@ def test_single_non_finite_entry_is_detected(scheme, bad):
         table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
         op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
 
+        plan = penalized_plan(op, mesh, Q16, bc, cfg)
+
         def advance(state):
-            return penalized_step(state, cfg.eps, op, mesh, Q16, bc, cfg=cfg)
+            return penalized_step(state, op, plan)
     else:
+        plan = cfl_plan(cfg, mat, mesh, Q16, bc)
+
         def advance(state):
-            return step(state, cfg, mat, mesh, q=Q16, bc=bc)
+            return step(state, plan)
 
     advance(KineticState(f=f0, rho=rho0, t=0.0))    # finite data steps
     for cell in (0, n // 2, n - 1):
@@ -358,10 +367,10 @@ def test_overflowing_step_is_detected(scheme):
 
         def advance(f):
             state = KineticState(f=f, rho=average(Q16, f), t=0.0)
-            return penalized_step(state, cfg.eps, op, mesh, Q16, bc, cfg=cfg, plan=plan)
+            return penalized_step(state, op, plan)
     else:
         def advance(f):
-            return step(KineticState(f=f, rho=average(Q16, f), t=0.0), cfg, mat, mesh, Q16, bc, plan=plan)
+            return step(KineticState(f=f, rho=average(Q16, f), t=0.0), plan)
 
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     f = np.full((n, Q16.n), big)
