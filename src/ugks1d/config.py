@@ -186,7 +186,7 @@ def compile_expression(text: str) -> Callable[[float], float]:
 
 
 _FUNCTION_KEYS = ("sigma", "alpha", "source", "f_left", "f_right", "initial")
-_FLOAT_KEYS = ("eps", "x_min", "x_max", "cfl", "theta_lim", "dt_override", "kernel_constant")
+_FLOAT_KEYS = ("eps", "x_min", "x_max", "cfl", "dt_override", "kernel_constant")
 _INT_KEYS = ("quadrature",)
 _STR_KEYS = ("scheme", "bc_mode", "reconstruction", "quad_kind", "collision", "diffusion_solver")
 _ALIASES = {

@@ -60,7 +60,6 @@ class ExperimentSpec:
     scheme: str = "ugks"
     bc_mode: str = "stabilized"
     reconstruction: str = "first_order"
-    theta_lim: float = 1.5
     quadrature: int = 16
     quad_kind: str = "gauss_legendre"
     cfl: float = 0.9
@@ -208,11 +207,10 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
 
         def advance(s, h):
             f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, h,
-                                reconstruction=spec.reconstruction, theta_lim=spec.theta_lim)
+                                reconstruction=spec.reconstruction)
             return KineticState(f=f_new, rho=average(q, f_new), t=s.t + h)
     else:
         cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
-                           theta_lim=spec.theta_lim,
                            diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
         # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
         policy = cfl_timestep(cfg, mat, mesh)

@@ -152,12 +152,17 @@ def wall_density(q: VelocityQuadrature, f_in: np.ndarray, inc: slice) -> float:
     return float((_half_range_weights(q)[inc] * f_in[inc]).sum())
 
 
-def mc_slopes(f: np.ndarray, dx: float, theta_lim: float,
-              out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+# The MC limiter's theta, which scales the one-sided differences: 1 gives
+# minmod, 2 the monotonized central limiter.
+MC_THETA = 1.5
+
+
+def mc_slopes(f: np.ndarray, dx: float, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
     """MC-limited slope of ``f`` along its last axis (the cell axis of a
     node-major state): the three-argument minmod of the central and the two
-    theta-scaled one-sided differences, zero on sign disagreement and in the
-    first and last cells.
+    ``MC_THETA``-scaled one-sided differences, zero on sign disagreement and
+    in the first and last cells.
 
     The work runs on ``f``, copied only if it is not C-contiguous, and
     flattened: every pass is then one contiguous sweep, and the differences
@@ -179,7 +184,7 @@ def mc_slopes(f: np.ndarray, dx: float, theta_lim: float,
     np.subtract(flat[2:], flat[:-2], a)
     a /= 2.0 * dx
     # d * 2 theta, with one division by 2 dx after the minmod, rounds subnormals differently
-    d *= theta_lim
+    d *= MC_THETA
     d /= dx
     b, c = d[:-1], d[1:]
     # minmod of a, b and c: a clipped to [min(max(b, c), 0), max(min(b, c), 0)].

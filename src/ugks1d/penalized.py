@@ -36,15 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScatteringKernel:
-    """Kernel k(v_j, v_k) sampled on quadrature node pairs, with bounds.
+    """Kernel k(v_j, v_k) sampled on quadrature node pairs.
 
-    Requires 0 < k_min <= entries <= k_max and symmetry (self-adjointness of
-    the resulting operator underpins the stability proposition).
+    Requires positive entries and symmetry (self-adjointness of the
+    resulting operator underpins the stability proposition).  Its bounds
+    ``k_min`` and ``k_max`` are those of the table.
     """
 
     table: np.ndarray
-    k_min: float
-    k_max: float
 
     def __post_init__(self) -> None:
         t = self.table
@@ -56,19 +55,24 @@ class ScatteringKernel:
             close = (np.abs(t - tt) <= 1e-14 + 1e-12 * np.abs(tt)) & np.isfinite(tt) | (t == tt)
         if not close.all():
             raise InvalidKernelError("kernel table must be symmetric")
-        if not (0 < self.k_min <= float(t.min()) + 1e-15):
-            raise InvalidKernelError("kernel entries must satisfy 0 < k_min <= k(v, v')")
-        if float(t.max()) > self.k_max * (1 + 1e-12):
-            raise InvalidKernelError("kernel entries exceed the stated k_max")
+        if not self.k_min > 0:
+            raise InvalidKernelError("kernel entries must be positive")
         t.setflags(write=False)
+
+    @property
+    def k_min(self) -> float:
+        return float(self.table.min())
+
+    @property
+    def k_max(self) -> float:
+        return float(self.table.max())
 
     @classmethod
     def isotropic(cls, c: float, q: VelocityQuadrature) -> "ScatteringKernel":
         """Constant kernel k = c/2, equivalent to the relaxation operator c R."""
         if not c > 0:
             raise InvalidKernelError("isotropic kernel constant must be positive")
-        val = 0.5 * c
-        return cls(table=np.full((q.n, q.n), val), k_min=val, k_max=val)
+        return cls(table=np.full((q.n, q.n), 0.5 * c))
 
     @classmethod
     def from_table(cls, table: np.ndarray, q: VelocityQuadrature) -> "ScatteringKernel":
@@ -76,7 +80,7 @@ class ScatteringKernel:
         if table.shape != (q.n, q.n):
             raise InvalidKernelError(
                 f"kernel table shape {table.shape} does not match quadrature size {q.n}")
-        return cls(table=table, k_min=float(table.min()), k_max=float(table.max()))
+        return cls(table=table)
 
 
 def assemble_operator(kernel: ScatteringKernel, q: VelocityQuadrature) -> np.ndarray:
@@ -142,16 +146,11 @@ class PenalizedOperator:
         op.setflags(write=False)
         return cls(matrix=op, theta=theta)
 
-    def material(self, mesh: SpatialMesh, mat: Optional[MaterialField] = None) -> MaterialField:
+    def material(self, mesh: SpatialMesh, mat: MaterialField) -> MaterialField:
         """The relaxation part as a material: sigma = theta, with the
-        absorption alpha and the isotropic source G of ``mat``, or
-        alpha = G = 0 without one."""
+        absorption alpha and the isotropic source G of ``mat``."""
         n = mesh.n_cells
-        theta = dict(sigma_cell=np.full(n, self.theta), sigma_iface=np.full(n + 1, self.theta))
-        if mat is not None:
-            return replace(mat, **theta)
-        return MaterialField(alpha_cell=np.zeros(n), g_cell=np.zeros(n), alpha_iface=np.zeros(n + 1),
-                             g_iface=np.zeros(n + 1), **theta)
+        return replace(mat, sigma_cell=np.full(n, self.theta), sigma_iface=np.full(n + 1, self.theta))
 
 
 def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float,
@@ -190,8 +189,8 @@ def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan) -
     """One UGKS step of ``plan`` with sigma -> theta and the penalization
     leftover, at the plan's eps, as a per-node source evaluated at time n.
 
-    ``plan`` is a :class:`StepPlan` built on ``op.material(mesh)``, or on
-    ``op.material(mesh, mat)`` to keep the absorption and source of ``mat``.
+    ``plan`` is a :class:`StepPlan` built on ``op.material(mesh, mat)``,
+    which keeps the absorption and source of ``mat``.
     """
     lam_g = penalized_source(state.f, state.rho, op, plan.eps, plan.source_fold[0],
                              out=plan.scaled_source, work=plan.scratch)

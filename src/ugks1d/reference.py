@@ -35,7 +35,7 @@ def upwind_timestep(eps: float, mat: MaterialField, mesh: SpatialMesh, cfl: floa
 
 def upwind_step(f: np.ndarray, eps: float, mat: MaterialField, mesh: SpatialMesh,
                 q: VelocityQuadrature, f_left: np.ndarray, f_right: np.ndarray,
-                dt: float, reconstruction: str = "first_order", theta_lim: float = 1.5) -> np.ndarray:
+                dt: float, reconstruction: str = "first_order") -> np.ndarray:
     """One forward-Euler upwind step of the kinetic equation.
 
     Inflow ghost values come from f_left (v > 0) and f_right (v < 0).  The
@@ -52,7 +52,7 @@ def upwind_step(f: np.ndarray, eps: float, mat: MaterialField, mesh: SpatialMesh
     n = f.shape[0]
 
     if reconstruction == "mc_limited":
-        df = mc_slopes(f.T, dx, theta_lim).T
+        df = mc_slopes(f.T, dx).T
         shift = 0.5 * dx - v[None, :] * (0.5 * dt / eps)   # v>0 side
         shift_dn = -0.5 * dx - v[None, :] * (0.5 * dt / eps)
         up_vals = f + shift * df

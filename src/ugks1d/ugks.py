@@ -101,7 +101,6 @@ class SchemeConfig:
     eps: float
     cfl: float = 0.9
     reconstruction: str = "first_order"
-    theta_lim: float = 1.5
     diffusion_mode: str = "explicit_slopes"
 
     def __post_init__(self) -> None:
@@ -111,43 +110,29 @@ class SchemeConfig:
             raise InvalidArgumentError("cfl must lie in (0, 1]")
         if self.reconstruction not in ("first_order", "mc_limited"):
             raise InvalidArgumentError(f"unknown reconstruction {self.reconstruction!r}")
-        if self.reconstruction == "mc_limited" and not 1.0 <= self.theta_lim <= 2.0:
-            raise InvalidArgumentError("theta_lim must lie in [1, 2]")
         if self.diffusion_mode not in ("explicit_slopes", "implicit_slopes"):
             raise InvalidArgumentError(f"unknown diffusion mode {self.diffusion_mode!r}")
 
 
-def _wall_densities(q: VelocityQuadrature, bc: BoundarySpec, nu_left: float, nu_right: float,
-                    dt: float):
-    """Boundary densities and inflow terms at both walls.
-
-    Returns ((rho_l, inflow_l), (rho_r, inflow_r)): rho_{1/2} and
-    rho_{N+1/2}, and the inflow parts of the two macroscopic boundary fluxes
-    times eps.  The right wall is the left wall under v -> -v: its incoming
-    nodes are the negative half and its outgoing moment <v 1_{v>0}>_h.  The
-    corrected density is :func:`grid.wall_density`, the half-range weighted
-    density that the diffusion oracle takes as its Dirichlet value.
-    """
-    h = q.split
-    wv = _node_tables(q).wv
-    thetas = (None, None)
-    if bc.mode == "blended":
-        thetas = blend_parameter(np.array((nu_left, nu_right)), dt).tolist()
-
-    def wall(f_in, inc, m_out, theta):
-        stab_inflow = float(f_in[inc].dot(wv[inc]))
-        rho_stab = -stab_inflow / m_out
-        if bc.mode == "stabilized":
-            return rho_stab, stab_inflow
-        rho_corr = wall_density(q, f_in, inc)
-        corr_inflow = -m_out * rho_corr
-        if bc.mode == "corrected":
-            return rho_corr, corr_inflow
-        return ((1.0 - theta) * rho_stab + theta * rho_corr,
-                (1.0 - theta) * stab_inflow + theta * corr_inflow)
-
-    return (wall(bc.f_left, slice(h, None), q.m_v_neg, thetas[0]),
-            wall(bc.f_right, slice(0, h), q.m_v_pos, thetas[1]))
+def _wall(q: VelocityQuadrature, wv: np.ndarray, mode: str, f_in: np.ndarray, inc: slice,
+          m_out: float, theta: Optional[float]):
+    """Boundary density rho_{1/2} of one wall in ``mode`` and the inflow
+    part of its macroscopic flux times eps, from the inflow ``f_in`` on the
+    wall's incoming nodes ``inc`` and its outgoing half-moment ``m_out`` of
+    v; ``wv`` holds the weights of <v .>_h.  The corrected density is
+    :func:`grid.wall_density`, the half-range weighted density that the
+    diffusion oracle takes as its Dirichlet value; ``theta`` weighs it in a
+    ``blended`` wall."""
+    stab_inflow = float(f_in[inc].dot(wv[inc]))
+    rho_stab = -stab_inflow / m_out
+    if mode == "stabilized":
+        return rho_stab, stab_inflow
+    rho_corr = wall_density(q, f_in, inc)
+    corr_inflow = -m_out * rho_corr
+    if mode == "corrected":
+        return rho_corr, corr_inflow
+    return ((1.0 - theta) * rho_stab + theta * rho_corr,
+            (1.0 - theta) * stab_inflow + theta * corr_inflow)
 
 
 def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> float:
@@ -206,11 +191,15 @@ class StepPlan:
     scalar-source and relaxation terms, is one product
     ``node_cols @ cell_rows`` of a (nodes, 6) constant with a (6, cells)
     block per step; its last two columns put the wall inflow in place of
-    the interface terms at the walls.  No per-node array spans the
-    cells + 1 interfaces: the macroscopic flux Phi is O(cells) work on
-    per-half moments of F, kept with the other interface rows in one
-    padded row block, so one flat difference gives the density update's
-    divergence and the product's interface differences at once.
+    the interface terms at the walls.  One per-wall path, run once for
+    each wall, builds a wall's density ``rho_half``, the terms of its
+    macroscopic flux ``wall_terms``, its column of ``node_cols`` and the
+    row that selects its cell: the right wall is the left one under
+    v -> -v.  No per-node array spans the cells + 1 interfaces: the
+    macroscopic flux Phi is O(cells) work on per-half moments of F, kept
+    with the other interface rows in one padded row block, so one flat
+    difference gives the density update's divergence and the product's
+    interface differences at once.
 
     The plan owns its constants (``stencil``, ``node_cols``, ``row_scale``,
     ``d_slope``, ``coef_rows``, ``mc_lambda`` and the wall terms; the moment
@@ -253,8 +242,7 @@ class StepPlan:
         self.shape, self.split = (n, k), h
         self.implicit = cfg.diffusion_mode == "implicit_slopes"
         self.second_order = cfg.reconstruction == "mc_limited"
-        self.theta_lim = cfg.theta_lim
-        self.a, self.b, self.c, self.e = a, b, c, e
+        self.a, self.e = a, e
         self.g_cell = mat.g_cell if np.count_nonzero(mat.g_cell) else None
         g_if = mat.g_iface
         self.eg = e * g_if if np.count_nonzero(g_if) else None
@@ -264,24 +252,6 @@ class StepPlan:
         self.inv_den_f = idf = 1.0 / (self.inv_dt + self.relax + mat.alpha_cell)
         tables = _node_tables(q)
         self.moments = tables.moments
-
-        (rho_l, inflow_l), (rho_r, inflow_r) = _wall_densities(q, bc, float(nu[0]), float(nu[-1]), dt)
-        self.rho_half = (rho_l, rho_r)
-        # ugks_id keeps only the interface-density part of the D-fluxes
-        # explicit; at the walls that is a constant.
-        d_walls = (0.0, 0.0)
-        if self.implicit:
-            d_walls = (float(-(2.0 * d[0] / dx) * q.m_v2_neg * rho_l),
-                       float((2.0 * d[-1] / dx) * q.m_v2_pos * rho_r))
-        # Terms of the wall macroscopic fluxes after the upwind one, added in
-        # this order (inflow, C, E, explicit D): they cancel to O(1) from
-        # O(1/eps), so the order fixes the bits.
-        self.wall_terms = (
-            (0, inflow_l / eps, float(c[0] * q.m_v_neg * rho_l), float(e[0] * q.m_v_neg * g_if[0]),
-             d_walls[0]),
-            (-1, inflow_r / eps, float(c[-1] * q.m_v_pos * rho_r), float(e[-1] * q.m_v_pos * g_if[-1]),
-             d_walls[1]),
-        )
 
         self.iface = _moment_scratch(2, n)
         moments = self.iface[-1]
@@ -332,23 +302,46 @@ class StepPlan:
         self.cell_rows = block[5:, :n]
         self.inv_dx = inv_dx
         # The product's (nodes, 6) columns are (v, v^2 1_{v>0}, v^2 1_{v<0}, 1)
-        # and, at each wall, v (inflow/eps - C rho_wall - E G): the inflow
-        # flux less the interface-row flux that the first column gives there.
-        # The row scale divides the first three rows and the wall rows by dx,
-        # and scales every row by the relaxation factor.
+        # and, at each wall of outward sign s, -s v (f_in/eps - C rho_wall
+        # - E G) on its incoming nodes: the inflow flux less the
+        # interface-row flux that the first column gives there, as it enters
+        # the wall cell.  The row scale divides the first three rows and the
+        # wall rows by dx, and scales every row by the relaxation factor.
         idf_dx = idf * inv_dx
         row_scale = np.zeros((4, w))
         row_scale[:3, :n] = idf_dx
         row_scale[3, :n] = idf
         self.row_scale = row_scale.reshape(-1)
-        block[9, 0] = idf_dx[0]
-        block[10, n - 1] = idf_dx[-1]
-        r0_l, r0_r = c[0] * rho_l, c[-1] * rho_r
-        if self.eg is not None:
-            r0_l, r0_r = r0_l + self.eg[0], r0_r + self.eg[-1]
         self.node_cols = tables.cell_cols.copy()
-        np.multiply(q.nodes[h:], bc.f_left[h:] / eps - r0_l, out=self.node_cols[h:, 4])
-        np.multiply(q.nodes[:h], r0_r - bc.f_right[:h] / eps, out=self.node_cols[:h, 5])
+        thetas = (None, None)
+        if bc.mode == "blended":
+            thetas = blend_parameter(np.array((float(nu[0]), float(nu[-1]))), dt).tolist()
+        rho_half, wall_terms = [], []
+        # One path builds both walls.  The right wall is the left one under
+        # v -> -v: incoming nodes v < 0, outgoing half-moments of v > 0 and
+        # outward sign s = +1.  Its interface is -1, but its cell in the
+        # block's cells + 1 columns is n - 1.
+        for j, (f_in, inc, m_out, m2_out, s, wall, cell) in enumerate((
+                (bc.f_left, slice(h, None), q.m_v_neg, q.m_v2_neg, -1.0, 0, 0),
+                (bc.f_right, slice(0, h), q.m_v_pos, q.m_v2_pos, 1.0, -1, n - 1))):
+            rho, inflow = _wall(q, tables.wv, bc.mode, f_in, inc, m_out, thetas[j])
+            rho_half.append(rho)
+            # ugks_id keeps only the interface-density part of the D-fluxes
+            # explicit; at the walls that is a constant.
+            d_wall = s * (2.0 * d.item(wall) / dx) * m2_out * rho if self.implicit else 0.0
+            # The terms of the wall's macroscopic flux after the upwind one,
+            # added in this order (inflow, C, E, explicit D): they cancel to
+            # O(1) from O(1/eps), so the order fixes the bits.
+            wall_terms.append((wall, inflow / eps, c.item(wall) * m_out * rho,
+                               e.item(wall) * m_out * g_if.item(wall), d_wall))
+            r0 = c.item(wall) * rho
+            if self.eg is not None:
+                r0 += self.eg.item(wall)
+            # s r0 - f_in/(s eps) is exactly f_in/eps - r0 on the left and
+            # r0 - f_in/eps on the right, the signs of zeros included.
+            np.multiply(q.nodes[inc], s * r0 - f_in[inc] / (s * eps), out=self.node_cols[inc, 4 + j])
+            block[9 + j, cell] = idf_dx[cell]
+        self.rho_half, self.wall_terms = tuple(rho_half), tuple(wall_terms)
 
         # The (nodes, cells) arrays are one allocation: as separate blocks at
         # 2000 cells, each plan touched fresh pages and took 2.7 times as
@@ -637,7 +630,7 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
         lam_g = np.ascontiguousarray(scaled_source.T)
         up_state = np.add(fn, lam_g, p.up_state)
     if p.second_order:
-        df = mc_slopes(fn, p.dx, p.theta_lim, out=p.slope, work=p.mc_work)
+        df = mc_slopes(fn, p.dx, out=p.slope, work=p.mc_work)
         up_state = np.add(up_state, np.multiply(p.mc_lambda, df, p.scratch), p.up_state)
         df *= p.mc_diag
     moments = _upwind_moments(p.moments, fn, p.iface, flux_x=None if up_state is fn else up_state)

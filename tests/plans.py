@@ -1,6 +1,7 @@
 """Step plans as the tests build them: for a given dt, or else for the dt of
 the CFL policy."""
 
+from ugks1d.grid import sample_material
 from ugks1d.ugks import StepPlan, cfl_timestep
 
 
@@ -12,6 +13,6 @@ def cfl_plan(cfg, mat, mesh, q, bc, dt=None) -> StepPlan:
 
 def penalized_plan(op, mesh, q, bc, cfg, dt=None) -> StepPlan:
     """The plan of a penalized step of ``op`` with no absorption or source:
-    on ``op.material(mesh)``, which relaxes at theta, for ``dt``, by default
-    the CFL policy's dt at sigma = theta."""
-    return cfl_plan(cfg, op.material(mesh), mesh, q, bc, dt)
+    on ``op.material`` of a zero material, which relaxes at theta, for
+    ``dt``, by default the CFL policy's dt at sigma = theta."""
+    return cfl_plan(cfg, op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh)), mesh, q, bc, dt)

@@ -197,7 +197,7 @@ def test_mc_slopes_match_the_scalar_limiter(strided):
     f = np.round(rng.random((30, 6)) * 4.0) / 4.0
     dx, theta = 0.1, 1.5
     # node-major input, cells last; a strided view is copied first
-    df = mc_slopes(f.T if strided else np.ascontiguousarray(f.T), dx, theta).T
+    df = mc_slopes(f.T if strided else np.ascontiguousarray(f.T), dx).T
     expect = np.zeros_like(f)
     for i in range(1, f.shape[0] - 1):
         for k in range(f.shape[1]):

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 
 from ugks1d import ugks
+from ugks1d.coeffs import coefficient_arrays
 from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, mc_slopes, sample_material
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_source, penalized_step
 from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
 
-def unfused_mc_step(first, q, state, source=None):
+def unfused_mc_step(first, b, q, state, source=None):
     """Reference: the MC step with the slope kept apart from F.
 
-    ``first`` is the plan of the same step without reconstruction.  Once
-    the slope df is known the step is linear in it, so it is the
-    first-order step plus the slope's own terms: the reconstruction shift
+    ``first`` is the plan of the same step without reconstruction and ``b``
+    its interface coefficients B.  Once the slope df is known the step is
+    linear in it, so it is the first-order step plus the slope's own
+    terms: the reconstruction shift
     A <|v| df_up>_h dx/2 and the B-term B <v^2 df_up>_h of the macroscopic
     flux, through their own moment product into the density update, and
     the stencil pair of (A |v| dx/2 + B v^2) df_up / dx, times the
@@ -31,11 +33,11 @@ def unfused_mc_step(first, q, state, source=None):
     """
     n, h, dx = first.shape[0], first.split, first.dx
     fn = np.ascontiguousarray(state.f.T)
-    df = mc_slopes(fn, dx, first.theta_lim)
+    df = mc_slopes(fn, dx)
     w_half, v = 0.5 * q.weights, q.nodes
     slope_rows = ugks._half_rows(np.array((0.5 * dx * w_half * np.abs(v), w_half * v * v)), h)
     shift_flux, b_flux = ugks._upwind_moments(slope_rows, df, ugks._moment_scratch(2, n))
-    phi = first.a * shift_flux + first.b * b_flux
+    phi = first.a * shift_flux + b * b_flux
     d_rhs = -(phi[1:] - phi[:-1]) / dx
     lam_g = None
     if source is not None:
@@ -50,7 +52,7 @@ def unfused_mc_step(first, q, state, source=None):
         rho_new = rho0 + d_rho
         f_new = f0.T + first.relax * d_rho * first.inv_den_f
     cols = ugks._signed_cols(np.column_stack((0.5 * np.abs(v), v * v)), h)
-    pair = ugks._stencil_pair(cols, np.array((first.a * dx, first.b)), first.inv_den_f / dx, 0.0)
+    pair = ugks._stencil_pair(cols, np.array((first.a * dx, b)), first.inv_den_f / dx, 0.0)
     ugks._add_stencil(f_new, pair, df, ugks._stencil_scratch(np.empty_like(df), h))
     return f_new.T, rho_new
 
@@ -62,8 +64,8 @@ def rough_material(mesh):
 
 
 def plans(q, cells, eps, mode, diffusion_mode, penalized):
-    """(MC plan, first-order plan, and the source (op, eps) of a penalized
-    step or None) of one grid point."""
+    """(MC plan, first-order plan, its B coefficients, and the source
+    (op, eps) of a penalized step or None) of one grid point."""
     mesh = SpatialMesh(0.0, 1.0, cells)
     mat = rough_material(mesh)
     source = None
@@ -77,7 +79,8 @@ def plans(q, cells, eps, mode, diffusion_mode, penalized):
     dt = cfl_timestep(cfg, mat, mesh)
     plan = StepPlan(dt, cfg, mat, mesh, q, bc)
     first = StepPlan(dt, replace(cfg, reconstruction="first_order"), mat, mesh, q, bc)
-    return plan, first, source
+    b = coefficient_arrays(dt, eps, mat.sigma_iface, mat.alpha_iface)[1]
+    return plan, first, b, source
 
 
 def advance(plan, state, source):
@@ -91,11 +94,11 @@ def assert_fold_matches_reference(q, cells, eps, mode, diffusion_mode, penalized
     slope-stencil reference from the same state to 1e-13 relative.
     Returns False, checking nothing further, once the run grows past 10
     times its data."""
-    plan, first, source = plans(q, cells, eps, mode, diffusion_mode, penalized)
+    plan, first, b, source = plans(q, cells, eps, mode, diffusion_mode, penalized)
     rng = np.random.default_rng(q.n * 1000 + cells)
     state = KineticState.from_distribution(rng.uniform(0.0, 1.0, (cells, q.n)), q)
     for _ in range(steps):
-        f_ref, rho_ref = unfused_mc_step(first, q, state, source)
+        f_ref, rho_ref = unfused_mc_step(first, b, q, state, source)
         state = advance(plan, state, source)
         scale = max(1.0, float(np.abs(f_ref).max()))
         if scale > 10.0:
@@ -123,7 +126,7 @@ def test_fold_keeps_the_wall_fluxes_bit_identical(diffusion_mode, cells):
     there: the wall interfaces' moments and macroscopic fluxes have the
     bits of the first-order step from the same state."""
     q = build_gauss_legendre(16)
-    plan, first, _ = plans(q, cells, 1e-2, "corrected", diffusion_mode, False)
+    plan, first, _, _ = plans(q, cells, 1e-2, "corrected", diffusion_mode, False)
     f = np.random.default_rng(cells).uniform(0.0, 1.0, (cells, q.n))
     rho = f @ (0.5 * q.weights)
     ugks.apply(plan, f, rho)

@@ -31,9 +31,9 @@ def anisotropic_kernel(q=Q16):
 
 def test_kernel_validation():
     with pytest.raises(InvalidKernelError):
-        ScatteringKernel(table=np.array([[1.0, 0.5], [0.6, 1.0]]), k_min=0.5, k_max=1.0)
+        ScatteringKernel(table=np.array([[1.0, 0.5], [0.6, 1.0]]))
     with pytest.raises(InvalidKernelError):
-        ScatteringKernel(table=np.zeros((2, 2)), k_min=0.0, k_max=0.0)
+        ScatteringKernel(table=np.zeros((2, 2)))
     with pytest.raises(InvalidKernelError):
         ScatteringKernel.isotropic(-1.0, Q16)
     with pytest.raises(InvalidKernelError):
@@ -206,7 +206,7 @@ def test_penalized_step_allocates_only_its_output(monkeypatch):
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
     cfg = SchemeConfig(eps=eps)
-    mat = op.material(mesh)
+    mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     assert_step_allocates_only_its_output(
         lambda s: penalized_step(s, op, plan), n, monkeypatch)
@@ -327,7 +327,7 @@ def test_folded_source_matches_the_unfused_reference(diffusion_mode, reconstruct
         q = build(nodes)
         op = PenalizedOperator.build(anisotropic_kernel(q), q)
         mesh = SpatialMesh(0.0, 1.0, cells)
-        mat = op.material(mesh)
+        mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
         cfg = SchemeConfig(eps=eps, reconstruction=reconstruction, diffusion_mode=diffusion_mode)
         bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)
         plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
@@ -356,7 +356,7 @@ def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
 def test_source_fold_is_built_only_by_a_sourced_step():
     mesh, _, bc = setup_run()
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
-    mat = op.material(mesh)
+    mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
     cfg = SchemeConfig(eps=0.5)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     state = KineticState.from_distribution(np.zeros((20, 16)), Q16)

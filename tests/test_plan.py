@@ -68,7 +68,7 @@ def test_reused_penalized_plan_matches_fresh_plans(diffusion_mode):
     mesh, _, cfg = setup(eps=eps, diffusion_mode=diffusion_mode)
     op = aniso_operator()
     bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
-    mat = op.material(mesh)
+    mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     reused = fresh = rough_state()
     for _ in range(N_STEPS):
@@ -103,7 +103,7 @@ def test_penalized_step_is_independent_of_memory_order():
     mesh, _, cfg = setup(eps=eps, reconstruction="mc_limited")
     op = aniso_operator()
     bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
-    mat = op.material(mesh)
+    mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     c_order, node_major = layouts(rough_state())
     assert_same(penalized_step(c_order, op, plan), penalized_step(node_major, op, plan))
@@ -131,7 +131,7 @@ def test_returned_state_survives_later_steps_on_its_plan(diffusion_mode, reconst
     bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="blended")
     if penalized:
         op = aniso_operator()
-        mat = op.material(mesh)
+        mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
 
         def advance(s):
             return penalized_step(s, op, plan)
@@ -165,7 +165,7 @@ def test_state_size_plan_buffers_start_on_a_cache_line(kind):
     state = KineticState.from_distribution(np.random.default_rng(7).random((2000, Q16.n)), Q16)
     if kind == "penalized":
         op = aniso_operator()
-        mat = op.material(mesh)
+        mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     if kind == "penalized":
         penalized_step(state, op, plan)

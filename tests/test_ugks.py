@@ -201,14 +201,14 @@ def test_boundary_free_transport_flux_is_upwind():
 
 def test_second_order_free_transport_matches_traced_upwind():
     mesh, mat, _ = make_setup(n_cells=40, sigma=0.0, eps=1.0)
-    cfg = SchemeConfig(eps=1.0, reconstruction="mc_limited", theta_lim=1.5)
+    cfg = SchemeConfig(eps=1.0, reconstruction="mc_limited")
     prof = np.exp(-((mesh.centers - 0.5) / 0.15) ** 2)
     state = isotropic_state(prof)
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
     out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     ref = upwind_step(state.f, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt,
-                      reconstruction="mc_limited", theta_lim=1.5)
+                      reconstruction="mc_limited")
     assert np.abs(out.f - ref).max() < 1e-13
 
 
@@ -363,7 +363,7 @@ def test_overflowing_step_is_detected(scheme):
     if scheme == "penalized":
         table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
         op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
-        mat = op.material(mesh)
+        mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
 
         def advance(f):
             state = KineticState(f=f, rho=average(Q16, f), t=0.0)
