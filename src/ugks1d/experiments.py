@@ -219,7 +219,7 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
             kernel = (ScatteringKernel.from_table(spec.kernel_table, q) if spec.kernel_table is not None
                       else ScatteringKernel.isotropic(spec.kernel_constant, q))
             op = PenalizedOperator.build(kernel, q)
-            plan_mat = op.material(mesh, mat)
+            plan_mat = op.material(mat)
         plans: dict = {}   # one per distinct step size: the policy's and each shortened leg end
 
         def advance(s, h):

@@ -5,23 +5,25 @@ Rewriting ``L = (L - theta R) + theta R`` with R the isotropic relaxation
 operator turns the stiff part into plain relaxation; the weight
 ``theta = -<v^2>/<v L^{-1} v>`` is the unique choice reproducing the kernel's
 diffusion coefficient, and the leftover ``g = (L - theta R) f / eps^2`` rides
-along as a zero-mean, velocity-dependent source.  It needs no flux of its
-own: each cell's value of one velocity half leaves through one interface,
-where the upwind fluxes A v f_up + E v g_up are A v (f + lambda g)_up with
-lambda = E/A, so a step transports the one state f + lambda g and adds the
-cell-local rest of g (``StepPlan.source_fold``).  ``penalized_source``
-scales g by lambda in its last pass.
+along as a zero-mean, velocity-dependent source.  L annihilates constants,
+so L f = L (f - rho) and g = (L + theta I)(f - rho)/eps^2: ``penalized_source``
+takes the difference first, exactly 0 at equilibrium, and then one product
+with (lambda/eps^2)(M + theta I), M the matrix of L.  The source needs no
+flux of its own: each cell's value of one velocity half leaves through one
+interface, where the upwind fluxes A v f_up + E v g_up are A v (f + lambda
+g)_up with lambda = E/A, so a step transports the one state f + lambda g
+and adds the cell-local rest of g (``StepPlan.source_fold``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidKernelError
-from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average
+from .grid import MaterialField, VelocityQuadrature, average
 from .ugks import KineticState, StepPlan, apply
 
 __all__ = [
@@ -134,54 +136,75 @@ def penalization_theta(op: np.ndarray, q: VelocityQuadrature) -> float:
 
 @dataclass(frozen=True)
 class PenalizedOperator:
-    """Precomputed collision matrix and penalization weight theta."""
+    """Precomputed collision matrix M, penalization weight theta and
+    ``shifted`` = M + theta I, the matrix of the penalized source on
+    F - rho (:func:`penalized_source`).  Both matrices are read-only."""
 
     matrix: np.ndarray
     theta: float
+    shifted: np.ndarray
+    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, kernel: ScatteringKernel, q: VelocityQuadrature) -> "PenalizedOperator":
         op = assemble_operator(kernel, q)
         theta = penalization_theta(op, q)
+        shifted = op.copy()
+        shifted.flat[::q.n + 1] += theta
         op.setflags(write=False)
-        return cls(matrix=op, theta=theta)
+        shifted.setflags(write=False)
+        return cls(matrix=op, theta=theta, shifted=shifted)
 
-    def material(self, mesh: SpatialMesh, mat: MaterialField) -> MaterialField:
+    def material(self, mat: MaterialField) -> MaterialField:
         """The relaxation part as a material: sigma = theta, with the
         absorption alpha and the isotropic source G of ``mat``."""
-        n = mesh.n_cells
+        n = mat.n_cells
         return replace(mat, sigma_cell=np.full(n, self.theta), sigma_iface=np.full(n + 1, self.theta))
+
+    def _scaled_shift(self, scale: float) -> np.ndarray:
+        """``scale`` (M + theta I), read-only, kept per scale.  Every step
+        of a plan passes the same scale, lambda/eps^2 or 1/eps^2, so the
+        product's matrix is built on a plan's first step."""
+        out = self._scaled.get(scale)
+        if out is None:
+            out = self._scaled[scale] = scale * self.shifted
+            out.setflags(write=False)
+        return out
 
 
 def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float,
                      lam=1.0, out: Optional[np.ndarray] = None,
                      work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-cell, per-node source lam g, g = (L f - theta R f)/eps^2; g has
-    zero velocity mean.
+    """Per-cell, per-node source lam g, g = (M F - theta (rho - F))/eps^2
+    with F = f.T; g has zero velocity mean.
 
-    ``lam`` is a scalar or a node-major (nodes, cells) array; a step passes
-    its plan's ``source_fold[0]``, which rides in the last pass.  The work
-    runs on node-major data, which a stepped state already is, so that the
-    product's rounding does not depend on the memory order of ``f``.
-    ``out`` receives M F and then the result, and ``work`` holds
-    theta (rho - F), filled by a copy of rho and a subtraction that do not
-    broadcast a row: numpy 2.4 buffers the broadcast row of one subtraction
-    ``np.subtract(rho, F, work)`` in a state-size array, and at 2000 cells
-    that takes 1.8 times as long.  Both are C-contiguous (nodes, cells)
-    arrays, allocated when omitted; a step passes its plan's
-    ``scaled_source`` and ``scratch``, so with a scalar lam it allocates no
-    state-size array.  An array lam adds one, lam / eps^2, and a C-ordered
-    ``f`` its node-major copy.  The result is the transpose of ``out``.
+    M annihilates constants, so g = (M + theta I)(F - rho)/eps^2, and that
+    is how it is computed: D = F - rho first, exactly 0 at equilibrium,
+    then one product with (lam/eps^2)(M + theta I), built once per
+    operator and scale.  The first form's two O(1/eps^2) terms are never
+    formed: the assembled M's rows sum to about 1e-16, not 0, which M F
+    would scale by rho/eps^2.
+
+    ``lam`` is a scalar, which rides in the product's matrix, or a
+    node-major (nodes, cells) array, which multiplies after it; a step
+    passes its plan's ``source_fold[0]``.  ``work`` receives D, filled by a
+    copy of rho and a subtraction that do not broadcast a row: numpy 2.4
+    buffers the broadcast row of one subtraction ``np.subtract(F, rho,
+    work)`` in a state-size array, and at 2000 cells that takes 1.8 times
+    as long.  ``out`` receives the result, the transpose of what is
+    returned.  Both are C-contiguous (nodes, cells) arrays, allocated when
+    omitted; a step passes its plan's ``scaled_source`` and ``scratch``,
+    so it allocates no state-size array.
     """
-    fn = np.ascontiguousarray(f.T)
-    src = np.matmul(op.matrix, fn, out)
     if work is None:
-        work = np.empty(fn.shape)
+        work = np.empty(f.shape[::-1])
     np.copyto(work, rho)
-    work -= fn
-    work *= op.theta
-    src -= work
-    src *= lam / eps**2
+    np.subtract(f.T, work, work)
+    if isinstance(lam, np.ndarray):
+        src = np.matmul(op._scaled_shift(1.0 / eps**2), work, out)
+        src *= lam
+    else:
+        src = np.matmul(op._scaled_shift(lam / eps**2), work, out)
     return src.T
 
 
@@ -189,8 +212,8 @@ def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan) -
     """One UGKS step of ``plan`` with sigma -> theta and the penalization
     leftover, at the plan's eps, as a per-node source evaluated at time n.
 
-    ``plan`` is a :class:`StepPlan` built on ``op.material(mesh, mat)``,
-    which keeps the absorption and source of ``mat``.
+    ``plan`` is a :class:`StepPlan` built on ``op.material(mat)``, which
+    keeps the absorption and source of ``mat``.
     """
     lam_g = penalized_source(state.f, state.rho, op, plan.eps, plan.source_fold[0],
                              out=plan.scaled_source, work=plan.scratch)

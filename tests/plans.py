@@ -15,4 +15,4 @@ def penalized_plan(op, mesh, q, bc, cfg, dt=None) -> StepPlan:
     """The plan of a penalized step of ``op`` with no absorption or source:
     on ``op.material`` of a zero material, which relaxes at theta, for
     ``dt``, by default the CFL policy's dt at sigma = theta."""
-    return cfl_plan(cfg, op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh)), mesh, q, bc, dt)
+    return cfl_plan(cfg, op.material(sample_material(0.0, 0.0, 0.0, mesh)), mesh, q, bc, dt)

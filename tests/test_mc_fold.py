@@ -72,7 +72,7 @@ def plans(q, cells, eps, mode, diffusion_mode, penalized):
     if penalized:
         table = 0.5 + 0.2 * np.outer(q.nodes, q.nodes)
         op = PenalizedOperator.build(ScatteringKernel.from_table(table, q), q)
-        mat = op.material(mesh, mat)
+        mat = op.material(mat)
         source = (op, eps)
     cfg = SchemeConfig(eps=eps, reconstruction="mc_limited", diffusion_mode=diffusion_mode)
     bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)

@@ -199,15 +199,29 @@ def assert_step_allocates_only_its_output(advance, n, monkeypatch):
 
 def test_penalized_step_allocates_only_its_output(monkeypatch):
     """A penalized step at 200 cells allocates only its output: the source
-    and theta (rho - F) live in the plan's ``scaled_source`` and
-    ``scratch``."""
+    and F - rho live in the plan's ``scaled_source`` and ``scratch``."""
     n, eps = 200, 1e-2
     mesh = SpatialMesh(0.0, 1.0, n)
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
     cfg = SchemeConfig(eps=eps)
-    mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
+    mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    assert_step_allocates_only_its_output(
+        lambda s: penalized_step(s, op, plan), n, monkeypatch)
+
+
+def test_penalized_step_with_varying_lambda_allocates_only_its_output(monkeypatch):
+    """alpha(x) makes lambda a (nodes, cells) array, which multiplies the
+    source in place after the product."""
+    n, eps = 200, 1e-2
+    mesh = SpatialMesh(0.0, 1.0, n)
+    op = PenalizedOperator.build(anisotropic_kernel(), Q16)
+    bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
+    cfg = SchemeConfig(eps=eps)
+    mat = op.material(sample_material(0.0, lambda x: 40.0 * x * x, 0.0, mesh))
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    assert np.ndim(plan.source_fold[0]) == 2
     assert_step_allocates_only_its_output(
         lambda s: penalized_step(s, op, plan), n, monkeypatch)
 
@@ -237,6 +251,55 @@ def test_penalized_source_zero_mean():
     g = penalized_source(f, rho, op, eps=1.0)
     means = g @ (0.5 * Q16.weights)
     assert np.abs(means).max() < 1e-12 * max(1.0, np.abs(g).max())
+
+
+@pytest.mark.parametrize("q", [build_gauss_legendre(4), Q16, build_double_gauss(16)],
+                         ids=["GL4", "GL16", "DG16"])
+@pytest.mark.parametrize("kernel", ["isotropic", "anisotropic"])
+def test_penalized_source_is_zero_at_equilibrium(q, kernel):
+    """On F = rho 1^T the source is exactly 0 at eps = 1e-8: it is taken
+    on F - rho, so the rounding of M's row sums (about 1e-16) is never
+    scaled by rho/eps^2."""
+    k = ScatteringKernel.isotropic(1.0, q) if kernel == "isotropic" else anisotropic_kernel(q)
+    op = PenalizedOperator.build(k, q)
+    rho = np.random.default_rng(q.n).uniform(0.5, 2.0, 30)
+    f = np.repeat(rho[:, None], q.n, axis=1)
+    for lam in (1.0, 0.37, np.full((q.n, 30), 0.37)):
+        assert not np.any(penalized_source(f, rho, op, 1e-8, lam))
+
+
+def long_double_source(f, rho, kernel, q, theta, eps, lam):
+    """(lam/eps^2)(M + theta I)(F - rho) in long double, M assembled from
+    the kernel table apart from ``assemble_operator``."""
+    ld = np.longdouble
+    m = kernel.table.astype(ld) * q.weights.astype(ld)[None, :]
+    m[np.diag_indices(q.n)] += ld(theta) - m.sum(axis=1)
+    d = f.T.astype(ld) - rho.astype(ld)[None, :]
+    return (np.asarray(lam, dtype=ld) / ld(eps) ** 2 * (m @ d)).T
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-8])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lam_kind", ["scalar", "array"])
+@pytest.mark.parametrize("buffers", [False, True])
+def test_penalized_source_matches_long_double(eps, order, lam_kind, buffers):
+    q = Q16
+    kernel = anisotropic_kernel(q)
+    op = PenalizedOperator.build(kernel, q)
+    rng = np.random.default_rng(61)
+    n = 23
+    for _ in range(5):
+        f = np.asarray(rng.uniform(0.0, 1.0, (n, q.n)), order=order)
+        rho = f @ (0.5 * q.weights)
+        lam = 0.73 if lam_kind == "scalar" else rng.uniform(0.1, 1.0, (q.n, n))
+        out = work = None
+        if buffers:
+            out, work = np.empty((q.n, n)), np.empty((q.n, n))
+        g = penalized_source(f, rho, op, eps, lam, out=out, work=work)
+        if buffers:
+            assert g.base is out
+        ref = long_double_source(f, rho, kernel, q, op.theta, eps, lam)
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_penalized_moment_consistency():
@@ -327,7 +390,7 @@ def test_folded_source_matches_the_unfused_reference(diffusion_mode, reconstruct
         q = build(nodes)
         op = PenalizedOperator.build(anisotropic_kernel(q), q)
         mesh = SpatialMesh(0.0, 1.0, cells)
-        mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
+        mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
         cfg = SchemeConfig(eps=eps, reconstruction=reconstruction, diffusion_mode=diffusion_mode)
         bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)
         plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
@@ -343,7 +406,7 @@ def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
     eps, q = 0.1, Q16
     op = PenalizedOperator.build(anisotropic_kernel(q), q)
     mesh = SpatialMesh(0.0, 1.0, 12)
-    mat = op.material(mesh, sample_material(1.0, lambda x: 40.0 * x * x, lambda x: 1.0 + x, mesh))
+    mat = op.material(sample_material(1.0, lambda x: 40.0 * x * x, lambda x: 1.0 + x, mesh))
     cfg = SchemeConfig(eps=eps, reconstruction="mc_limited", diffusion_mode=diffusion_mode)
     bc = BoundarySpec.from_functions(abs, 0.3, q, mode="corrected")
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
@@ -356,7 +419,7 @@ def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
 def test_source_fold_is_built_only_by_a_sourced_step():
     mesh, _, bc = setup_run()
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
-    mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
+    mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
     cfg = SchemeConfig(eps=0.5)
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
     state = KineticState.from_distribution(np.zeros((20, 16)), Q16)

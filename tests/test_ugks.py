@@ -363,7 +363,7 @@ def test_overflowing_step_is_detected(scheme):
     if scheme == "penalized":
         table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
         op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
-        mat = op.material(mesh, sample_material(0.0, 0.0, 0.0, mesh))
+        mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
 
         def advance(f):
             state = KineticState(f=f, rho=average(Q16, f), t=0.0)
