@@ -10,10 +10,18 @@ f_right, initial) use a small expression grammar over the variable (``x`` or
 
 which evaluates e_i on [b_{i-1}, b_i) and e_last from the final breakpoint on
 (right-continuous at the breaks).
+
+Python's parser reads the grammar.  ``_TOKEN_RE`` gates the text, and its
+tokens are spelled as Python: numbers as float literals, ``v`` as ``x``, ``^``
+as ``**`` (which binds tighter than unary minus and groups to the right) and
+``piecewise(b...; e...)`` as ``piecewise((b...,), (e...,))``.  Any parsed node
+but ``+ - * / **``, unary ``+ -``, a float, ``x`` and a piecewise call on
+tuples of n and n + 1 items is a ConfigError; the rest runs with no builtins.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from typing import Callable
 
@@ -29,159 +37,84 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),;]))"
 )
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-def _tokenize(text: str):
+def _as_python(text: str) -> str:
+    """Spell the expression's tokens as Python source, one space apart so
+    that no two tokens merge (``* *`` stays two tokens, not ``**``)."""
+    out, closers = [], []   # closers: what each open parenthesis closes with
     pos = 0
-    tokens = []
-    while pos < len(text):
+    while text[pos:].strip():
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
-                break
             raise ConfigError(f"cannot tokenize expression at ...{text[pos:pos+12]!r}")
         pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
+        num, name, op = m.group("num", "name", "op")
+        if num is not None:
+            out.append(num + "." if num.isdigit() else num)
+        elif name is not None:
+            if name not in ("x", "v", "piecewise"):
+                raise ConfigError(f"unknown identifier {name!r} (only x, v, piecewise allowed)")
+            out.append("piecewise" if name == "piecewise" else "x")
+        elif op == "(":
+            closers.append(",))" if out[-1:] == ["piecewise"] else ")")
+            out.append("((" if closers[-1] == ",))" else "(")
+        elif op == ")":
+            out.append(closers.pop() if closers else ")")
+        elif op == ";":
+            if closers[-1:] != [",))"]:
+                raise ConfigError("';' outside piecewise(...)")
+            out.append(",), (")
         else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-    return tokens
+            out.append("**" if op == "^" else op)
+    return " ".join(out)
 
 
-class _Parser:
-    """Recursive descent over: expr := term (+|- term)*; term := unary (*|/ unary)*;
-    unary := [-+] unary | power; power := atom [^ unary]."""
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ConfigError(f"expected {value or kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ConfigError(f"expected {value!r}, found {tok[1]!r}")
-        self.i += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigError(f"unexpected trailing token {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("pow", node, self.unary())
-        return node
-
-    def atom(self):
-        kind, val = self.peek()
-        if kind == "num":
-            self.take()
-            return ("const", val)
-        if kind == "name":
-            self.take()
-            if val in ("x", "v"):
-                return ("var",)
-            if val == "piecewise":
-                return self.piecewise()
-            raise ConfigError(f"unknown identifier {val!r} (only x, v, piecewise allowed)")
-        if (kind, val) == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ConfigError(f"unexpected token {val!r}")
-
-    def piecewise(self):
-        self.take("op", "(")
-        breaks = [self.expr()]
-        while self.peek() == ("op", ","):
-            self.take()
-            breaks.append(self.expr())
-        self.take("op", ";")
-        exprs = [self.expr()]
-        while self.peek() == ("op", ","):
-            self.take()
-            exprs.append(self.expr())
-        self.take("op", ")")
-        if len(exprs) != len(breaks) + 1:
-            raise ConfigError(
-                f"piecewise needs one more expression ({len(exprs)}) than breakpoints ({len(breaks)})")
-        return ("piecewise", breaks, exprs)
+def _check(tree: ast.Expression) -> None:
+    """Raise ConfigError at the first node outside the grammar's whitelist."""
+    held = set()   # a piecewise call's name and its two tuples
+    for node in ast.walk(tree.body):   # breadth first: a call before its arguments
+        if id(node) in held:
+            continue
+        if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id == "piecewise"
+                    and not node.keywords and len(node.args) == 2
+                    and all(isinstance(a, ast.Tuple) for a in node.args)):
+                raise ConfigError("only piecewise(b1, ... ; e1, ...) may be called")
+            breaks, exprs = (len(a.elts) for a in node.args)
+            if exprs != breaks + 1:
+                raise ConfigError(
+                    f"piecewise needs one more expression ({exprs}) than breakpoints ({breaks})")
+            held.update(map(id, (node.func, *node.args)))
+        elif not (isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS)
+                  or isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub))
+                  or isinstance(node, ast.Constant) and type(node.value) is float
+                  or isinstance(node, ast.Name) and node.id == "x"
+                  or isinstance(node, (ast.operator, ast.unaryop, ast.expr_context))):
+            raise ConfigError(f"not in the expression grammar: {ast.unparse(node)!r}")
 
 
-def _evaluate(node, t):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        return t
-    if op == "neg":
-        return -_evaluate(node[1], t)
-    if op == "add":
-        return _evaluate(node[1], t) + _evaluate(node[2], t)
-    if op == "sub":
-        return _evaluate(node[1], t) - _evaluate(node[2], t)
-    if op == "mul":
-        return _evaluate(node[1], t) * _evaluate(node[2], t)
-    if op == "div":
-        return _evaluate(node[1], t) / _evaluate(node[2], t)
-    if op == "pow":
-        return _evaluate(node[1], t) ** _evaluate(node[2], t)
-    if op == "piecewise":
-        breaks = [_evaluate(b, t) for b in node[1]]
-        vals = [_evaluate(e, t) for e in node[2]]
-        out = np.asarray(vals[-1], dtype=float) + np.zeros_like(np.asarray(t, dtype=float))
-        for b, v in zip(reversed(breaks), reversed(vals[:-1])):
-            out = np.where(np.asarray(t) < b, v, out)
-        return out if out.ndim else float(out)
-    raise ConfigError(f"unknown node {op!r}")
+def _piecewise(t, breaks, vals):
+    out = np.asarray(vals[-1], dtype=float) + np.zeros_like(np.asarray(t, dtype=float))
+    for b, v in zip(reversed(breaks), reversed(vals[:-1])):
+        out = np.where(np.asarray(t) < b, v, out)
+    return out if out.ndim else float(out)
 
 
 def compile_expression(text: str) -> Callable[[float], float]:
     """Compile an expression of one variable (spelled ``x`` or ``v``)."""
-    node = _Parser(_tokenize(text)).parse()
+    try:
+        tree = ast.parse(_as_python(text), mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from None
+    _check(tree)
+    code = compile(tree, "<config expression>", "eval")
 
     def fn(t):
-        return _evaluate(node, t)
+        return eval(code, {"__builtins__": {}, "x": t,
+                           "piecewise": lambda breaks, vals: _piecewise(t, breaks, vals)})
 
-    fn.expression = text
     return fn
 
 
@@ -225,14 +158,7 @@ def load_config(path: str) -> ExperimentSpec:
     for key, (value, lineno) in entries.items():
         try:
             if key in _FUNCTION_KEYS:
-                fn = compile_expression(value)
-                try:
-                    probe = fn(0.5)
-                except ZeroDivisionError as exc:
-                    raise ConfigError(f"division by zero at the domain midpoint: {exc}")
-                if not np.isfinite(probe):
-                    raise ConfigError("expression is not finite on the domain")
-                overrides[key] = fn
+                overrides[key] = compile_expression(value)
             elif key in _FLOAT_KEYS:
                 overrides[key] = float(value)
             elif key in _INT_KEYS:
@@ -255,9 +181,7 @@ def load_config(path: str) -> ExperimentSpec:
                 overrides["kernel_table"] = table
             else:
                 raise ConfigError(f"unknown key {key!r}")
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
-        except (ValueError, OSError) as exc:
+        except (ConfigError, ValueError, OSError) as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
 
     try:
@@ -276,12 +200,18 @@ def load_config(path: str) -> ExperimentSpec:
 
 
 def _validate_spec_functions(spec: ExperimentSpec, path: str) -> None:
-    xs = np.linspace(spec.x_min, spec.x_max, 7)
-    for name in ("sigma", "alpha", "source", "initial"):
+    """Each function must give a finite real number at seven points across
+    the domain (an inflow at v = 0.5), and sigma and alpha no negative one."""
+    xs = np.linspace(spec.x_min, spec.x_max, 7).tolist()   # Python floats raise, not warn
+    for name in _FUNCTION_KEYS:
         fn = getattr(spec, name)
-        if callable(fn):
-            vals = np.array([float(fn(x)) for x in xs])
-            if not np.all(np.isfinite(vals)):
-                raise ConfigError(f"{path}: {name}: not finite on the domain")
-            if name in ("sigma", "alpha") and np.any(vals < 0):
-                raise ConfigError(f"{path}: {name}: negative on the domain")
+        if not callable(fn):
+            continue
+        try:
+            vals = np.array([float(fn(p)) for p in ((0.5,) if name.startswith("f_") else xs)])
+        except (ArithmeticError, TypeError) as exc:   # a zero division, an overflow, a complex power
+            raise ConfigError(f"{path}: {name}: not a finite real number on the domain: {exc}") from None
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{path}: {name}: not a finite real number on the domain")
+        if name in ("sigma", "alpha") and np.any(vals < 0):
+            raise ConfigError(f"{path}: {name}: negative on the domain")

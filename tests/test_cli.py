@@ -43,6 +43,17 @@ def test_run_subcommand_and_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_run_with_a_value_that_is_not_a_finite_real_number_exits_two(tmp_path, capsys):
+    # overflows, a zero division at the wall, and a negative base to a
+    # fractional power; none may end in a traceback
+    for key, text in (("sigma", "10^400"), ("f_left", "10^400"), ("sigma", "10^(400*x)"),
+                      ("sigma", "1/x"), ("sigma", "piecewise(0.5; 1, (x-1)^0.5)")):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"id = ex5\ncells = 25\n{key} = {text}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2, text
+        assert f"{key}: not a finite real number" in capsys.readouterr().err, text
+
+
 def test_run_with_a_step_too_small_to_finish_exits_two(tmp_path, capsys):
     cfg = tmp_path / "tiny.txt"
     cfg.write_text("id = ex5\ntimes = 0.1\ncells = 25\ndt_override = 5e-324\n")

@@ -28,6 +28,13 @@ def test_expression_arithmetic_and_precedence():
     assert fn(0.5) == pytest.approx(0.75)
     fn = compile_expression("2^3^1")  # right-associative power via unary chain
     assert fn(0.0) == pytest.approx(8.0)
+    # ^ binds tighter than unary minus and groups to the right; / and - to the left
+    for text, value in (("-2^2", -4.0), ("2^-1", 0.5), ("2^3^2", 512.0), ("8/4/2", 1.0),
+                        ("2-3-4", -5.0)):
+        assert compile_expression(text)(0.0) == value, text
+    fn = compile_expression("piecewise(0.5; piecewise(0.2; 1, 2), 3)")
+    assert [fn(t) for t in (0.1, 0.3, 0.7)] == [1.0, 2.0, 3.0]
+    assert np.array_equal(fn(np.array([0.1, 0.3, 0.7])), [1.0, 2.0, 3.0])
 
 
 def test_expression_piecewise():
@@ -51,6 +58,10 @@ def test_expression_errors():
         compile_expression("piecewise(0.5 ; 1)")
     with pytest.raises(ConfigError):
         compile_expression("x $ 2")
+    # Python's parser reads each of these, the grammar none of them
+    for text in ("x**2", "1, 2", "(1, 2)", "piecewise(1, 2)", "piecewise + 1", "x ; 1", "0x10", "1_0"):
+        with pytest.raises(ConfigError):
+            compile_expression(text)
 
 
 # ---------------------------------------------------------------- config files
@@ -124,6 +135,19 @@ def test_load_config_errors(tmp_path):
         load_config(str(bad))
     with pytest.raises(ConfigError):
         builtin_spec("ex9")
+
+
+@pytest.mark.parametrize("example, sigma", [("ex3", "1 + (10*x)^2"),
+                                             ("ex4", "piecewise(0.1, 0.5 ; 1, 10, 100)")])
+def test_a_config_expression_runs_byte_equal_to_the_builtin_it_spells(tmp_path, example, sigma):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"id = {example}\nsigma = {sigma}\n")
+    paths = []
+    for spec in (load_config(str(cfg)), builtin_spec(example)):
+        out = run(spec, cells=40, store_f=True)
+        paths.append(tmp_path / f"{len(paths)}.csv")
+        write_csv(paths[-1], out.x, out.rho[0], out.f[0])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---------------------------------------------------------------- run
