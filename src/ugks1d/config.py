@@ -106,10 +106,12 @@ def compile_expression(text: str) -> Callable[[float], float]:
     """Compile an expression of one variable (spelled ``x`` or ``v``)."""
     try:
         tree = ast.parse(_as_python(text), mode="eval")
+        _check(tree)
+        code = compile(tree, "<config expression>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from None
-    _check(tree)
-    code = compile(tree, "<config expression>", "eval")
+    except (RecursionError, MemoryError):   # Python's parser and compiler recurse on the nesting depth
+        raise ConfigError("expression nested too deeply") from None
 
     def fn(t):
         return eval(code, {"__builtins__": {}, "x": t,

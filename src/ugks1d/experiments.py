@@ -162,16 +162,9 @@ def _initial_profile(spec: ExperimentSpec, mesh: SpatialMesh) -> np.ndarray:
 
 def _dirichlet_data(bc: BoundarySpec, q) -> tuple[float, float]:
     """Dirichlet data of the diffusion limit from the sampled inflow of
-    ``bc``: the inflow value itself for isotropic inflow, which the weighted
-    sum can miss by an ulp, otherwise the corrected boundary density
-    :func:`grid.wall_density`."""
-    def side(f_in, inc):
-        vals = f_in[inc]
-        if np.allclose(vals, vals[0], rtol=0.0, atol=1e-14):
-            return float(vals[0])
-        return wall_density(q, f_in, inc)
-
-    return side(bc.f_left, slice(q.split, None)), side(bc.f_right, slice(0, q.split))
+    ``bc``: the corrected boundary density :func:`grid.wall_density` at each
+    wall, the corrected plan's ``rho_half`` bit for bit."""
+    return wall_density(q, bc.f_left, slice(q.split, None)), wall_density(q, bc.f_right, slice(0, q.split))
 
 
 def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool):

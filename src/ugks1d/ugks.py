@@ -81,13 +81,17 @@ class BoundarySpec:
     @classmethod
     def from_functions(cls, f_left, f_right, q: VelocityQuadrature,
                        mode: str = "stabilized") -> "BoundarySpec":
-        v = q.nodes
-        fl = np.array([float(f_left(vk)) for vk in v]) if callable(f_left) else np.full(q.n, float(f_left))
-        fr = np.array([float(f_right(vk)) for vk in v]) if callable(f_right) else np.full(q.n, float(f_right))
-        h = q.split
-        if (fl[h:] < 0).any() or (fr[:h] < 0).any():
-            raise InvalidDataError("inflow samples must be nonnegative on their incoming half-range")
-        return cls(f_left=fl, f_right=fr, mode=mode)
+        """Sample each inflow, a constant or a callable of one number, node by
+        node (a call on the node array can change last bits).  Its samples on
+        the incoming half-range must be finite and nonnegative."""
+        samples, h = [], q.split
+        with np.errstate(all="ignore"):   # a bad sample raises below, so no warning precedes it
+            for name, fn, inc in (("f_left", f_left, slice(h, None)), ("f_right", f_right, slice(0, h))):
+                vals = np.array([float(fn(vk)) for vk in q.nodes]) if callable(fn) else np.full(q.n, float(fn))
+                if not 0.0 <= vals[inc].min() <= vals[inc].max() < math.inf:   # false for a NaN
+                    raise InvalidDataError(f"{name}: incoming samples must be finite and nonnegative")
+                samples.append(vals)
+        return cls(*samples, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -114,25 +118,19 @@ class SchemeConfig:
             raise InvalidArgumentError(f"unknown diffusion mode {self.diffusion_mode!r}")
 
 
-def _wall(q: VelocityQuadrature, wv: np.ndarray, mode: str, f_in: np.ndarray, inc: slice,
-          m_out: float, theta: Optional[float]):
-    """Boundary density rho_{1/2} of one wall in ``mode`` and the inflow
-    part of its macroscopic flux times eps, from the inflow ``f_in`` on the
-    wall's incoming nodes ``inc`` and its outgoing half-moment ``m_out`` of
-    v; ``wv`` holds the weights of <v .>_h.  The corrected density is
-    :func:`grid.wall_density`, the half-range weighted density that the
-    diffusion oracle takes as its Dirichlet value; ``theta`` weighs it in a
-    ``blended`` wall."""
+def _wall(q: VelocityQuadrature, wv: np.ndarray, f_in: np.ndarray, inc: slice, m_out: float,
+          theta: float):
+    """Boundary density rho_{1/2} of one wall and the inflow part of its
+    macroscopic flux times eps, from the inflow ``f_in`` on the wall's
+    incoming nodes ``inc`` and its outgoing half-moment ``m_out`` of v;
+    ``wv`` holds the weights of <v .>_h.  Every mode is one rule: ``theta``
+    weighs the corrected data, the density :func:`grid.wall_density` (the
+    diffusion oracle's Dirichlet value) and its inflow -m_out rho, against
+    the stabilized, the inflow <v f_in 1_inc>_h and its density."""
     stab_inflow = float(f_in[inc].dot(wv[inc]))
-    rho_stab = -stab_inflow / m_out
-    if mode == "stabilized":
-        return rho_stab, stab_inflow
     rho_corr = wall_density(q, f_in, inc)
-    corr_inflow = -m_out * rho_corr
-    if mode == "corrected":
-        return rho_corr, corr_inflow
-    return ((1.0 - theta) * rho_stab + theta * rho_corr,
-            (1.0 - theta) * stab_inflow + theta * corr_inflow)
+    return ((1.0 - theta) * (-stab_inflow / m_out) + theta * rho_corr,
+            (1.0 - theta) * stab_inflow + theta * (-m_out * rho_corr))
 
 
 def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> float:
@@ -313,9 +311,10 @@ class StepPlan:
         row_scale[3, :n] = idf
         self.row_scale = row_scale.reshape(-1)
         self.node_cols = tables.cell_cols.copy()
-        thetas = (None, None)
-        if bc.mode == "blended":
-            thetas = blend_parameter(np.array((float(nu[0]), float(nu[-1]))), dt).tolist()
+        # The corrected data's weight at each wall: 0 for stabilized, 1 for
+        # corrected and 1 - exp(-nu dt) of the wall's nu for blended.
+        thetas = (blend_parameter(nu[[0, -1]], dt).tolist() if bc.mode == "blended"
+                  else [float(bc.mode == "corrected")] * 2)
         rho_half, wall_terms = [], []
         # One path builds both walls.  The right wall is the left one under
         # v -> -v: incoming nodes v < 0, outgoing half-moments of v > 0 and
@@ -324,7 +323,7 @@ class StepPlan:
         for j, (f_in, inc, m_out, m2_out, s, wall, cell) in enumerate((
                 (bc.f_left, slice(h, None), q.m_v_neg, q.m_v2_neg, -1.0, 0, 0),
                 (bc.f_right, slice(0, h), q.m_v_pos, q.m_v2_pos, 1.0, -1, n - 1))):
-            rho, inflow = _wall(q, tables.wv, bc.mode, f_in, inc, m_out, thetas[j])
+            rho, inflow = _wall(q, tables.wv, f_in, inc, m_out, thetas[j])
             rho_half.append(rho)
             # ugks_id keeps only the interface-density part of the D-fluxes
             # explicit; at the walls that is a constant.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from ugks1d.cli import main
@@ -52,6 +54,19 @@ def test_run_with_a_value_that_is_not_a_finite_real_number_exits_two(tmp_path, c
         cfg.write_text(f"id = ex5\ncells = 25\n{key} = {text}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2, text
         assert f"{key}: not a finite real number" in capsys.readouterr().err, text
+
+
+def test_run_with_a_non_finite_inflow_or_a_too_deep_expression_exits_two(tmp_path, capsys):
+    # an inflow that is NaN at some incoming node, and sums and unary minuses
+    # deeper than Python's parser recurses; neither may warn or end in a traceback
+    for key, text in (("f_left", "(v-0.4)^0.5"), ("sigma", "+".join(["x"] * 3000)),
+                      ("sigma", "-" * 3000 + "x")):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"id = ex5\ncells = 25\n{key} = {text}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2, key
+        assert f"{key}: " in capsys.readouterr().err, key
 
 
 def test_run_with_a_step_too_small_to_finish_exits_two(tmp_path, capsys):

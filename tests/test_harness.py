@@ -62,6 +62,10 @@ def test_expression_errors():
     for text in ("x**2", "1, 2", "(1, 2)", "piecewise(1, 2)", "piecewise + 1", "x ; 1", "0x10", "1_0"):
         with pytest.raises(ConfigError):
             compile_expression(text)
+    # deep enough that Python's parser runs out of recursion
+    for text in ("+".join(["x"] * 3000), "-" * 3000 + "x"):
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            compile_expression(text)
 
 
 # ---------------------------------------------------------------- config files

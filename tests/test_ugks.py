@@ -114,6 +114,19 @@ def test_inflow_sampled_node_by_node(kind):
     BoundarySpec.from_functions(lambda v: v, lambda v: -v, Q16)
 
 
+def test_a_non_finite_inflow_sample_is_named_without_a_warning():
+    # a negative base to a fractional power is NaN at the numpy nodes below 0.4
+    fn = compile_expression("(v-0.4)^0.5")
+    with np.errstate(all="raise"):   # a numpy warning would raise FloatingPointError instead
+        for args, name in (((fn, 0.0), "f_left"), ((0.0, compile_expression("(-v-0.4)^0.5")), "f_right"),
+                           ((math.inf, 0.0), "f_left")):
+            with pytest.raises(InvalidDataError, match=name):
+                BoundarySpec.from_functions(*args, Q16)
+        # not finite only on the outgoing half, which no wall reads
+        bc = BoundarySpec.from_functions(compile_expression("v^0.5"), 0.0, Q16)
+    assert np.isfinite(bc.f_left[Q16.split:]).all()
+
+
 # ---------------------------------------------------------------- CFL policy
 
 def test_cfl_timestep_examples():
