@@ -217,5 +217,4 @@ def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan) -
     """
     lam_g = penalized_source(state.f, state.rho, op, plan.eps, plan.source_fold[0],
                              out=plan.scaled_source, work=plan.scratch)
-    f_new, rho_new = apply(plan, state.f, state.rho, lam_g)
-    return KineticState(f=f_new, rho=rho_new, t=state.t + plan.dt)
+    return KineticState._stepped(*apply(plan, state.f, state.rho, lam_g), state.t + plan.dt)

@@ -28,3 +28,30 @@ def homogeneous_stability_margin(k_max: float, theta: float, dt: float, eps: flo
     if not (k_max > 0 and theta > 0 and dt > 0 and eps > 0):
         raise InvalidArgumentError("all inputs must be positive")
     return eps**2 - dt * (k_max - theta)
+
+
+def upwind_moments(half_rows: np.ndarray, x: np.ndarray, scratch) -> np.ndarray:
+    """Per interface, moments of the node-major ``x`` at its upwind cell:
+    the v > 0 half of interface j comes from cell j-1, the v < 0 half from
+    cell j, and the inflow half of each wall interface is zero.
+    ``half_rows`` comes from ``ugks._half_rows`` and ``scratch`` from
+    ``ugks._moment_scratch``, the layout of a plan's step; returns the
+    (m, cells + 1) result."""
+    per_cell, pos, neg, out, result = scratch
+    np.matmul(half_rows, x, per_cell)
+    np.add(pos, neg, out)
+    return result
+
+
+def add_stencil(out: np.ndarray, stencil, x: np.ndarray, split: int) -> None:
+    """out += S_d x, plus S_o x moved one cell downwind: right in the v > 0
+    rows, left in the v < 0 rows, the first ``split``.  The move is a
+    shifted add on each half's flattened rows of the C-contiguous ``out``;
+    S_o is zero in the column that would wrap into the next row."""
+    s_d, s_o = stencil
+    cut = split * x.shape[1]
+    out += s_d * x
+    moved = (s_o * x).reshape(-1)
+    o = out.reshape(-1)
+    o[cut + 1:] += moved[cut:-1]
+    o[:cut - 1] += moved[1:cut]

@@ -13,6 +13,8 @@ from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, m
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_source, penalized_step
 from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
+from oracles import add_stencil, upwind_moments
+
 
 def unfused_mc_step(first, b, q, state, source=None):
     """Reference: the MC step with the slope kept apart from F.
@@ -36,7 +38,7 @@ def unfused_mc_step(first, b, q, state, source=None):
     df = mc_slopes(fn, dx)
     w_half, v = 0.5 * q.weights, q.nodes
     slope_rows = ugks._half_rows(np.array((0.5 * dx * w_half * np.abs(v), w_half * v * v)), h)
-    shift_flux, b_flux = ugks._upwind_moments(slope_rows, df, ugks._moment_scratch(2, n))
+    shift_flux, b_flux = upwind_moments(slope_rows, df, ugks._moment_scratch(2, n))
     phi = first.a * shift_flux + b * b_flux
     d_rhs = -(phi[1:] - phi[:-1]) / dx
     lam_g = None
@@ -53,7 +55,7 @@ def unfused_mc_step(first, b, q, state, source=None):
         f_new = f0.T + first.relax * d_rho * first.inv_den_f
     cols = ugks._signed_cols(np.column_stack((0.5 * np.abs(v), v * v)), h)
     pair = ugks._stencil_pair(cols, np.array((first.a * dx, b)), first.inv_den_f / dx, 0.0)
-    ugks._add_stencil(f_new, pair, df, ugks._stencil_scratch(np.empty_like(df), h))
+    add_stencil(f_new, pair, df, h)
     return f_new.T, rho_new
 
 

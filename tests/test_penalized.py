@@ -16,7 +16,7 @@ from ugks1d.reference import diffusion_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                          moment_defect, step)
 
-from oracles import homogeneous_stability_margin
+from oracles import add_stencil, homogeneous_stability_margin, upwind_moments
 from plans import penalized_plan
 
 Q16 = build_gauss_legendre(16)
@@ -346,7 +346,7 @@ def unfused_penalized_step(plan, q, state, op, eps):
     n = plan.shape[0]
     g = np.ascontiguousarray(penalized_source(state.f, state.rho, op, eps).T)
     flux_rows = plan.moments[0::2].copy()
-    flux = plan.e * ugks._upwind_moments(flux_rows, g, ugks._moment_scratch(1, n))[0]
+    flux = plan.e * upwind_moments(flux_rows, g, ugks._moment_scratch(1, n))[0]
     d_rhs = -(flux[1:] - flux[:-1]) / plan.dx
     if plan.implicit:
         f0, rho_new = ugks.apply(plan, state.f, state.rho + plan.dt * d_rhs)
@@ -358,7 +358,7 @@ def unfused_penalized_step(plan, q, state, op, eps):
         f_new = f0.T + plan.relax * d_rho * plan.inv_den_f
     pair = ugks._stencil_pair(ugks._node_tables(q).upwind_cols, plan.e[None, :],
                               plan.inv_den_f / plan.dx, plan.inv_den_f)
-    ugks._add_stencil(f_new, pair, g, ugks._stencil_scratch(np.empty_like(g), plan.split))
+    add_stencil(f_new, pair, g, plan.split)
     return f_new.T, rho_new
 
 

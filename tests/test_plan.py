@@ -2,6 +2,8 @@
 per step, for every scheme option and in the experiment driver."""
 
 import builtins
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import scipy.linalg
 
 from ugks1d.errors import InvalidArgumentError
 from ugks1d.experiments import builtin_spec, run
-from ugks1d import ugks
+from ugks1d import penalized, ugks
 from ugks1d.grid import (SpatialMesh, VelocityQuadrature, build_double_gauss, build_gauss_legendre,
                          sample_material)
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_step
@@ -151,6 +153,93 @@ def test_returned_state_survives_later_steps_on_its_plan(diffusion_mode, reconst
         state = advance(state)
     assert_same(first, kept)
     assert not np.array_equal(state.f, first.f)
+
+
+KINDS = ["first_order", "mc_limited", "ugks_id", "penalized", "penalized_ugks_id"]
+
+
+def plan_of(kind):
+    """A plan of ``kind`` on the rough material with anisotropic blended
+    inflow, and ``advance(state, plan)``, its step."""
+    mesh, mat, cfg = setup(reconstruction="mc_limited" if kind == "mc_limited" else "first_order",
+                           diffusion_mode="implicit_slopes" if kind.endswith("ugks_id") else "explicit_slopes")
+    bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="blended")
+    advance = step
+    if kind.startswith("penalized"):
+        op = aniso_operator()
+        mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
+
+        def advance(state, plan):
+            return penalized_step(state, op, plan)
+    return StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc), advance
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_dropped_stepped_plan_is_freed_by_reference_counting(kind):
+    """A plan's step, bound on its first apply, holds no reference back to
+    the plan: no cycle keeps a dropped plan alive until the cyclic
+    collector runs."""
+    plan, advance = plan_of(kind)
+    state = advance(advance(rough_state(), plan), plan)
+    freed = weakref.ref(plan)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del plan
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert np.all(np.isfinite(state.f))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stepped_states_are_read_only(kind):
+    """The first step binds the plan's kernel and the second runs it bound;
+    both return a state whose f and rho cannot be written.  The step builds
+    it without ``KineticState.__init__``, so it must hold exactly the
+    fields of a state that ``KineticState(...)`` builds."""
+    plan, advance = plan_of(kind)
+    state = rough_state()
+    for _ in range(2):
+        state = advance(state, plan)
+        assert vars(state) == vars(KineticState(f=state.f, rho=state.rho, t=state.t))
+        for arr in (state.f, state.rho):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_a_built_state_checks_its_shapes_and_is_read_only():
+    f, rho = np.zeros((N_CELLS, Q16.n)), np.zeros(N_CELLS)
+    for bad_f, bad_rho in ((f, rho[:-1]), (f[:-1], rho), (f[0], rho)):
+        with pytest.raises(InvalidArgumentError):
+            KineticState(f=bad_f, rho=bad_rho, t=0.0)
+    state = KineticState(f=f, rho=rho, t=0.0)
+    assert not state.f.flags.writeable and not state.rho.flags.writeable
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_bound_plan_calls_names_patched_after_its_first_step(monkeypatch, kind):
+    """The benchmark's tracer and the allocation tests patch module-level
+    names; a plan's step looks each up when it runs, also after its first
+    step has bound the plan's kernel."""
+    plan, advance = plan_of(kind)
+    state = advance(rough_state(), plan)
+    calls = []
+    for module, name in ((ugks, "solve_banded"), (penalized, "penalized_source"), (np, "empty")):
+        def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    advance(state, plan)
+    monkeypatch.undo()
+    expected = ["empty"]
+    if kind.startswith("penalized"):
+        expected.append("penalized_source")
+    if kind.endswith("ugks_id"):
+        expected.append("solve_banded")
+    assert sorted(calls) == sorted(expected)
 
 
 @pytest.mark.parametrize("kind", ["first_order", "mc_limited", "ugks_id", "penalized"])

@@ -12,6 +12,7 @@ from ugks1d.reference import diffusion_step, upwind_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan,
                          cfl_timestep, moment_defect, step)
 
+from oracles import upwind_moments
 from plans import cfl_plan, penalized_plan
 
 Q16 = build_gauss_legendre(16)
@@ -37,7 +38,7 @@ def plan_interface_density(f_i, f_ip1, q=Q16):
     mesh, mat, cfg = make_setup(n_cells=2)
     plan = StepPlan(0.01, cfg, mat, mesh, q, BoundarySpec.from_functions(0.0, 0.0, q))
     fn = np.ascontiguousarray(np.array([f_i, f_ip1], dtype=float).T)
-    return ugks._upwind_moments(plan.moments, fn, ugks._moment_scratch(2, 2))[1, 1]
+    return upwind_moments(plan.moments, fn, ugks._moment_scratch(2, 2))[1, 1]
 
 
 def test_interface_density_constant_and_half_range():
