@@ -21,7 +21,8 @@ import sys
 
 from .analysis import compare_profiles, convergence_study
 from .config import load_config
-from .errors import ConfigError, InvalidArgumentError, InvalidDataError, SolverFailureError, UGKSError
+from .errors import (ConfigError, InvalidArgumentError, InvalidDataError, InvalidKernelError, SolverFailureError,
+                     UGKSError)
 from .experiments import builtin_ids, builtin_spec, read_csv, result_filename, run, write_csv
 
 EXIT_OK = 0
@@ -79,7 +80,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_converge(args) -> int:
     spec = load_config(args.config)
-    counts = [int(c) for c in args.cells.split(",")]
+    try:
+        counts = [int(c) for c in args.cells.split(",")]
+    except ValueError:
+        raise ConfigError(f"--cells: not a comma list of integers: {args.cells!r}") from None
     result = convergence_study(spec, counts, norm=args.norm)
     for c, dx, err in zip(result.cell_counts, result.dx, result.errors):
         print(f"cells={c:6d} dx={dx:.6g} error={err:.6g}")
@@ -136,7 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidArgumentError, InvalidDataError, OSError) as exc:
+    except (ConfigError, InvalidArgumentError, InvalidDataError, InvalidKernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverFailureError, UGKSError) as exc:

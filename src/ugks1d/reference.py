@@ -82,6 +82,14 @@ def diffusion_timestep(kappa_iface: np.ndarray, dx: float, cfl: float = 0.9) -> 
     return cfl * dx**2 / (2.0 * float(np.max(kappa_iface)))
 
 
+def _check_parabolic_bound(kappa_iface: np.ndarray, dx: float, dt: float) -> None:
+    """Raise ``InvalidArgumentError`` if an explicit step of ``dt`` exceeds
+    the parabolic bound dx^2 / (2 max kappa), past which it diverges."""
+    bound = diffusion_timestep(kappa_iface, dx, cfl=1.0)
+    if dt > bound * (1.0 + 1e-12):
+        raise InvalidArgumentError(f"dt={dt} exceeds the parabolic bound {bound}")
+
+
 def _diffusion_flux(rho: np.ndarray, kappa_iface: np.ndarray, dx: float,
                     rho_l: float, rho_r: float) -> np.ndarray:
     flux = np.empty(rho.size + 1)
@@ -106,9 +114,7 @@ def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
     source = np.broadcast_to(np.asarray(source, dtype=float), (n,))
     rho_l, rho_r = dirichlet
     if mode == "explicit":
-        bound = diffusion_timestep(kappa_iface, dx, cfl=1.0)
-        if dt > bound * (1.0 + 1e-12):
-            raise InvalidArgumentError(f"dt={dt} exceeds the parabolic bound {bound}")
+        _check_parabolic_bound(kappa_iface, dx, dt)
         flux = _diffusion_flux(rho, kappa_iface, dx, rho_l, rho_r)
         return (rho / dt + np.diff(flux) / dx + source) / (1.0 / dt + alpha)
     if mode == "implicit":
@@ -168,10 +174,14 @@ def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: 
     the final density and the number of steps.
 
     The steps are those of :func:`leg_steps`.  In the explicit mode with
-    uniform alpha, :func:`_explicit_modal` takes the n full steps at once.
+    uniform alpha, :func:`_explicit_modal` takes the n full steps at once;
+    either way the explicit full steps are held to the parabolic bound,
+    which :func:`diffusion_step` checks for each step it takes.
     """
     rho = np.asarray(rho0, dtype=float).copy()
     n, last = leg_steps(t, t_end, dt)
+    if mode == "explicit" and n:
+        _check_parabolic_bound(kappa_iface, dx, dt)
     alpha0 = float(np.max(alpha))
     if mode == "explicit" and np.all(np.asarray(alpha) == alpha0):
         rho = _explicit_modal(rho, kappa_iface, alpha0, source, dx, dt, n, dirichlet)

@@ -156,7 +156,8 @@ def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> fl
 
 
 class StepPlan:
-    """Everything in one step of size dt that does not depend on the state.
+    """Everything in one step of size dt that does not depend on the state,
+    and the step itself.
 
     The update is linear, so for a fixed dt the interface coefficients, the
     boundary densities with their inflow fluxes, the reciprocals of dt and of
@@ -195,41 +196,53 @@ class StepPlan:
     sgn(v) dx/2 and B-term B v^2 df_up it carries, as ``mc_lambda`` df with
     sgn(v) dx/2 + v B/A; neither has a stencil pair or moment product of
     its own.  Everything else, the interface-density, D-slope,
-    scalar-source and relaxation terms, is one product
-    ``node_cols @ cell_rows`` of a (nodes, 6) constant with a (6, cells)
-    block per step; its last two columns put the wall inflow in place of
-    the interface terms at the walls.  One per-wall path, run once for
-    each wall, builds a wall's density ``rho_half``, the terms of its
-    macroscopic flux ``wall_terms``, its column of ``node_cols`` and the
-    row that selects its cell: the right wall is the left one under
-    v -> -v.  No per-node array spans the cells + 1 interfaces: the
-    macroscopic flux Phi is O(cells) work on per-half moments of F, kept
-    with the other interface rows in one padded row block, so one flat
+    scalar-source and relaxation terms, is one product of a (nodes, 6)
+    constant with a (6, cells) block per step; its last two columns put
+    the wall inflow in place of the interface terms at the walls.  One
+    per-wall path, run once for each wall, builds a wall's density
+    ``rho_half``, the terms of its macroscopic flux, its column of that
+    constant and the row that selects its cell: the right wall is the left
+    one under v -> -v.  No per-node array spans the cells + 1 interfaces:
+    the macroscopic flux ``phi`` is O(cells) work on per-half moments of F,
+    kept with the other interface rows in one padded row block, so one flat
     difference gives the density update's divergence and the product's
     interface differences at once.
 
-    The plan owns its constants (``stencil``, ``node_cols``, ``row_scale``,
-    ``d_slope``, ``coef_rows``, ``mc_lambda`` and the wall terms; the moment
-    rows are a read-only table shared by every plan on one quadrature, and
-    ``ones``, the finite guard's vectors of nodes + 1 and of cells ones,
-    are shared by every plan of their sizes;
-    ``source_fold`` is built on a plan's first sourced step) and its
-    scratch: ``iface``, the row block behind ``phi`` and ``cell_rows``,
-    ``scratch``, the MC buffers ``slope`` and ``mc_work`` and, built on
-    first use, ``up_state`` and ``scaled_source``, which every step
-    overwrites, so a plan must not be applied from two threads at once.
-    Nothing a step returns aliases them: each step writes f^{n+1} and
-    rho^{n+1} into one new array that the caller owns.  The (nodes,
-    cells) buffers of the plan start on a 64-byte boundary
-    (:func:`_aligned_empty`): ``up_state``,
+    The plan binds its step when it is built.  At a few hundred cells a
+    numpy call costs more in dispatch than in arithmetic, so ``__init__``
+    defines the step, :func:`apply` after its shape check, as a closure
+    over its own locals: the constants (scalars as 0-d arrays), the scratch
+    with every view sliced once, and the ufuncs.  Every ``add``,
+    ``subtract``, ``multiply`` and ``matmul`` takes its output
+    positionally, in-place updates included, 35-100 ns less than ``out=``
+    or an operator; ``minimum`` and ``maximum`` keep ``out=``, since numpy
+    2.4 deprecates a positional output there and its warning path made
+    ``mc_slopes`` 1.9 times as slow at 25 cells.  The closure takes the
+    plan as an argument for the lazy buffers of a sourced or MC step and
+    never holds it, so a dropped plan is freed by reference counting alone.
+    ``np.empty`` and :func:`solve_banded` are looked up at each call.
+
+    Besides those named above and the inputs that ``penalized_step`` and
+    ``source_fold`` read (``dt``, ``dx``, ``shape``, ``split``,
+    ``implicit``, the coefficients ``a`` and ``e``, ``inv_dt``,
+    ``inv_den_rho``, ``relax`` and ``inv_den_f``), a plan keeps the moment
+    rows ``moments``, a read-only table shared by every plan on one
+    quadrature, and its scratch: ``iface``, the moment buffers
+    (:func:`_moment_scratch`), ``scratch``, the MC buffers ``slope`` and
+    ``mc_work`` and, built on first use, ``up_state`` and
+    ``scaled_source``, which every step overwrites, so a plan must not be
+    applied from two threads at once.  Nothing a step returns aliases
+    them: each step writes f^{n+1} and rho^{n+1} into one new array that
+    the caller owns.  The (nodes, cells) buffers of the plan start on a
+    64-byte boundary (:func:`_aligned_empty`): ``up_state``,
     ``scaled_source`` and the block that holds the stencil pair,
     ``scratch`` and the four MC arrays, inside which each buffer starts
     on a boundary when nodes x cells is a multiple of 8.  At 16 x 2000 a
     numpy store into an output that does not takes about twice as long.
-    The step's output block is a plain ``np.empty``, since aligning it costs about 2.4 us a step, more
-    than it saves below a few hundred cells, and gained nothing at 200 or
-    2000; the O(cells) row block and the moment buffers gained nothing
-    measurable from it either.
+    The step's output block is a plain ``np.empty``, since aligning it
+    costs about 2.4 us a step, more than it saves below a few hundred
+    cells, and gained nothing at 200 or 2000; the O(cells) row block and
+    the moment buffers gained nothing measurable from it either.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -246,29 +259,30 @@ class StepPlan:
         inv_dx = 1.0 / dx
         self.dt, self.dx, self.eps = dt, dx, eps
         self.shape, self.split = (n, k), h
-        self.implicit = cfg.diffusion_mode == "implicit_slopes"
-        self.second_order = cfg.reconstruction == "mc_limited"
+        self.implicit = implicit = cfg.diffusion_mode == "implicit_slopes"
+        second_order = cfg.reconstruction == "mc_limited"
         self.a, self.e = a, e
-        self.g_cell = mat.g_cell if np.count_nonzero(mat.g_cell) else None
+        g_cell = mat.g_cell if np.count_nonzero(mat.g_cell) else None
         g_if = mat.g_iface
-        self.eg = e * g_if if np.count_nonzero(g_if) else None
+        eg = e * g_if if np.count_nonzero(g_if) else None
         self.inv_dt = 1.0 / dt
-        self.inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
-        self.relax = mat.sigma_cell / eps**2
-        self.inv_den_f = idf = 1.0 / (self.inv_dt + self.relax + mat.alpha_cell)
+        self.inv_den_rho = inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
+        self.relax = relax = mat.sigma_cell / eps**2
+        self.inv_den_f = idf = 1.0 / (self.inv_dt + relax + mat.alpha_cell)
         tables = _node_tables(q)
-        self.moments = tables.moments
-
-        self.iface = _moment_scratch(2, n)
-        moments = self.iface[-1]
-        self.rho_if = moments[1]
+        # The upwind moments (flux, density): per-cell half moments, then one
+        # add of the v > 0 rows one cell left and the v < 0 rows.
+        self.moments = half_rows = tables.moments
+        flux_rows, dens_rows = half_rows[::2], half_rows[1::2]
+        self.iface = per_cell, pos, neg, moment_sum, moments = _moment_scratch(2, n)
+        flux_cell, dens_cell = per_cell[::2], per_cell[1::2]
+        rho_if = moments[1]
         # (rho_if[1:], rho_if[:-1]) as one view of the flat result, in which
         # rho_if starts at n + 1: the row stride is one element back.
-        size = moments.itemsize
-        self.rho_if_pair = np.ndarray((2, n), buffer=self.iface[3], offset=(n + 2) * size,
-                                      strides=(-size, size))
+        item = moments.itemsize
+        rho_if_pair = np.ndarray((2, n), buffer=moment_sum, offset=(n + 2) * item, strides=(-item, item))
         # Times the moments, (A <v f_up>_h, C rho_if) in one multiply.
-        self.coef_rows = np.array((a, c))
+        coef_rows = np.array((a, c))
 
         # One zeroed (11, cells + 1) block of per-step rows.  Rows 0-3 are the
         # interface rows: the macroscopic flux Phi, C rho_if + E G, then the
@@ -287,26 +301,24 @@ class StepPlan:
         w = n + 1
         block = np.zeros((11, w))
         flat = block.reshape(-1)
-        self.phi = block[0]
-        self.iface_rows = block[:2]
-        self.d_rows = block[2:4]
-        self.slopes = flat[2 * w + 1:4 * w - 1].reshape(2, n)
+        iface_rows = block[:2]
+        self.phi = phi = block[0]
+        c_row = block[1]
+        d_rows = block[2:4]
+        slopes = flat[2 * w + 1:4 * w - 1].reshape(2, n)
         # The v < 0 row's factor is negated: its difference is taken the
         # other way round, rho_if[:-1] - rho.
-        self.d_slope = np.empty((2, n))
-        np.multiply(2.0 / dx, d[1:], out=self.d_slope[0])
-        np.multiply(-2.0 / dx, d[:-1], out=self.d_slope[1])
+        d_slope = np.empty((2, n))
+        np.multiply(2.0 / dx, d[1:], out=d_slope[0])
+        np.multiply(-2.0 / dx, d[:-1], out=d_slope[1])
         here, right, diff = flat[:4 * w - 1], flat[1:4 * w], flat[4 * w:8 * w - 1]
-        self.row_diff = ((here, right, diff),)
-        if self.implicit:
-            cut = 2 * w
-            self.row_diff = ((here[:cut - 1], right[:cut - 1], diff[:cut - 1]),
-                             (here[cut:], right[cut:], diff[cut:]))
-        self.phi_term, self.div_phi = block[4], block[4, :n]
-        self.relax_row = block[8, :n]
-        self.scaled_rows = flat[5 * w:9 * w]
-        self.cell_rows = block[5:, :n]
-        self.inv_dx = inv_dx
+        if implicit:
+            here_d, right_d, diff_d = here[2 * w:], right[2 * w:], diff[2 * w:]
+            here, right, diff = here[:2 * w - 1], right[:2 * w - 1], diff[:2 * w - 1]
+        phi_term, div_phi = block[4], block[4, :n]
+        relax_row = block[8, :n]
+        scaled_rows = flat[5 * w:9 * w]
+        cell_rows = block[5:, :n]
         # The product's (nodes, 6) columns are (v, v^2 1_{v>0}, v^2 1_{v<0}, 1)
         # and, at each wall of outward sign s, -s v (f_in/eps - C rho_wall
         # - E G) on its incoming nodes: the inflow flux less the
@@ -317,8 +329,8 @@ class StepPlan:
         row_scale = np.zeros((4, w))
         row_scale[:3, :n] = idf_dx
         row_scale[3, :n] = idf
-        self.row_scale = row_scale.reshape(-1)
-        self.node_cols = tables.cell_cols.copy()
+        row_scale = row_scale.reshape(-1)
+        node_cols = tables.cell_cols.copy()
         # The corrected data's weight at each wall: 0 for stabilized, 1 for
         # corrected and 1 - exp(-nu dt) of the wall's nu for blended.
         thetas = (blend_parameter(nu[[0, -1]], dt).tolist() if bc.mode == "blended"
@@ -335,20 +347,21 @@ class StepPlan:
             rho_half.append(rho)
             # ugks_id keeps only the interface-density part of the D-fluxes
             # explicit; at the walls that is a constant.
-            d_wall = s * (2.0 * d.item(wall) / dx) * m2_out * rho if self.implicit else 0.0
+            d_wall = s * (2.0 * d.item(wall) / dx) * m2_out * rho if implicit else 0.0
             # The terms of the wall's macroscopic flux after the upwind one,
             # added in this order (inflow, C, E, explicit D): they cancel to
             # O(1) from O(1/eps), so the order fixes the bits.
             wall_terms.append((inflow / eps, c.item(wall) * m_out * rho,
                                e.item(wall) * m_out * g_if.item(wall), d_wall))
             r0 = c.item(wall) * rho
-            if self.eg is not None:
-                r0 += self.eg.item(wall)
+            if eg is not None:
+                r0 += eg.item(wall)
             # s r0 - f_in/(s eps) is exactly f_in/eps - r0 on the left and
             # r0 - f_in/eps on the right, the signs of zeros included.
-            np.multiply(q.nodes[inc], s * r0 - f_in[inc] / (s * eps), out=self.node_cols[inc, 4 + j])
+            np.multiply(q.nodes[inc], s * r0 - f_in[inc] / (s * eps), out=node_cols[inc, 4 + j])
             block[9 + j, cell] = idf_dx[cell]
-        self.rho_half, self.wall_terms = tuple(rho_half), tuple(wall_terms)
+        self.rho_half = rho_l, rho_r = tuple(rho_half)
+        (in_l, c_l, e_l, d_l), (in_r, c_r, e_r, d_r) = wall_terms
 
         # The (nodes, cells) arrays are one allocation: as separate blocks at
         # 2000 cells, each plan touched fresh pages and took 2.7 times as
@@ -357,12 +370,17 @@ class StepPlan:
         # 6-8 the limiter's differences.  The block starts on a 64-byte
         # boundary, and so does each (k, n) block inside it when k * n is a
         # multiple of 8, as with 16 nodes.
-        big = _aligned_empty((9 if self.second_order else 3, k, n))
-        self.stencil = _stencil_pair(tables.upwind_cols, a[None, :], idf_dx, self.inv_dt * idf,
-                                     out=big[:2])
-        self.scratch = big[2]
-        self.ones = (_ones(k + 1), _ones(n))
-        if self.second_order:
+        big = _aligned_empty((9 if second_order else 3, k, n))
+        self.stencil = s_d, s_o = _stencil_pair(tables.upwind_cols, a[None, :], idf_dx,
+                                                self.inv_dt * idf, out=big[:2])
+        self.scratch = scratch = big[2]
+        # The downwind move of the stencil: flat views of the scratch and,
+        # below, of the output, one cell over within each velocity half.
+        cut, size = h * n, k * n
+        t_pos, t_neg = scratch.reshape(-1)[cut:-1], scratch.reshape(-1)[1:cut]
+        # The finite guard's vectors of nodes + 1 and of cells ones.
+        row_dot, cell_ones = _ones(k + 1).dot, _ones(n)
+        if second_order:
             # The reconstruction moves each upwind value dx/2 toward its exit
             # interface, and B v^2 df_up joins A v f_up there: the flux is
             # A v (f + lambda_s df)_up with lambda_s = sgn(v) dx/2 + v B/A.
@@ -370,15 +388,15 @@ class StepPlan:
             # the relaxation factor, which ``mc_diag`` df takes back out.
             # Both factors are full (nodes, cells) arrays: a multiply that
             # broadcasts a row allocates a buffer of the state's size.
-            self.mc_lambda = lam = self._exit_values(b / a, out=big[3])
-            lam *= q.nodes[:, None]
-            lam[h:] += 0.5 * dx
-            lam[:h] -= 0.5 * dx
-            self.mc_diag = np.multiply(lam, self.inv_dt * idf, out=big[4])
-            self.slope = big[5]
-            self.mc_work = big[6:].reshape(3, -1)[:, :k * n - 1]
+            self.mc_lambda = mc_lambda = self._exit_values(b / a, out=big[3])
+            mc_lambda *= q.nodes[:, None]
+            mc_lambda[h:] += 0.5 * dx
+            mc_lambda[:h] -= 0.5 * dx
+            self.mc_diag = mc_diag = np.multiply(mc_lambda, self.inv_dt * idf, out=big[4])
+            self.slope = slope = big[5]
+            self.mc_work = mc_work = big[6:].reshape(3, -1)[:, :size - 1]
 
-        if self.implicit:
+        if implicit:
             if q.m_v2_pos != q.m_v2_neg:
                 raise InvalidArgumentError("ugks_id needs a mirrored quadrature: its v^2 half-moments differ")
             self.bands = _implicit_bands(d, q.m_v2_pos, dx, dt, mat.alpha_cell)
@@ -387,9 +405,98 @@ class StepPlan:
             *factors, info = dpttrf(diag, upper[:-1])
             if info != 0:
                 raise SolverFailureError(f"implicit density matrix not positive definite (dpttrf info={info})")
-            self.lu = (dpttrs, *factors)
+            self.lu = lu = (dpttrs, *factors)
         else:
-            self.m_v2_halves = tables.m_v2_halves
+            m_v2_halves = tables.m_v2_halves
+
+        # The kernel's scalar operands are 0-d arrays, which numpy takes
+        # about 200 ns faster than Python floats.
+        inv_dt, inv_dx = np.array(self.inv_dt), np.array(inv_dx)
+        add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
+        contiguous, isfinite, out_shape = np.ascontiguousarray, math.isfinite, (k + 1, n)
+
+        def kernel(p, f, rho, scaled_source):
+            fn = contiguous(f.T)
+            up_state = fn
+            if scaled_source is not None:
+                lam_g = contiguous(scaled_source.T)
+                up_state = add(fn, lam_g, p.up_state)
+            if second_order:
+                df = mc_slopes(fn, dx, out=slope, work=mc_work)
+                up_state = add(up_state, multiply(mc_lambda, df, scratch), p.up_state)
+                multiply(df, mc_diag, df)
+            if up_state is fn:
+                matmul(half_rows, fn, per_cell)
+            else:
+                matmul(flux_rows, up_state, flux_cell)
+                matmul(dens_rows, fn, dens_cell)
+            add(pos, neg, moment_sum)
+            rho_if[0] = rho_l
+            rho_if[-1] = rho_r
+            multiply(coef_rows, moments, iface_rows)
+            # The wall terms of Phi after the upwind one, in this order: they
+            # cancel to O(1) from O(1/eps), so the order fixes the bits.
+            phi[0] = phi.item(0) + in_l + c_l + e_l + d_l
+            phi[-1] = phi.item(-1) + in_r + c_r + e_r + d_r
+            if eg is not None:
+                add(c_row, eg, c_row)
+            # ugks_id's D-terms couple the time-(n+1) densities and go to the
+            # solve; like C rho_if, their interface-density part averages to
+            # zero.  The D-slope rows: rho_if[1:] - rho times the v > 0 factor,
+            # rho_if[:-1] - rho times the negated v < 0 one.
+            if not implicit:
+                subtract(rho_if_pair, rho, slopes)
+                multiply(slopes, d_slope, slopes)
+                # Row 4 is free until the difference: it holds Phi's last term.
+                add(phi, matmul(m_v2_halves, d_rows, phi_term), phi)
+            subtract(here, right, diff)
+
+            out = np.empty(out_shape)
+            f_new, rho_new = out[:k], out[k]
+            multiply(rho, inv_dt, rho_new)
+            multiply(div_phi, inv_dx, div_phi)
+            add(rho_new, div_phi, rho_new)
+            if g_cell is not None:
+                add(rho_new, g_cell, rho_new)
+            if implicit:
+                solve_banded(lu, rho_new)
+                subtract(rho_if_pair, rho_new, slopes)
+                multiply(slopes, d_slope, slopes)
+                subtract(here_d, right_d, diff_d)
+            else:
+                multiply(rho_new, inv_den_rho, rho_new)
+
+            multiply(relax, rho_new, relax_row)
+            if g_cell is not None:
+                add(relax_row, g_cell, relax_row)
+            multiply(scaled_rows, row_scale, scaled_rows)
+            matmul(node_cols, cell_rows, f_new)
+            # The stencil: S_d times the upwind state, plus S_o times it moved
+            # one cell downwind, a shifted add of the scratch's flat views on
+            # each half's flattened rows: right in the v > 0 rows, left in the
+            # v < 0; S_o is zero in the column that would wrap into the next row.
+            multiply(s_d, up_state, scratch)
+            add(f_new, scratch, f_new)
+            multiply(s_o, up_state, scratch)
+            out_flat = out.reshape(-1)
+            f_pos, f_neg = out_flat[cut + 1:size], out_flat[:cut - 1]
+            add(f_pos, t_pos, f_pos)
+            add(f_neg, t_neg, f_neg)
+            if scaled_source is not None:
+                multiply(p.source_fold[1], lam_g, scratch)
+                add(f_new, scratch, f_new)
+            if second_order:
+                subtract(f_new, df, f_new)
+            # The row sums of f and rho and then their sum, a BLAS gemv and dot
+            # with ones: a NaN or an infinity anywhere, or a sum that overflows,
+            # makes it non-finite.  A flat dot with (nodes + 1) * cells ones is
+            # cheaper alone, but made the 2000-cell ugks_id step 4% slower.
+            if not isfinite(row_dot(out.dot(cell_ones))):
+                raise SolverFailureError("non-finite values after step")
+            # Views made after the block is flagged are read-only too.
+            out.setflags(write=False)
+            return out[:k].T, out[k]
+        self._kernel = kernel
 
     def _exit_values(self, row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Node-major (nodes, cells) array of the per-interface ``row`` at
@@ -430,11 +537,6 @@ class StepPlan:
         if np.ptp(lam) == 0 and np.ptp(kappa) == 0:
             return float(lam[0, 0]), float(kappa[0, 0])
         return lam, kappa
-
-    @cached_property
-    def _kernel(self):
-        """This plan's step (:func:`_bind`), bound on its first :func:`apply`."""
-        return _bind(self)
 
 
 def _aligned_empty(shape) -> np.ndarray:
@@ -577,144 +679,14 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     ``plan.mc_lambda`` df; it is zero in the wall cells, so the wall
     interfaces' moments keep the bits of the first-order step.  A
     non-finite result raises ``SolverFailureError``: the guard sums f and
-    rho by a BLAS gemv and dot with the plan's vectors of ones.
+    rho by a BLAS gemv and dot with vectors of ones.
 
-    After the shape check, the step is one call of the plan's kernel
-    (:func:`_bind`), bound on its first step.
+    After the shape check, the step is one call of the plan's kernel,
+    which the plan bound when it was built.
     """
     if f.shape != plan.shape or rho.shape != plan.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {plan.shape}")
     return plan._kernel(plan, f, rho, scaled_source)
-
-
-def _bind(p: StepPlan):
-    """The step of plan ``p`` as one function ``kernel(p, f, rho,
-    scaled_source)``: :func:`apply` after its shape check.
-
-    At a few hundred cells a numpy call costs more in dispatch than in
-    arithmetic.  So every operand that a step does not change is a local
-    of the closure, bound once per plan: the plan's constants (scalars as
-    0-d arrays), its scratch with every view pre-sliced, and the ufuncs.
-    Every ``add``, ``subtract``, ``multiply`` and ``matmul`` takes its
-    output positionally, in-place updates included, 35-100 ns less than
-    ``out=`` or an operator; ``minimum`` and ``maximum`` keep ``out=``,
-    since numpy 2.4 deprecates a positional output there and its warning
-    path made ``mc_slopes`` 1.9 times as slow at 25 cells.  Each operation
-    keeps its operands and its order, so the binding changes no bit.  The
-    closure does not hold the plan, which it takes as an argument for the
-    buffers of a sourced step (``up_state``, ``source_fold``), so a
-    dropped plan is freed by reference counting alone.  ``np.empty`` and
-    :func:`solve_banded` are looked up at each call.
-    """
-    add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
-    (n, k), contiguous, isfinite = p.shape, np.ascontiguousarray, math.isfinite
-    out_shape, cut, size = (k + 1, n), p.split * n, k * n
-    implicit, second_order, eg, g_cell = p.implicit, p.second_order, p.eg, p.g_cell
-    # The upwind moments (flux, density): per-cell half moments, then one
-    # add of the v > 0 rows one cell left and the v < 0 rows (_moment_scratch).
-    half_rows, (per_cell, pos, neg, moment_sum, moments) = p.moments, p.iface
-    flux_rows, dens_rows, flux_cell, dens_cell = half_rows[::2], half_rows[1::2], per_cell[::2], per_cell[1::2]
-    rho_if, (rho_l, rho_r), coef_rows, iface_rows = p.rho_if, p.rho_half, p.coef_rows, p.iface_rows
-    phi, c_row = iface_rows
-    (in_l, c_l, e_l, d_l), (in_r, c_r, e_r, d_r) = p.wall_terms
-    rho_if_pair, slopes, d_slope, d_rows, phi_term = p.rho_if_pair, p.slopes, p.d_slope, p.d_rows, p.phi_term
-    (here, right, diff), *after_solve = p.row_diff
-    inv_dt, inv_dx, inv_den_rho = np.array(p.inv_dt), np.array(p.inv_dx), p.inv_den_rho
-    div_phi, relax, relax_row = p.div_phi, p.relax, p.relax_row
-    scaled_rows, row_scale = p.scaled_rows, p.row_scale
-    node_cols, cell_rows, (s_d, s_o), scratch = p.node_cols, p.cell_rows, p.stencil, p.scratch
-    t_pos, t_neg = scratch.reshape(-1)[cut:-1], scratch.reshape(-1)[1:cut]
-    row_dot, cell_ones = p.ones[0].dot, p.ones[1]
-    if implicit:
-        lu, ((here_d, right_d, diff_d),) = p.lu, after_solve
-    else:
-        m_v2_halves = p.m_v2_halves
-    if second_order:
-        dx, slope, mc_work, up_mc = p.dx, p.slope, p.mc_work, p.up_state
-        mc_lambda, mc_diag = p.mc_lambda, p.mc_diag
-
-    def kernel(p, f, rho, scaled_source):
-        fn = contiguous(f.T)
-        up_state = fn
-        if scaled_source is not None:
-            lam_g = contiguous(scaled_source.T)
-            up_state = add(fn, lam_g, p.up_state)
-        if second_order:
-            df = mc_slopes(fn, dx, out=slope, work=mc_work)
-            up_state = add(up_state, multiply(mc_lambda, df, scratch), up_mc)
-            multiply(df, mc_diag, df)
-        if up_state is fn:
-            matmul(half_rows, fn, per_cell)
-        else:
-            matmul(flux_rows, up_state, flux_cell)
-            matmul(dens_rows, fn, dens_cell)
-        add(pos, neg, moment_sum)
-        rho_if[0] = rho_l
-        rho_if[-1] = rho_r
-        multiply(coef_rows, moments, iface_rows)
-        # The wall terms of Phi after the upwind one, in this order: they
-        # cancel to O(1) from O(1/eps), so the order fixes the bits.
-        phi[0] = phi.item(0) + in_l + c_l + e_l + d_l
-        phi[-1] = phi.item(-1) + in_r + c_r + e_r + d_r
-        if eg is not None:
-            add(c_row, eg, c_row)
-        # ugks_id's D-terms couple the time-(n+1) densities and go to the
-        # solve; like C rho_if, their interface-density part averages to
-        # zero.  The D-slope rows: rho_if[1:] - rho times the v > 0 factor,
-        # rho_if[:-1] - rho times the negated v < 0 one.
-        if not implicit:
-            subtract(rho_if_pair, rho, slopes)
-            multiply(slopes, d_slope, slopes)
-            # Row 4 is free until the difference: it holds Phi's last term.
-            add(phi, matmul(m_v2_halves, d_rows, phi_term), phi)
-        subtract(here, right, diff)
-
-        out = np.empty(out_shape)
-        f_new, rho_new = out[:k], out[k]
-        multiply(rho, inv_dt, rho_new)
-        multiply(div_phi, inv_dx, div_phi)
-        add(rho_new, div_phi, rho_new)
-        if g_cell is not None:
-            add(rho_new, g_cell, rho_new)
-        if implicit:
-            solve_banded(lu, rho_new)
-            subtract(rho_if_pair, rho_new, slopes)
-            multiply(slopes, d_slope, slopes)
-            subtract(here_d, right_d, diff_d)
-        else:
-            multiply(rho_new, inv_den_rho, rho_new)
-
-        multiply(relax, rho_new, relax_row)
-        if g_cell is not None:
-            add(relax_row, g_cell, relax_row)
-        multiply(scaled_rows, row_scale, scaled_rows)
-        matmul(node_cols, cell_rows, f_new)
-        # The stencil: S_d times the upwind state, plus S_o times it moved
-        # one cell downwind, a shifted add of the scratch's flat views on
-        # each half's flattened rows: right in the v > 0 rows, left in the
-        # v < 0; S_o is zero in the column that would wrap into the next row.
-        multiply(s_d, up_state, scratch)
-        add(f_new, scratch, f_new)
-        multiply(s_o, up_state, scratch)
-        flat = out.reshape(-1)
-        f_pos, f_neg = flat[cut + 1:size], flat[:cut - 1]
-        add(f_pos, t_pos, f_pos)
-        add(f_neg, t_neg, f_neg)
-        if scaled_source is not None:
-            multiply(p.source_fold[1], lam_g, scratch)
-            add(f_new, scratch, f_new)
-        if second_order:
-            subtract(f_new, df, f_new)
-        # The row sums of f and rho and then their sum, a BLAS gemv and dot
-        # with ones: a NaN or an infinity anywhere, or a sum that overflows,
-        # makes it non-finite.  A flat dot with (nodes + 1) * cells ones is
-        # cheaper alone, but made the 2000-cell ugks_id step 4% slower.
-        if not isfinite(row_dot(out.dot(cell_ones))):
-            raise SolverFailureError("non-finite values after step")
-        # Views made after the block is flagged are read-only too.
-        out.setflags(write=False)
-        return out[:k].T, out[k]
-    return kernel
 
 
 def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:

@@ -76,6 +76,30 @@ def test_run_with_a_step_too_small_to_finish_exits_two(tmp_path, capsys):
     assert "needs more than" in capsys.readouterr().err
 
 
+def test_run_with_a_bad_kernel_exits_two(tmp_path, capsys):
+    # a negative isotropic constant, and a 4 x 4 table for 16 nodes: both
+    # are input data, so configuration errors, not solver failures
+    table = tmp_path / "k4.csv"
+    np.savetxt(table, np.ones((4, 4)), delimiter=",")
+    for line, message in (("kernel = isotropic:-1", "must be positive"),
+                          (f"kernel_file = {table}", "does not match quadrature size 16")):
+        cfg = tmp_path / "k.txt"
+        cfg.write_text(f"id = ex5\ncells = 25\n{line}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, line
+
+
+def test_explicit_diffusion_example_past_its_bound_exits_two(tmp_path, capsys):
+    # past the parabolic bound the explicit scheme diverges: the run must
+    # stop before it writes a profile
+    code = main(["example", "ex5", "--scheme", "diffusion", "--cfl", "1.5", "--cells", "25",
+                 "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "parabolic bound" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_compare_subcommand_threshold(tmp_path):
     x = (np.arange(10) + 0.5) / 10
     write_csv(tmp_path / "a.csv", x, np.zeros(10))
@@ -109,6 +133,13 @@ def test_converge_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "observed order" in out
+
+
+def test_converge_with_a_cell_count_that_is_not_an_integer_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "conv.txt"
+    cfg.write_text("id = ex7\ntimes = 0.2\n")
+    assert main(["converge", str(cfg), "--cells", "25,50,abc"]) == 2
+    assert "--cells: " in capsys.readouterr().err
 
 
 def test_compare_rejects_a_single_row_profile(tmp_path, capsys):

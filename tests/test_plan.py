@@ -111,10 +111,21 @@ def test_penalized_step_is_independent_of_memory_order():
     assert_same(penalized_step(c_order, op, plan), penalized_step(node_major, op, plan))
 
 
+def closure_values(fn):
+    """The values in ``fn``'s closure, skipping empty cells: names that the
+    path of the plan that built it never binds."""
+    for cell in fn.__closure__:
+        try:
+            yield cell.cell_contents
+        except ValueError:
+            pass
+
+
 def plan_arrays(obj):
     """Every array a plan holds, also inside tuples (its scratch views,
-    stencil, moment buffers, factors and source fold)."""
-    items = vars(obj).values() if isinstance(obj, StepPlan) else obj
+    stencil, moment buffers, factors and source fold) and in its kernel's
+    closure, which holds the views that the step writes."""
+    items = [*vars(obj).values(), *closure_values(obj._kernel)] if isinstance(obj, StepPlan) else obj
     for item in items:
         if isinstance(item, np.ndarray):
             yield item

@@ -125,6 +125,17 @@ def test_explicit_diffusion_rejects_unstable_dt():
         diffusion_step(np.zeros(10), kappa, 0.0, 0.0, 0.1, 1.0, "explicit", (0.0, 0.0))
 
 
+@pytest.mark.parametrize("alpha", [0.0, np.linspace(0.0, 0.5, 10)], ids=["uniform", "varying"])
+def test_explicit_diffusion_run_rejects_unstable_dt(alpha):
+    """Past the parabolic bound the explicit run diverges, on the
+    eigendecomposition path of uniform alpha as on the step loop; the
+    leg's last, shortened step is inside the bound."""
+    kappa = np.full(11, 1.0)
+    dt = 1.5 * diffusion_timestep(kappa, 0.1, cfl=1.0)
+    with pytest.raises(InvalidArgumentError, match="parabolic bound"):
+        diffusion_run(np.zeros(10), kappa, alpha, 0.0, 0.1, 0.0, 100.5 * dt, "explicit", (1.0, 0.0), dt)
+
+
 def test_diffusion_run_modal_matches_stepping():
     n = 60
     mesh = SpatialMesh(0.0, 1.0, n)
