@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-from .experiments import ExperimentSpec, builtin_spec
+from .errors import ConfigError, InvalidKernelError
+from .experiments import ExperimentSpec, _build_quadrature, _operator, builtin_spec
 
 __all__ = ["compile_expression", "load_config"]
 
@@ -198,6 +198,12 @@ def load_config(path: str) -> ExperimentSpec:
     _validate_spec_functions(spec, path)
     if any(t <= 0 for t in spec.times):
         raise ConfigError(f"{path}: times: output times must be positive")
+    if spec.collision == "penalized":   # the run's operator: a bad kernel fails before any sampling
+        key = next(k for k in ("kernel_file", "kernel", "kernel_constant") if k in entries)
+        try:
+            _operator(spec, _build_quadrature(spec))
+        except InvalidKernelError as exc:
+            raise ConfigError(f"{path}:{entries[key][1]}: {key}: {exc}") from None
     return spec
 
 

@@ -152,6 +152,13 @@ def _build_quadrature(spec: ExperimentSpec):
     raise InvalidArgumentError(f"quad_kind: unknown value {spec.quad_kind!r}")
 
 
+def _operator(spec: ExperimentSpec, q) -> PenalizedOperator:
+    """The penalized operator of the spec's kernel on the quadrature ``q``."""
+    kernel = (ScatteringKernel.from_table(spec.kernel_table, q) if spec.kernel_table is not None
+              else ScatteringKernel.isotropic(spec.kernel_constant, q))
+    return PenalizedOperator.build(kernel, q)
+
+
 def _initial_profile(spec: ExperimentSpec, mesh: SpatialMesh) -> np.ndarray:
     """The initial density sampled at the cell centres."""
     init = spec.initial
@@ -207,19 +214,17 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
                            diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
         # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
         policy = cfl_timestep(cfg, mat, mesh)
-        op, plan_mat = None, mat
+        op, plan_mat, source = None, mat, None
         if spec.collision == "penalized":
-            kernel = (ScatteringKernel.from_table(spec.kernel_table, q) if spec.kernel_table is not None
-                      else ScatteringKernel.isotropic(spec.kernel_constant, q))
-            op = PenalizedOperator.build(kernel, q)
-            plan_mat = op.material(mat)
+            op = _operator(spec, q)
+            plan_mat, source = op.material(mat), op.shifted
         plans: dict = {}   # one per distinct step size: the policy's and each shortened leg end
 
         def advance(s, h):
             plan = plans.get(h)
             if plan is None:
                 coeffs = coefficient_arrays(h, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
-                plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs)
+                plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs, source)
             if op is None:
                 return step(s, plan)
             return penalized_step(s, op, plan)

@@ -24,6 +24,7 @@ __all__ = [
     "build_double_gauss",
     "average",
     "wall_density",
+    "mc_limiter",
     "mc_slopes",
     "sample_material",
 ]
@@ -157,48 +158,55 @@ def wall_density(q: VelocityQuadrature, f_in: np.ndarray, inc: slice) -> float:
 MC_THETA = 1.5
 
 
-def mc_slopes(f: np.ndarray, dx: float, out: np.ndarray | None = None,
-              work: np.ndarray | None = None) -> np.ndarray:
-    """MC-limited slope of ``f`` along its last axis (the cell axis of a
-    node-major state): the three-argument minmod of the central and the two
-    ``MC_THETA``-scaled one-sided differences, zero on sign disagreement and
-    in the first and last cells.
+def mc_limiter(dx: float, out: np.ndarray, work: np.ndarray):
+    """``limit(x)``, which writes the MC-limited slope of ``x``, a
+    C-contiguous array of ``out``'s shape, along its last axis into ``out``
+    and returns it: the three-argument minmod of the central and the two
+    ``MC_THETA``-scaled one-sided differences, zero on sign disagreement
+    and in the first and last cells.  ``work``, of shape (3, out.size - 1),
+    holds the differences.  Every view of the two is sliced here, once.
 
-    The work runs on ``f``, copied only if it is not C-contiguous, and
-    flattened: every pass is then one contiguous sweep, and the differences
-    that cross from one row into the next land in first and last cells,
-    which are zeroed.  One difference array d, scaled by theta/dx in place,
-    gives both one-sided differences as d[:-1] and d[1:].  ``out`` (the
-    shape of ``f``, C-contiguous) receives the slopes and ``work``, of shape
-    (3, f.size - 1), holds the differences; a stepper passes buffers it
-    owns, so a step allocates neither.  Both are allocated when omitted.
+    The work runs on ``x`` flattened: every pass is then one contiguous
+    sweep, and the differences that cross from one row into the next land
+    in first and last cells, which are zeroed.  One difference array d,
+    scaled by theta/dx in place, gives both one-sided differences as d[:-1]
+    and d[1:].
     """
-    x = np.ascontiguousarray(f)
-    if out is None:
-        out = np.empty(x.shape)
-    if work is None:
-        work = np.empty((3, x.size - 1))
-    flat = x.reshape(-1)
     d, a, lower = work[0], work[1, :-1], work[2, :-1]
-    np.subtract(flat[1:], flat[:-1], d)
-    np.subtract(flat[2:], flat[:-2], a)
-    a /= 2.0 * dx
-    # d * 2 theta, with one division by 2 dx after the minmod, rounds subnormals differently
-    d *= MC_THETA
-    d /= dx
     b, c = d[:-1], d[1:]
-    # minmod of a, b and c: a clipped to [min(max(b, c), 0), max(min(b, c), 0)].
-    # The interval is [0, min(b, c)] when b, c > 0, [max(b, c), 0] when
-    # b, c < 0 and {0} otherwise; clipping only selects, so no bit changes.
-    upper = np.minimum(b, c, out=out.reshape(-1)[1:-1])
-    np.maximum(b, c, out=lower)
-    np.minimum(lower, 0.0, out=lower)
-    np.maximum(upper, 0.0, out=upper)
-    np.minimum(a, upper, out=upper)
-    np.maximum(upper, lower, out=upper)
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
-    return out
+    upper = out.reshape(-1)[1:-1]
+    ends = out[..., ::max(out.shape[-1] - 1, 1)]   # the first and last cells
+    two_dx, theta, dx, zero = np.array(2.0 * dx), np.array(MC_THETA), np.array(dx), np.array(0.0)
+    subtract, multiply, divide, minimum, maximum = np.subtract, np.multiply, np.divide, np.minimum, np.maximum
+
+    def limit(x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1)
+        subtract(flat[1:], flat[:-1], d)
+        subtract(flat[2:], flat[:-2], a)
+        divide(a, two_dx, a)
+        # d * 2 theta, with one division by 2 dx after the minmod, rounds subnormals differently
+        multiply(d, theta, d)
+        divide(d, dx, d)
+        # minmod of a, b and c: a clipped to [min(max(b, c), 0), max(min(b, c), 0)].
+        # The interval is [0, min(b, c)] when b, c > 0, [max(b, c), 0] when
+        # b, c < 0 and {0} otherwise; clipping only selects, so no bit changes.
+        # numpy 2.4 deprecates a positional output of minimum and maximum.
+        minimum(b, c, out=upper)
+        maximum(b, c, out=lower)
+        minimum(lower, zero, out=lower)
+        maximum(upper, zero, out=upper)
+        minimum(a, upper, out=upper)
+        maximum(upper, lower, out=upper)
+        ends.fill(0.0)
+        return out
+    return limit
+
+
+def mc_slopes(f: np.ndarray, dx: float) -> np.ndarray:
+    """MC-limited slope of ``f`` along its last axis (the cell axis of a
+    node-major state): :func:`mc_limiter` once, on ``f`` made contiguous."""
+    x = np.ascontiguousarray(f)
+    return mc_limiter(dx, np.empty(x.shape), np.empty((3, x.size - 1)))(x)
 
 
 def average(q: VelocityQuadrature, samples: np.ndarray) -> float:

@@ -12,12 +12,14 @@ with (lambda/eps^2)(M + theta I), M the matrix of L.  The source needs no
 flux of its own: each cell's value of one velocity half leaves through one
 interface, where the upwind fluxes A v f_up + E v g_up are A v (f + lambda
 g)_up with lambda = E/A, so a step transports the one state f + lambda g
-and adds the cell-local rest of g (``StepPlan.source_fold``).
+and adds the cell-local rest of g (``StepPlan.source_fold``).  A plan built
+with ``source=op.shifted`` makes lambda g in its step as ``penalized_source``
+does standing alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -138,12 +140,12 @@ def penalization_theta(op: np.ndarray, q: VelocityQuadrature) -> float:
 class PenalizedOperator:
     """Precomputed collision matrix M, penalization weight theta and
     ``shifted`` = M + theta I, the matrix of the penalized source on
-    F - rho (:func:`penalized_source`).  Both matrices are read-only."""
+    F - rho (:func:`penalized_source`) and the ``source`` of the operator's
+    step plans.  Both matrices are read-only."""
 
     matrix: np.ndarray
     theta: float
     shifted: np.ndarray
-    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, kernel: ScatteringKernel, q: VelocityQuadrature) -> "PenalizedOperator":
@@ -161,16 +163,6 @@ class PenalizedOperator:
         n = mat.n_cells
         return replace(mat, sigma_cell=np.full(n, self.theta), sigma_iface=np.full(n + 1, self.theta))
 
-    def _scaled_shift(self, scale: float) -> np.ndarray:
-        """``scale`` (M + theta I), read-only, kept per scale.  Every step
-        of a plan passes the same scale, lambda/eps^2 or 1/eps^2, so the
-        product's matrix is built on a plan's first step."""
-        out = self._scaled.get(scale)
-        if out is None:
-            out = self._scaled[scale] = scale * self.shifted
-            out.setflags(write=False)
-        return out
-
 
 def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps: float,
                      lam=1.0, out: Optional[np.ndarray] = None,
@@ -180,31 +172,30 @@ def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps:
 
     M annihilates constants, so g = (M + theta I)(F - rho)/eps^2, and that
     is how it is computed: D = F - rho first, exactly 0 at equilibrium,
-    then one product with (lam/eps^2)(M + theta I), built once per
-    operator and scale.  The first form's two O(1/eps^2) terms are never
-    formed: the assembled M's rows sum to about 1e-16, not 0, which M F
-    would scale by rho/eps^2.
+    then one product with (lam/eps^2)(M + theta I).  The first form's two
+    O(1/eps^2) terms are never formed: the assembled M's rows sum to about
+    1e-16, not 0, which M F would scale by rho/eps^2.
 
     ``lam`` is a scalar, which rides in the product's matrix, or a
-    node-major (nodes, cells) array, which multiplies after it; a step
-    passes its plan's ``source_fold[0]``.  ``work`` receives D, filled by a
-    copy of rho and a subtraction that do not broadcast a row: numpy 2.4
+    node-major (nodes, cells) array, which multiplies after it, as a
+    plan's ``source_fold[0]`` does.  ``work`` receives D, filled by a copy
+    of rho and a subtraction that do not broadcast a row: numpy 2.4
     buffers the broadcast row of one subtraction ``np.subtract(F, rho,
     work)`` in a state-size array, and at 2000 cells that takes 1.8 times
     as long.  ``out`` receives the result, the transpose of what is
     returned.  Both are C-contiguous (nodes, cells) arrays, allocated when
-    omitted; a step passes its plan's ``scaled_source`` and ``scratch``,
-    so it allocates no state-size array.
+    omitted.  A plan built with ``source=op.shifted`` makes lam g by
+    these operations, in this order, on its own buffers.
     """
     if work is None:
         work = np.empty(f.shape[::-1])
     np.copyto(work, rho)
     np.subtract(f.T, work, work)
     if isinstance(lam, np.ndarray):
-        src = np.matmul(op._scaled_shift(1.0 / eps**2), work, out)
+        src = np.matmul((1.0 / eps**2) * op.shifted, work, out)
         src *= lam
     else:
-        src = np.matmul(op._scaled_shift(lam / eps**2), work, out)
+        src = np.matmul((lam / eps**2) * op.shifted, work, out)
     return src.T
 
 
@@ -213,8 +204,9 @@ def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan) -
     leftover, at the plan's eps, as a per-node source evaluated at time n.
 
     ``plan`` is a :class:`StepPlan` built on ``op.material(mat)``, which
-    keeps the absorption and source of ``mat``.
+    keeps the absorption and source of ``mat``, with ``source=op.shifted``,
+    whose step makes the source; any other plan raises ``InvalidArgumentError``.
     """
-    lam_g = penalized_source(state.f, state.rho, op, plan.eps, plan.source_fold[0],
-                             out=plan.scaled_source, work=plan.scratch)
-    return KineticState._stepped(*apply(plan, state.f, state.rho, lam_g), state.t + plan.dt)
+    if plan.source is not op.shifted:
+        raise InvalidArgumentError("penalized_step needs a plan built with source=op.shifted")
+    return KineticState._stepped(*apply(plan, state.f, state.rho), state.t + plan.dt)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeffs import blend_parameter, coefficient_arrays
 from .errors import InvalidArgumentError, InvalidDataError, SolverFailureError
-from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes, wall_density
+from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_limiter, wall_density
 
 __all__ = [
     "KineticState",
@@ -108,8 +108,8 @@ class SchemeConfig:
     """Scheme selection: scaling parameter, CFL policy, reconstruction order
     and diffusion (slope) time level, which a :class:`StepPlan` fixes;
     ``cfl`` enters only :func:`cfl_timestep`.  The collision model is not
-    part of it: :func:`step` is the isotropic one, ``penalized_step`` the
-    general."""
+    part of it: a :class:`StepPlan` without a ``source`` steps the
+    isotropic one, one with a source the penalized general one."""
 
     eps: float
     cfl: float = 0.9
@@ -165,10 +165,11 @@ class StepPlan:
     factors are constants.  A plan computes them once; build one per
     distinct dt and advance with :func:`apply`, :func:`step` or
     ``penalized_step``: besides the state, the plan is a step's whole input,
-    its dt, scheme (``eps`` kept for the penalized source), material, mesh,
-    quadrature and inflow.  ``coeffs`` takes the ``coefficient_arrays``
-    tuple when the caller has already evaluated it.  For
-    ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` is
+    its dt, scheme, material, mesh, quadrature, inflow and, for a penalized
+    step, ``source``, the matrix M + theta I (``PenalizedOperator.shifted``)
+    of g = (M + theta I)(F - rho)/eps^2.  ``coeffs`` takes the
+    ``coefficient_arrays`` tuple when the caller has already evaluated it.
+    For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` is
     LAPACK's ``dpttrs`` followed by the bands' ``dpttrf`` (LDL^T) factors,
     so a step only substitutes through them (:func:`solve_banded`).  The
     system is symmetric positive definite (D <= 0, alpha >= 0) on a
@@ -192,7 +193,8 @@ class StepPlan:
     there: the step runs ``stencil`` and the flux moments on one upwind
     state F + X and takes back the diagonal's (1/dt) X.  The penalized
     leftover g (A v f_up + E v g_up) joins as lambda g with lambda = E/A
-    (``source_fold``), and the MC slope df, whose reconstruction shift
+    (``source_fold``), made as ``penalized_source`` makes it, and the MC
+    slope df, whose reconstruction shift
     sgn(v) dx/2 and B-term B v^2 df_up it carries, as ``mc_lambda`` df with
     sgn(v) dx/2 + v B/A; neither has a stencil pair or moment product of
     its own.  Everything else, the interface-density, D-slope,
@@ -215,49 +217,49 @@ class StepPlan:
     with every view sliced once, and the ufuncs.  Every ``add``,
     ``subtract``, ``multiply`` and ``matmul`` takes its output
     positionally, in-place updates included, 35-100 ns less than ``out=``
-    or an operator; ``minimum`` and ``maximum`` keep ``out=``, since numpy
-    2.4 deprecates a positional output there and its warning path made
-    ``mc_slopes`` 1.9 times as slow at 25 cells.  The closure takes the
-    plan as an argument for the lazy buffers of a sourced or MC step and
-    never holds it, so a dropped plan is freed by reference counting alone.
+    or an operator.  A sourced or MC plan's first step binds the rest, so
+    a run's set-up does not pay for it: the buffer ``up_state``, the MC
+    limiter on ``slope`` and ``mc_work`` (:func:`grid.mc_limiter`) and,
+    with a source, ``scaled_source`` (lambda g), lambda, kappa and
+    (lambda/eps^2)(M + theta I); it then stores the bound kernel as the
+    plan's step.  The closure takes the plan as an argument and never
+    holds it, so a dropped plan is freed by reference counting alone.
     ``np.empty`` and :func:`solve_banded` are looked up at each call.
 
-    Besides those named above and the inputs that ``penalized_step`` and
-    ``source_fold`` read (``dt``, ``dx``, ``shape``, ``split``,
-    ``implicit``, the coefficients ``a`` and ``e``, ``inv_dt``,
-    ``inv_den_rho``, ``relax`` and ``inv_den_f``), a plan keeps the moment
-    rows ``moments``, a read-only table shared by every plan on one
-    quadrature, and its scratch: ``iface``, the moment buffers
-    (:func:`_moment_scratch`), ``scratch``, the MC buffers ``slope`` and
-    ``mc_work`` and, built on first use, ``up_state`` and
-    ``scaled_source``, which every step overwrites, so a plan must not be
-    applied from two threads at once.  Nothing a step returns aliases
-    them: each step writes f^{n+1} and rho^{n+1} into one new array that
-    the caller owns.  The (nodes, cells) buffers of the plan start on a
-    64-byte boundary (:func:`_aligned_empty`): ``up_state``,
-    ``scaled_source`` and the block that holds the stencil pair,
-    ``scratch`` and the four MC arrays, inside which each buffer starts
-    on a boundary when nodes x cells is a multiple of 8.  At 16 x 2000 a
-    numpy store into an output that does not takes about twice as long.
-    The step's output block is a plain ``np.empty``, since aligning it
-    costs about 2.4 us a step, more than it saves below a few hundred
-    cells, and gained nothing at 200 or 2000; the O(cells) row block and
-    the moment buffers gained nothing measurable from it either.
+    Besides those named above and the inputs that ``source_fold`` reads
+    (``dt``, ``dx``, ``shape``, ``split``, ``implicit``, ``a``, ``e``,
+    ``inv_dt``, ``inv_den_rho``, ``relax`` and ``inv_den_f``), a plan
+    keeps the moment rows ``moments``, a read-only table shared by every
+    plan on one quadrature, and its scratch: ``iface``, the moment buffers
+    (:func:`_moment_scratch`), ``scratch`` and the MC buffers ``slope``
+    and ``mc_work``.  Every step overwrites the scratch, so a plan must not
+    be applied from two threads at once; nothing a step returns aliases
+    it.  The (nodes, cells) buffers of the plan start on a 64-byte
+    boundary (:func:`_aligned_empty`): ``up_state``, ``scaled_source`` and
+    the block that holds the stencil pair, ``scratch`` and the four MC
+    arrays, inside which each buffer starts on a boundary when nodes x
+    cells is a multiple of 8.  At 16 x 2000 a numpy store into an output
+    that does not takes about twice as long.  The step's output block is a
+    plain ``np.empty``, since aligning it costs about 2.4 us a step, more
+    than it saves below a few hundred cells, and gained nothing at 200 or
+    2000; the O(cells) row block and the moment buffers gained nothing
+    measurable from it either.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
-                 q: VelocityQuadrature, bc: BoundarySpec, coeffs=None):
+                 q: VelocityQuadrature, bc: BoundarySpec, coeffs=None, source: Optional[np.ndarray] = None):
         if not dt > 0:
             raise InvalidArgumentError(f"dt must be positive, got {dt}")
         n, k, h = mesh.n_cells, q.n, q.split
-        if mat.n_cells != n or bc.f_left.shape != (k,) or bc.f_right.shape != (k,):
-            raise InvalidArgumentError("material, mesh, quadrature and inflow sizes disagree")
+        if (mat.n_cells != n or bc.f_left.shape != (k,) or bc.f_right.shape != (k,)
+                or source is not None and source.shape != (k, k)):
+            raise InvalidArgumentError("material, mesh, quadrature, inflow and source sizes disagree")
         if coeffs is None:
             coeffs = coefficient_arrays(dt, cfg.eps, mat.sigma_iface, mat.alpha_iface)
         a, b, c, d, e, nu = coeffs
         eps, dx = cfg.eps, mesh.dx
         inv_dx = 1.0 / dx
-        self.dt, self.dx, self.eps = dt, dx, eps
+        self.dt, self.dx, self.source = dt, dx, source
         self.shape, self.split = (n, k), h
         self.implicit = implicit = cfg.diffusion_mode == "implicit_slopes"
         second_order = cfg.reconstruction == "mc_limited"
@@ -393,8 +395,8 @@ class StepPlan:
             mc_lambda[h:] += 0.5 * dx
             mc_lambda[:h] -= 0.5 * dx
             self.mc_diag = mc_diag = np.multiply(mc_lambda, self.inv_dt * idf, out=big[4])
-            self.slope = slope = big[5]
-            self.mc_work = mc_work = big[6:].reshape(3, -1)[:, :size - 1]
+            self.slope = big[5]
+            self.mc_work = big[6:].reshape(3, -1)[:, :size - 1]
 
         if implicit:
             if q.m_v2_pos != q.m_v2_neg:
@@ -414,16 +416,23 @@ class StepPlan:
         inv_dt, inv_dx = np.array(self.inv_dt), np.array(inv_dx)
         add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
         contiguous, isfinite, out_shape = np.ascontiguousarray, math.isfinite, (k + 1, n)
+        # Bound by a sourced or MC plan's first step (``first``).
+        up = limit = lam_g = scaled = lam_cells = kappa = None
 
-        def kernel(p, f, rho, scaled_source):
+        def kernel(p, f, rho):
             fn = contiguous(f.T)
             up_state = fn
-            if scaled_source is not None:
-                lam_g = contiguous(scaled_source.T)
-                up_state = add(fn, lam_g, p.up_state)
+            if source is not None:
+                # lambda g as penalized_source makes it: F - rho, then one product.
+                scratch[...] = rho
+                subtract(fn, scratch, scratch)
+                matmul(scaled, scratch, lam_g)
+                if lam_cells is not None:
+                    multiply(lam_g, lam_cells, lam_g)
+                up_state = add(fn, lam_g, up)
             if second_order:
-                df = mc_slopes(fn, dx, out=slope, work=mc_work)
-                up_state = add(up_state, multiply(mc_lambda, df, scratch), p.up_state)
+                df = limit(fn)
+                up_state = add(up_state, multiply(mc_lambda, df, scratch), up)
                 multiply(df, mc_diag, df)
             if up_state is fn:
                 matmul(half_rows, fn, per_cell)
@@ -482,8 +491,8 @@ class StepPlan:
             f_pos, f_neg = out_flat[cut + 1:size], out_flat[:cut - 1]
             add(f_pos, t_pos, f_pos)
             add(f_neg, t_neg, f_neg)
-            if scaled_source is not None:
-                multiply(p.source_fold[1], lam_g, scratch)
+            if source is not None:
+                multiply(kappa, lam_g, scratch)
                 add(f_new, scratch, f_new)
             if second_order:
                 subtract(f_new, df, f_new)
@@ -496,7 +505,19 @@ class StepPlan:
             # Views made after the block is flagged are read-only too.
             out.setflags(write=False)
             return out[:k].T, out[k]
-        self._kernel = kernel
+
+        def first(p, f, rho):
+            nonlocal up, limit, lam_g, scaled, lam_cells, kappa
+            up = p.up_state = _aligned_empty((k, n))
+            limit = mc_limiter(dx, p.slope, p.mc_work) if second_order else None
+            if source is not None:
+                lam_g = p.scaled_source = _aligned_empty((k, n))
+                lam, kappa = map(np.asarray, p.source_fold)   # scalars as 0-d arrays
+                lam_cells, lam = (lam, 1.0) if lam.ndim else (None, float(lam))
+                scaled = (lam / eps**2) * source
+            p._kernel = kernel
+            return kernel(p, f, rho)
+        self._kernel = kernel if source is None and not second_order else first
 
     def _exit_values(self, row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Node-major (nodes, cells) array of the per-interface ``row`` at
@@ -508,18 +529,6 @@ class StepPlan:
         out[h:] = row[1:]
         out[:h] = row[:-1]
         return out
-
-    @cached_property
-    def up_state(self) -> np.ndarray:
-        """Scratch for the upwind state of a sourced or MC step, built on a
-        plan's first such step."""
-        return _aligned_empty(self.shape[::-1])
-
-    @cached_property
-    def scaled_source(self) -> np.ndarray:
-        """Scratch for the source lambda g of a sourced step
-        (``penalized_source``), built on a plan's first such step."""
-        return _aligned_empty(self.shape[::-1])
 
     @cached_property
     def source_fold(self):
@@ -659,8 +668,7 @@ def _stencil_pair(cols: np.ndarray, iface_rows: np.ndarray, scale: np.ndarray, d
     return np.matmul(cols, rows, out=out)
 
 
-def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
-          scaled_source: Optional[np.ndarray] = None):
+def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray):
     """Advance (f, rho) by one step of the plan's dt; returns (f_new, rho_new).
 
     ``f`` has shape (cells, nodes) in any memory order; the step reads it
@@ -669,11 +677,11 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     plan's scratch buffers.  ``f_new`` and ``rho_new`` are read-only views
     of one new (nodes + 1, cells) array that no plan keeps: its first rows
     are the node-major f^{n+1}, so ``f_new`` is F-ordered, and its last row
-    is rho^{n+1}.  ``scaled_source`` is lambda g, with lambda =
-    ``plan.source_fold[0]``, for a per-cell, per-node source g with zero
-    velocity mean (the penalized leftover), added to the plan's scalar
-    source; the caller folds lambda into the last pass that makes g.  The
-    upwind stencil and the flux moments then act on the one state
+    is rho^{n+1}.  A plan built with a ``source`` adds the penalized
+    leftover g = (M + theta I)(F - rho)/eps^2, a per-cell, per-node source
+    with zero velocity mean, to its scalar source: the step makes lambda g,
+    with lambda = ``plan.source_fold[0]`` folded into its one product, the
+    upwind stencil and the flux moments act on the one state
     F + lambda g, the density moments on F, and kappa (lambda g) adds g's
     cell-local rest.  The MC slope df joins that state the same way, as
     ``plan.mc_lambda`` df; it is zero in the wall cells, so the wall
@@ -686,7 +694,7 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray,
     """
     if f.shape != plan.shape or rho.shape != plan.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {plan.shape}")
-    return plan._kernel(plan, f, rho, scaled_source)
+    return plan._kernel(plan, f, rho)
 
 
 def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ugks1d import ugks
 from ugks1d.errors import InvalidArgumentError
 
 
@@ -55,3 +56,37 @@ def add_stencil(out: np.ndarray, stencil, x: np.ndarray, split: int) -> None:
     o = out.reshape(-1)
     o[cut + 1:] += moved[cut:-1]
     o[:cut - 1] += moved[1:cut]
+
+
+def source_terms(plan, q, g):
+    """The terms that a per-node source g with zero velocity mean adds to a
+    step of the source-free ``plan``: the change of the density update's
+    right-hand side by its upwind flux E <v g_up>_h, and the stencil pair
+    of E v g_up / dx and the cell-local g, both times the relaxation
+    factor.  ``g`` is node-major; returns (d_rhs, pair)."""
+    flux_rows = plan.moments[0::2].copy()
+    flux = plan.e * upwind_moments(flux_rows, g, ugks._moment_scratch(1, plan.shape[0]))[0]
+    pair = ugks._stencil_pair(ugks._node_tables(q).upwind_cols, plan.e[None, :],
+                              plan.inv_den_f / plan.dx, plan.inv_den_f)
+    return -(flux[1:] - flux[:-1]) / plan.dx, pair
+
+
+def linear_step(plan, state, d_rhs, terms):
+    """The step of ``plan`` from ``state`` plus terms linear in a known
+    per-node array x: ``d_rhs`` joins the density update's right-hand side
+    and each (stencil pair, x) of ``terms`` joins f (:func:`add_stencil`).
+    Under ``implicit_slopes`` the time-n density enters only the right-hand
+    side of the density solve, so ``d_rhs`` goes in as a change of that
+    density; under ``explicit_slopes`` the new density reaches f only
+    through sigma/eps^2 rho^{n+1}.  Returns (f, rho)."""
+    if plan.implicit:
+        f0, rho_new = ugks.apply(plan, state.f, state.rho + plan.dt * d_rhs)
+        f_new = f0.T.copy()
+    else:
+        f0, rho0 = ugks.apply(plan, state.f, state.rho)
+        d_rho = d_rhs * plan.inv_den_rho
+        rho_new = rho0 + d_rho
+        f_new = f0.T + plan.relax * d_rho * plan.inv_den_f
+    for pair, x in terms:
+        add_stencil(f_new, pair, x, plan.split)
+    return f_new.T, rho_new

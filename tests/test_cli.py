@@ -90,6 +90,26 @@ def test_run_with_a_bad_kernel_exits_two(tmp_path, capsys):
         assert err.startswith("error: ") and message in err, line
 
 
+def test_a_bad_kernel_is_named_by_its_config_line_before_any_material_is_sampled(tmp_path, capsys,
+                                                                                  monkeypatch):
+    # like every other bad value, the message names the file, the line and
+    # the key, and the check runs with the config's, before the run starts
+    from ugks1d import experiments
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a material was sampled")
+    monkeypatch.setattr(experiments, "sample_material", no_sampling)
+    table = tmp_path / "k4.csv"
+    np.savetxt(table, np.ones((4, 4)), delimiter=",")
+    for key, lines in (("kernel", "kernel = isotropic:-1"), ("kernel_file", f"kernel_file = {table}"),
+                       ("kernel_constant", "collision = penalized\nkernel_constant = 0")):
+        cfg = tmp_path / "k.txt"
+        cfg.write_text(f"id = ex5\ncells = 25\n{lines}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2, key
+        line = 2 + lines.count("\n") + 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {key}: "), key
+
+
 def test_explicit_diffusion_example_past_its_bound_exits_two(tmp_path, capsys):
     # past the parabolic bound the explicit scheme diverges: the run must
     # stop before it writes a profile

@@ -13,25 +13,23 @@ from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, m
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_source, penalized_step
 from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
-from oracles import add_stencil, upwind_moments
+from oracles import linear_step, source_terms, upwind_moments
 
 
 def unfused_mc_step(first, b, q, state, source=None):
     """Reference: the MC step with the slope kept apart from F.
 
-    ``first`` is the plan of the same step without reconstruction and ``b``
-    its interface coefficients B.  Once the slope df is known the step is
-    linear in it, so it is the first-order step plus the slope's own
-    terms: the reconstruction shift
+    ``first`` is the plan of the same step without reconstruction and
+    without a source, and ``b`` its interface coefficients B.  Once the
+    slope df is known the step is linear in it, so it is the first-order
+    step plus the slope's own terms: the reconstruction shift
     A <|v| df_up>_h dx/2 and the B-term B <v^2 df_up>_h of the macroscopic
     flux, through their own moment product into the density update, and
     the stencil pair of (A |v| dx/2 + B v^2) df_up / dx, times the
-    relaxation factor, into f.  Under ``implicit_slopes`` the time-n
-    density enters only the right-hand side of the density solve, so the
-    flux goes in as a change of that density; under ``explicit_slopes`` the
-    new density reaches f only through sigma/eps^2 rho^{n+1}.  ``source``
-    is (op, eps) for a penalized step, whose source the first-order plan
-    folds.
+    relaxation factor, into f (:func:`oracles.linear_step`).  ``source``
+    is (op, eps) for a penalized step, whose source g from
+    :func:`penalized_source` adds its own terms the same way
+    (:func:`oracles.source_terms`).
     """
     n, h, dx = first.shape[0], first.split, first.dx
     fn = np.ascontiguousarray(state.f.T)
@@ -41,22 +39,15 @@ def unfused_mc_step(first, b, q, state, source=None):
     shift_flux, b_flux = upwind_moments(slope_rows, df, ugks._moment_scratch(2, n))
     phi = first.a * shift_flux + b * b_flux
     d_rhs = -(phi[1:] - phi[:-1]) / dx
-    lam_g = None
+    cols = ugks._signed_cols(np.column_stack((0.5 * np.abs(v), v * v)), h)
+    terms = [(ugks._stencil_pair(cols, np.array((first.a * dx, b)), first.inv_den_f / dx, 0.0), df)]
     if source is not None:
         op, eps = source
-        lam_g = penalized_source(state.f, state.rho, op, eps, first.source_fold[0])
-    if first.implicit:
-        f0, rho_new = ugks.apply(first, state.f, state.rho + first.dt * d_rhs, lam_g)
-        f_new = f0.T.copy()
-    else:
-        f0, rho0 = ugks.apply(first, state.f, state.rho, lam_g)
-        d_rho = d_rhs * first.inv_den_rho
-        rho_new = rho0 + d_rho
-        f_new = f0.T + first.relax * d_rho * first.inv_den_f
-    cols = ugks._signed_cols(np.column_stack((0.5 * np.abs(v), v * v)), h)
-    pair = ugks._stencil_pair(cols, np.array((first.a * dx, b)), first.inv_den_f / dx, 0.0)
-    add_stencil(f_new, pair, df, h)
-    return f_new.T, rho_new
+        g = np.ascontiguousarray(penalized_source(state.f, state.rho, op, eps).T)
+        d_source, pair = source_terms(first, q, g)
+        d_rhs = d_rhs + d_source
+        terms.append((pair, g))
+    return linear_step(first, state, d_rhs, terms)
 
 
 def rough_material(mesh):
@@ -66,20 +57,21 @@ def rough_material(mesh):
 
 
 def plans(q, cells, eps, mode, diffusion_mode, penalized):
-    """(MC plan, first-order plan, its B coefficients, and the source
-    (op, eps) of a penalized step or None) of one grid point."""
+    """(MC plan, first-order plan without a source, its B coefficients,
+    and the source (op, eps) of a penalized step or None) of one grid
+    point."""
     mesh = SpatialMesh(0.0, 1.0, cells)
     mat = rough_material(mesh)
-    source = None
+    source = shifted = None
     if penalized:
         table = 0.5 + 0.2 * np.outer(q.nodes, q.nodes)
         op = PenalizedOperator.build(ScatteringKernel.from_table(table, q), q)
-        mat = op.material(mat)
+        mat, shifted = op.material(mat), op.shifted
         source = (op, eps)
     cfg = SchemeConfig(eps=eps, reconstruction="mc_limited", diffusion_mode=diffusion_mode)
     bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)
     dt = cfl_timestep(cfg, mat, mesh)
-    plan = StepPlan(dt, cfg, mat, mesh, q, bc)
+    plan = StepPlan(dt, cfg, mat, mesh, q, bc, source=shifted)
     first = StepPlan(dt, replace(cfg, reconstruction="first_order"), mat, mesh, q, bc)
     b = coefficient_arrays(dt, eps, mat.sigma_iface, mat.alpha_iface)[1]
     return plan, first, b, source

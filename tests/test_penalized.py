@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ugks1d import ugks
-from ugks1d.errors import InvalidKernelError
+from ugks1d.errors import InvalidArgumentError, InvalidKernelError
 from ugks1d.experiments import builtin_spec, run
 from ugks1d.grid import (SpatialMesh, average, build_double_gauss, build_gauss_legendre,
                          sample_material)
@@ -16,7 +15,7 @@ from ugks1d.reference import diffusion_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                          moment_defect, step)
 
-from oracles import add_stencil, homogeneous_stability_margin, upwind_moments
+from oracles import homogeneous_stability_margin, linear_step, source_terms
 from plans import penalized_plan
 
 Q16 = build_gauss_legendre(16)
@@ -206,7 +205,7 @@ def test_penalized_step_allocates_only_its_output(monkeypatch):
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
     cfg = SchemeConfig(eps=eps)
     mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=op.shifted)
     assert_step_allocates_only_its_output(
         lambda s: penalized_step(s, op, plan), n, monkeypatch)
 
@@ -220,7 +219,7 @@ def test_penalized_step_with_varying_lambda_allocates_only_its_output(monkeypatc
     bc = BoundarySpec.from_functions(1.0, 0.0, Q16)
     cfg = SchemeConfig(eps=eps)
     mat = op.material(sample_material(0.0, lambda x: 40.0 * x * x, 0.0, mesh))
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=op.shifted)
     assert np.ndim(plan.source_fold[0]) == 2
     assert_step_allocates_only_its_output(
         lambda s: penalized_step(s, op, plan), n, monkeypatch)
@@ -331,46 +330,37 @@ def test_penalized_diffusion_limit_macro_update():
 
 # ---------------------------------------------------------------- the folded source
 
-def unfused_penalized_step(plan, q, state, op, eps):
+def unfused_penalized_step(plain, q, state, op, eps):
     """Reference: the penalized step with the source kept apart from F.
 
-    The step is linear, so it is the step without the source plus the
-    source's own terms: its upwind flux E <v g_up>_h through its moment
-    product into the density update, and the stencil pair of E v g_up / dx
-    and the cell-local g (both times the relaxation factor) into f.  Under
-    ``implicit_slopes`` the time-n density enters only the right-hand side
-    of the density solve, so the flux goes in as a change of that density;
-    under ``explicit_slopes`` the new density reaches f only through
-    sigma/eps^2 rho^{n+1}.
+    The step is linear, so it is the step of ``plain``, the penalized
+    plan's twin built without the source, plus the source's own terms
+    (:func:`oracles.source_terms`), with g from :func:`penalized_source`.
     """
-    n = plan.shape[0]
     g = np.ascontiguousarray(penalized_source(state.f, state.rho, op, eps).T)
-    flux_rows = plan.moments[0::2].copy()
-    flux = plan.e * upwind_moments(flux_rows, g, ugks._moment_scratch(1, n))[0]
-    d_rhs = -(flux[1:] - flux[:-1]) / plan.dx
-    if plan.implicit:
-        f0, rho_new = ugks.apply(plan, state.f, state.rho + plan.dt * d_rhs)
-        f_new = f0.T.copy()
-    else:
-        f0, rho0 = ugks.apply(plan, state.f, state.rho)
-        d_rho = d_rhs * plan.inv_den_rho
-        rho_new = rho0 + d_rho
-        f_new = f0.T + plan.relax * d_rho * plan.inv_den_f
-    pair = ugks._stencil_pair(ugks._node_tables(q).upwind_cols, plan.e[None, :],
-                              plan.inv_den_f / plan.dx, plan.inv_den_f)
-    add_stencil(f_new, pair, g, plan.split)
-    return f_new.T, rho_new
+    d_rhs, pair = source_terms(plain, q, g)
+    return linear_step(plain, state, d_rhs, [(pair, g)])
 
 
-def assert_fold_matches_reference(plan, q, op, eps, mesh, steps=10):
-    """Along the folded trajectory from random data, each step matches the
+def sourced_and_plain(cfg, mat, mesh, q, bc, op):
+    """The penalized plan of ``op`` on ``mat`` at the CFL policy's dt, and
+    its twin built without the source."""
+    dt = cfl_timestep(cfg, mat, mesh)
+    return (StepPlan(dt, cfg, mat, mesh, q, bc, source=op.shifted),
+            StepPlan(dt, cfg, mat, mesh, q, bc))
+
+
+def assert_fold_matches_reference(plans, q, op, eps, mesh, steps=10):
+    """Along the folded trajectory from random data, each step of the
+    penalized plan of ``plans`` (:func:`sourced_and_plain`) matches the
     unfused reference from the same state to 1e-13 relative.  Returns
     False, checking nothing further, once the run grows past 10 times its
     data."""
+    plan, plain = plans
     rng = np.random.default_rng(q.n * 1000 + mesh.n_cells)
     state = KineticState.from_distribution(rng.uniform(0.0, 1.0, (mesh.n_cells, q.n)), q)
     for _ in range(steps):
-        f_ref, rho_ref = unfused_penalized_step(plan, q, state, op, eps)
+        f_ref, rho_ref = unfused_penalized_step(plain, q, state, op, eps)
         state = penalized_step(state, op, plan)
         scale = max(1.0, float(np.abs(f_ref).max()))
         if scale > 10.0:
@@ -393,9 +383,9 @@ def test_folded_source_matches_the_unfused_reference(diffusion_mode, reconstruct
         mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
         cfg = SchemeConfig(eps=eps, reconstruction=reconstruction, diffusion_mode=diffusion_mode)
         bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)
-        plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
-        assert np.ndim(plan.source_fold[0]) == 0     # uniform material: scalar lambda
-        kept += assert_fold_matches_reference(plan, q, op, eps, mesh)
+        plans = sourced_and_plain(cfg, mat, mesh, q, bc, op)
+        assert np.ndim(plans[0].source_fold[0]) == 0     # uniform material: scalar lambda
+        kept += assert_fold_matches_reference(plans, q, op, eps, mesh)
     assert kept >= 60                                # of 72; the rest grow
 
 
@@ -409,24 +399,52 @@ def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
     mat = op.material(sample_material(1.0, lambda x: 40.0 * x * x, lambda x: 1.0 + x, mesh))
     cfg = SchemeConfig(eps=eps, reconstruction="mc_limited", diffusion_mode=diffusion_mode)
     bc = BoundarySpec.from_functions(abs, 0.3, q, mode="corrected")
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc)
-    lam, kappa = plan.source_fold
+    plans = sourced_and_plain(cfg, mat, mesh, q, bc, op)
+    lam, kappa = plans[0].source_fold
     assert lam.shape == kappa.shape == (q.n, mesh.n_cells)
     assert not np.array_equal(lam[q.split:], lam[:q.split])
-    assert assert_fold_matches_reference(plan, q, op, eps, mesh)
+    assert assert_fold_matches_reference(plans, q, op, eps, mesh)
 
 
 def test_source_fold_is_built_only_by_a_sourced_step():
+    """A plan without a source never builds the fold; a plan with one
+    builds it on its first step, not when it is built."""
     mesh, _, bc = setup_run()
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
     mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
     cfg = SchemeConfig(eps=0.5)
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    plan, plain = sourced_and_plain(cfg, mat, mesh, Q16, bc, op)
     state = KineticState.from_distribution(np.zeros((20, 16)), Q16)
-    state = step(state, plan)
+    step(state, plain)
+    assert "source_fold" not in vars(plain)
     assert "source_fold" not in vars(plan)
     penalized_step(state, op, plan)
     assert "source_fold" in vars(plan)
+
+
+def test_penalized_step_rejects_a_plan_without_its_source():
+    """A plan built without ``source=op.shifted``, plain or of another
+    operator, would take another step: the penalized step refuses it."""
+    mesh, _, bc = setup_run()
+    op = PenalizedOperator.build(anisotropic_kernel(), Q16)
+    other = PenalizedOperator.build(anisotropic_kernel(), Q16)
+    mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
+    cfg = SchemeConfig(eps=0.5)
+    plan, plain = sourced_and_plain(cfg, mat, mesh, Q16, bc, op)
+    state = KineticState.from_distribution(np.full((20, 16), 0.5), Q16)
+    for wrong in (plain, sourced_and_plain(cfg, mat, mesh, Q16, bc, other)[0]):
+        with pytest.raises(InvalidArgumentError, match="source=op.shifted"):
+            penalized_step(state, op, wrong)
+    penalized_step(state, other, sourced_and_plain(cfg, mat, mesh, Q16, bc, other)[0])
+    penalized_step(state, op, plan)
+
+
+def test_plan_rejects_a_source_of_another_size():
+    mesh, _, bc = setup_run()
+    op = PenalizedOperator.build(ScatteringKernel.isotropic(1.0, build_gauss_legendre(8)), build_gauss_legendre(8))
+    mat = sample_material(1.0, 0.0, 0.0, mesh)
+    with pytest.raises(InvalidArgumentError, match="source"):
+        StepPlan(0.01, SchemeConfig(eps=0.5), mat, mesh, Q16, bc, source=op.shifted)
 
 
 def test_penalized_run_keeps_the_spec_source_and_absorption():

@@ -70,8 +70,7 @@ def test_reused_penalized_plan_matches_fresh_plans(diffusion_mode):
     mesh, _, cfg = setup(eps=eps, diffusion_mode=diffusion_mode)
     op = aniso_operator()
     bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
-    mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    plan = penalized_plan(op, mesh, Q16, bc, cfg)
     reused = fresh = rough_state()
     for _ in range(N_STEPS):
         reused = penalized_step(reused, op, plan)
@@ -105,8 +104,7 @@ def test_penalized_step_is_independent_of_memory_order():
     mesh, _, cfg = setup(eps=eps, reconstruction="mc_limited")
     op = aniso_operator()
     bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16)
-    mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    plan = penalized_plan(op, mesh, Q16, bc, cfg)
     c_order, node_major = layouts(rough_state())
     assert_same(penalized_step(c_order, op, plan), penalized_step(node_major, op, plan))
 
@@ -142,16 +140,17 @@ def test_returned_state_survives_later_steps_on_its_plan(diffusion_mode, reconst
     eps = 0.3
     mesh, mat, cfg = setup(eps=eps, reconstruction=reconstruction, diffusion_mode=diffusion_mode)
     bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="blended")
+    source = None
     if penalized:
         op = aniso_operator()
-        mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
+        mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
 
         def advance(s):
             return penalized_step(s, op, plan)
     else:
         def advance(s):
             return step(s, plan)
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=source)
     first = advance(rough_state())
     buffers = list(plan_arrays(plan))
     assert len(buffers) > 20
@@ -175,14 +174,14 @@ def plan_of(kind):
     mesh, mat, cfg = setup(reconstruction="mc_limited" if kind == "mc_limited" else "first_order",
                            diffusion_mode="implicit_slopes" if kind.endswith("ugks_id") else "explicit_slopes")
     bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="blended")
-    advance = step
+    advance, source = step, None
     if kind.startswith("penalized"):
         op = aniso_operator()
-        mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
+        mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
 
         def advance(state, plan):
             return penalized_step(state, op, plan)
-    return StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc), advance
+    return StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=source), advance
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -233,8 +232,10 @@ def test_a_built_state_checks_its_shapes_and_is_read_only():
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_bound_plan_calls_names_patched_after_its_first_step(monkeypatch, kind):
     """The benchmark's tracer and the allocation tests patch module-level
-    names; a plan's step looks each up when it runs, also after its first
-    step has bound the plan's kernel."""
+    names; a plan's step looks ``np.empty`` and ``solve_banded`` up when it
+    runs, also after its first step has bound the plan's kernel.  A
+    penalized plan's step forms its source itself, so it does not call
+    ``penalized_source``, patched or not."""
     plan, advance = plan_of(kind)
     state = advance(rough_state(), plan)
     calls = []
@@ -246,8 +247,6 @@ def test_a_bound_plan_calls_names_patched_after_its_first_step(monkeypatch, kind
     advance(state, plan)
     monkeypatch.undo()
     expected = ["empty"]
-    if kind.startswith("penalized"):
-        expected.append("penalized_source")
     if kind.endswith("ugks_id"):
         expected.append("solve_banded")
     assert sorted(calls) == sorted(expected)
@@ -263,17 +262,20 @@ def test_state_size_plan_buffers_start_on_a_cache_line(kind):
                        diffusion_mode="implicit_slopes" if kind == "ugks_id" else "explicit_slopes")
     bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16)
     state = KineticState.from_distribution(np.random.default_rng(7).random((2000, Q16.n)), Q16)
+    source = None
     if kind == "penalized":
         op = aniso_operator()
-        mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+        mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=source)
     if kind == "penalized":
         penalized_step(state, op, plan)
     else:
         step(state, plan)
-    buffers = [*plan.stencil, plan.scratch, plan.up_state, plan.scaled_source]
+    buffers = [*plan.stencil, plan.scratch]
     if kind == "mc_limited":
-        buffers += [plan.mc_lambda, plan.mc_diag, plan.slope, *plan.mc_work]
+        buffers += [plan.up_state, plan.mc_lambda, plan.mc_diag, plan.slope, *plan.mc_work]
+    if kind == "penalized":
+        buffers += [plan.up_state, plan.scaled_source]
     assert [buf.ctypes.data % 64 for buf in buffers] == [0] * len(buffers)
 
 

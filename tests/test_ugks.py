@@ -374,10 +374,11 @@ def test_overflowing_step_is_detected(scheme):
     # eps = 1 keeps sigma/eps^2 rho, which the step scales back down, finite.
     mesh, mat, cfg = make_setup(n_cells=n, sigma=1.0, eps=1.0, **SCHEMES[scheme])
     bc = BoundarySpec.from_functions(lambda v: v, 0.5, Q16, mode="blended")
+    source = None
     if scheme == "penalized":
         table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
         op = PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
-        mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
+        mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
 
         def advance(f):
             state = KineticState(f=f, rho=average(Q16, f), t=0.0)
@@ -386,7 +387,7 @@ def test_overflowing_step_is_detected(scheme):
         def advance(f):
             return step(KineticState(f=f, rho=average(Q16, f), t=0.0), plan)
 
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=source)
     f = np.full((n, Q16.n), big)
     # The step is affine with O(1) inflow terms: scaled down, it shows that
     # the full step's entries stay finite while their sum overflows.
