@@ -13,7 +13,7 @@ from .experiments import run
 __all__ = ["restrict_profile", "profile_distance", "compare_profiles", "compare", "convergence_study",
            "ConvergenceResult"]
 
-_NORMS = ("l1", "l2", "linf")
+NORMS = ("l1", "l2", "linf")
 
 
 def restrict_profile(x_fine: np.ndarray, rho_fine: np.ndarray, n_coarse: int,
@@ -47,7 +47,7 @@ def profile_distance(diff: np.ndarray, dx: float, norm: str) -> float:
         return float(math.sqrt(np.sum(diff**2) * dx))
     if norm == "linf":
         return float(np.max(np.abs(diff)))
-    raise InvalidArgumentError(f"unknown norm {norm!r}; expected one of {_NORMS}")
+    raise InvalidArgumentError(f"unknown norm {norm!r}; expected one of {NORMS}")
 
 
 def compare_profiles(a, b, norm: str = "linf"):

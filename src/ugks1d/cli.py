@@ -19,11 +19,12 @@ import argparse
 import dataclasses
 import sys
 
-from .analysis import compare_profiles, convergence_study
+from .analysis import NORMS, compare_profiles, convergence_study
 from .config import load_config
 from .errors import (ConfigError, InvalidArgumentError, InvalidDataError, InvalidKernelError, SolverFailureError,
                      UGKSError)
-from .experiments import builtin_ids, builtin_spec, read_csv, result_filename, run, write_csv
+from .experiments import SCHEMES, builtin_ids, builtin_spec, read_csv, result_filename, run, write_csv
+from .ugks import BC_MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("example", help="run a built-in example")
     p_ex.add_argument("id", choices=builtin_ids())
     p_ex.add_argument("--cells", type=int)
-    p_ex.add_argument("--scheme", choices=("ugks", "ugks_id", "upwind", "diffusion"))
-    p_ex.add_argument("--bc", choices=("stabilized", "corrected", "blended"))
+    p_ex.add_argument("--scheme", choices=SCHEMES)
+    p_ex.add_argument("--bc", choices=BC_MODES)
     p_ex.add_argument("--quad", type=int)
     p_ex.add_argument("--cfl", type=float)
     p_ex.add_argument("--implicit-diffusion", action="store_true")
@@ -122,14 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare two profile CSV files")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
-    p_cmp.add_argument("--norm", default="linf", choices=("l1", "l2", "linf"))
+    p_cmp.add_argument("--norm", default="linf", choices=NORMS)
     p_cmp.add_argument("--max", type=float, help="fail (exit 4) if the distance exceeds this")
     p_cmp.set_defaults(fn=_cmd_compare)
 
     p_cv = sub.add_parser("converge", help="mesh-convergence study for a config")
     p_cv.add_argument("config")
     p_cv.add_argument("--cells", required=True, help="comma list in geometric progression")
-    p_cv.add_argument("--norm", default="linf", choices=("l1", "l2", "linf"))
+    p_cv.add_argument("--norm", default="linf", choices=NORMS)
     p_cv.set_defaults(fn=_cmd_converge)
 
     return parser

@@ -26,18 +26,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coeffs import coefficient_arrays
-from .errors import ConfigError, InvalidArgumentError, SolverFailureError
-from .grid import (SpatialMesh, average, build_double_gauss, build_gauss_legendre, sample_material,
-                   wall_density)
+from .errors import ConfigError, InvalidArgumentError, InvalidDataError, SolverFailureError
+from .grid import SpatialMesh, average, build_double_gauss, build_gauss_legendre, sample_material
 from .penalized import PenalizedOperator, ScatteringKernel, penalized_step
 from .reference import diffusion_run, diffusion_timestep, leg_steps, upwind_step, upwind_timestep
-from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
-                   moment_defect, step)
+from .ugks import (BC_MODES, RECONSTRUCTIONS, BoundarySpec, KineticState, SchemeConfig, StepPlan,
+                   cfl_timestep, moment_defect, step)
 
 __all__ = ["ExperimentSpec", "RunResult", "builtin_ids", "builtin_spec", "run",
            "write_csv", "read_csv"]
 
 SCHEMES = ("ugks", "ugks_id", "upwind", "diffusion")
+_QUADRATURES = {"gauss_legendre": build_gauss_legendre, "double_gauss": build_double_gauss}
 _Density = namedtuple("_Density", "rho f", defaults=(None,))   # a diffusion state: no f to store
 
 
@@ -70,8 +70,12 @@ class ExperimentSpec:
     kernel_table: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise InvalidArgumentError(f"scheme: unknown value {self.scheme!r}")
+        # Every enumerated choice, whether or not the scheme reads it.
+        for name, known in (("scheme", SCHEMES), ("bc_mode", BC_MODES), ("reconstruction", RECONSTRUCTIONS),
+                            ("quad_kind", _QUADRATURES), ("diffusion_solver", ("explicit", "implicit")),
+                            ("collision", ("isotropic", "penalized"))):
+            if getattr(self, name) not in known:
+                raise InvalidArgumentError(f"{name}: unknown value {getattr(self, name)!r}")
         if len(self.times) == 0:
             raise InvalidArgumentError("times: at least one output time required")
         t = np.asarray(self.times, dtype=float)
@@ -79,10 +83,6 @@ class ExperimentSpec:
             raise InvalidArgumentError("times: must be nonnegative and strictly increasing")
         if any(int(c) < 2 for c in self.cells):
             raise InvalidArgumentError("cells: every resolution must be >= 2")
-        if self.diffusion_solver not in ("explicit", "implicit"):
-            raise InvalidArgumentError(f"diffusion_solver: unknown value {self.diffusion_solver!r}")
-        if self.collision not in ("isotropic", "penalized"):
-            raise InvalidArgumentError(f"collision: unknown value {self.collision!r}")
         if self.collision == "penalized" and self.kernel_constant is None and self.kernel_table is None:
             raise InvalidArgumentError("collision=penalized requires a kernel")
 
@@ -145,11 +145,7 @@ def builtin_spec(example_id: str, **overrides) -> ExperimentSpec:
 
 
 def _build_quadrature(spec: ExperimentSpec):
-    if spec.quad_kind == "double_gauss":
-        return build_double_gauss(spec.quadrature)
-    if spec.quad_kind == "gauss_legendre":
-        return build_gauss_legendre(spec.quadrature)
-    raise InvalidArgumentError(f"quad_kind: unknown value {spec.quad_kind!r}")
+    return _QUADRATURES[spec.quad_kind](spec.quadrature)
 
 
 def _operator(spec: ExperimentSpec, q) -> PenalizedOperator:
@@ -160,18 +156,14 @@ def _operator(spec: ExperimentSpec, q) -> PenalizedOperator:
 
 
 def _initial_profile(spec: ExperimentSpec, mesh: SpatialMesh) -> np.ndarray:
-    """The initial density sampled at the cell centres."""
+    """The initial density sampled at the cell centres, which must be finite."""
     init = spec.initial
-    if callable(init):
-        return np.array([float(init(x)) for x in mesh.centers])
-    return np.full(mesh.n_cells, float(init))
-
-
-def _dirichlet_data(bc: BoundarySpec, q) -> tuple[float, float]:
-    """Dirichlet data of the diffusion limit from the sampled inflow of
-    ``bc``: the corrected boundary density :func:`grid.wall_density` at each
-    wall, the corrected plan's ``rho_half`` bit for bit."""
-    return wall_density(q, bc.f_left, slice(q.split, None)), wall_density(q, bc.f_right, slice(0, q.split))
+    with np.errstate(all="ignore"):   # a bad sample raises below, so no warning precedes it
+        rho = (np.array([float(init(x)) for x in mesh.centers]) if callable(init)
+               else np.full(mesh.n_cells, float(init)))
+    if not np.isfinite(rho).all():
+        raise InvalidDataError("initial: not finite at every cell centre")
+    return rho
 
 
 def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool):
@@ -190,7 +182,7 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
         if np.any(mat.sigma_iface <= 0):
             raise InvalidArgumentError("diffusion scheme requires sigma > 0 everywhere")
         kappa_iface = 1.0 / (3.0 * mat.sigma_iface)
-        dirichlet = _dirichlet_data(bc, q)
+        dirichlet = tuple(rho for _, rho in bc.walls)   # the corrected densities
         rho = _initial_profile(spec, mesh)
 
         def diffusion(t, t_end, dt):

@@ -16,7 +16,7 @@ cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 BC_MODES = ("stabilized", "corrected", "blended")
+RECONSTRUCTIONS = ("first_order", "mc_limited")
 
 
 @dataclass(frozen=True)
@@ -71,36 +72,44 @@ class KineticState:
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Inflow data at quadrature nodes plus the boundary-condition mode.
+    """Inflow data at the nodes of ``q`` plus the boundary-condition mode.
 
-    f_left is used for v > 0, f_right for v < 0.  ``mode`` selects between the
-    stabilized, corrected, and blended boundary densities.
+    f_left is used for v > 0, f_right for v < 0: one sample per node, finite
+    and nonnegative on the incoming half.  ``mode`` selects between the
+    stabilized, corrected, and blended boundary densities, which a plan
+    blends from ``walls``: per wall, left first, the stabilized inflow
+    <v f_in 1_inc>_h and the corrected density :func:`grid.wall_density`,
+    the diffusion limit's Dirichlet value.
     """
 
+    q: VelocityQuadrature
     f_left: np.ndarray
     f_right: np.ndarray
     mode: str = "stabilized"
+    walls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in BC_MODES:
             raise InvalidArgumentError(f"unknown boundary mode {self.mode!r}")
-        self.f_left.setflags(write=False)
-        self.f_right.setflags(write=False)
+        q, h, walls = self.q, self.q.split, []
+        for name, f_in, inc in (("f_left", self.f_left, slice(h, None)), ("f_right", self.f_right, slice(0, h))):
+            if f_in.shape != (q.n,):
+                raise InvalidArgumentError(f"{name}: {f_in.shape} samples for a {q.n}-node quadrature")
+            if not 0.0 <= f_in[inc].min() <= f_in[inc].max() < math.inf:   # false for a NaN
+                raise InvalidDataError(f"{name}: incoming samples must be finite and nonnegative")
+            f_in.setflags(write=False)
+            walls.append((float(f_in[inc].dot(_node_tables(q).wv[inc])), wall_density(q, f_in, inc)))
+        object.__setattr__(self, "walls", tuple(walls))
 
     @classmethod
     def from_functions(cls, f_left, f_right, q: VelocityQuadrature,
                        mode: str = "stabilized") -> "BoundarySpec":
         """Sample each inflow, a constant or a callable of one number, node by
-        node (a call on the node array can change last bits).  Its samples on
-        the incoming half-range must be finite and nonnegative."""
-        samples, h = [], q.split
-        with np.errstate(all="ignore"):   # a bad sample raises below, so no warning precedes it
-            for name, fn, inc in (("f_left", f_left, slice(h, None)), ("f_right", f_right, slice(0, h))):
-                vals = np.array([float(fn(vk)) for vk in q.nodes]) if callable(fn) else np.full(q.n, float(fn))
-                if not 0.0 <= vals[inc].min() <= vals[inc].max() < math.inf:   # false for a NaN
-                    raise InvalidDataError(f"{name}: incoming samples must be finite and nonnegative")
-                samples.append(vals)
-        return cls(*samples, mode=mode)
+        node (a call on the node array can change last bits)."""
+        with np.errstate(all="ignore"):   # a bad sample raises when checked, so no warning precedes it
+            samples = [np.array([float(fn(vk)) for vk in q.nodes]) if callable(fn) else np.full(q.n, float(fn))
+                       for fn in (f_left, f_right)]
+        return cls(q, *samples, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -121,25 +130,10 @@ class SchemeConfig:
             raise InvalidArgumentError("eps must be positive")
         if not 0 < self.cfl <= 1:
             raise InvalidArgumentError("cfl must lie in (0, 1]")
-        if self.reconstruction not in ("first_order", "mc_limited"):
+        if self.reconstruction not in RECONSTRUCTIONS:
             raise InvalidArgumentError(f"unknown reconstruction {self.reconstruction!r}")
         if self.diffusion_mode not in ("explicit_slopes", "implicit_slopes"):
             raise InvalidArgumentError(f"unknown diffusion mode {self.diffusion_mode!r}")
-
-
-def _wall(q: VelocityQuadrature, wv: np.ndarray, f_in: np.ndarray, inc: slice, m_out: float,
-          theta: float):
-    """Boundary density rho_{1/2} of one wall and the inflow part of its
-    macroscopic flux times eps, from the inflow ``f_in`` on the wall's
-    incoming nodes ``inc`` and its outgoing half-moment ``m_out`` of v;
-    ``wv`` holds the weights of <v .>_h.  Every mode is one rule: ``theta``
-    weighs the corrected data, the density :func:`grid.wall_density` (the
-    diffusion oracle's Dirichlet value) and its inflow -m_out rho, against
-    the stabilized, the inflow <v f_in 1_inc>_h and its density."""
-    stab_inflow = float(f_in[inc].dot(wv[inc]))
-    rho_corr = wall_density(q, f_in, inc)
-    return ((1.0 - theta) * (-stab_inflow / m_out) + theta * rho_corr,
-            (1.0 - theta) * stab_inflow + theta * (-m_out * rho_corr))
 
 
 def cfl_timestep(cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh) -> float:
@@ -201,10 +195,11 @@ class StepPlan:
     scalar-source and relaxation terms, is one product of a (nodes, 6)
     constant with a (6, cells) block per step; its last two columns put
     the wall inflow in place of the interface terms at the walls.  One
-    per-wall path, run once for each wall, builds a wall's density
-    ``rho_half``, the terms of its macroscopic flux, its column of that
-    constant and the row that selects its cell: the right wall is the left
-    one under v -> -v.  No per-node array spans the cells + 1 interfaces:
+    per-wall path, run once for each wall, blends the two reductions of its
+    inflow that ``bc``, sampled on ``q`` itself, holds into its density
+    ``rho_half`` and builds the terms of its macroscopic flux, its column of
+    that constant and the row that selects its cell: the right wall is the
+    left one under v -> -v.  No per-node array spans the cells + 1 interfaces:
     the macroscopic flux ``phi`` is O(cells) work on per-half moments of F,
     kept with the other interface rows in one padded row block, so one flat
     difference gives the density update's divergence and the product's
@@ -251,9 +246,10 @@ class StepPlan:
         if not dt > 0:
             raise InvalidArgumentError(f"dt must be positive, got {dt}")
         n, k, h = mesh.n_cells, q.n, q.split
-        if (mat.n_cells != n or bc.f_left.shape != (k,) or bc.f_right.shape != (k,)
-                or source is not None and source.shape != (k, k)):
-            raise InvalidArgumentError("material, mesh, quadrature, inflow and source sizes disagree")
+        if mat.n_cells != n or source is not None and source.shape != (k, k):
+            raise InvalidArgumentError("material, mesh, quadrature and source sizes disagree")
+        if bc.q is not q:
+            raise InvalidArgumentError("the inflow is sampled on another quadrature than the plan's")
         if coeffs is None:
             coeffs = coefficient_arrays(dt, cfg.eps, mat.sigma_iface, mat.alpha_iface)
         a, b, c, d, e, nu = coeffs
@@ -342,10 +338,15 @@ class StepPlan:
         # v -> -v: incoming nodes v < 0, outgoing half-moments of v > 0 and
         # outward sign s = +1.  Its interface is -1, but its cell in the
         # block's cells + 1 columns is n - 1.
-        for j, (f_in, inc, m_out, m2_out, s, wall, cell) in enumerate((
-                (bc.f_left, slice(h, None), q.m_v_neg, q.m_v2_neg, -1.0, 0, 0),
-                (bc.f_right, slice(0, h), q.m_v_pos, q.m_v2_pos, 1.0, -1, n - 1))):
-            rho, inflow = _wall(q, tables.wv, f_in, inc, m_out, thetas[j])
+        for j, (f_in, (stab, rho_corr), inc, m_out, m2_out, s, wall, cell) in enumerate((
+                (bc.f_left, bc.walls[0], slice(h, None), q.m_v_neg, q.m_v2_neg, -1.0, 0, 0),
+                (bc.f_right, bc.walls[1], slice(0, h), q.m_v_pos, q.m_v2_pos, 1.0, -1, n - 1))):
+            # The density and the inflow part of the flux times eps: theta
+            # weighs the corrected density and its inflow -m_out rho against
+            # the stabilized inflow and its density.
+            theta = thetas[j]
+            rho = (1.0 - theta) * (-stab / m_out) + theta * rho_corr
+            inflow = (1.0 - theta) * stab + theta * (-m_out * rho_corr)
             rho_half.append(rho)
             # ugks_id keeps only the interface-density part of the D-fluxes
             # explicit; at the walls that is a constant.
@@ -579,7 +580,7 @@ class _NodeTables:
     flux moment first, in the order of the plan's interface rows.
     ``cell_cols``: (v, v^2 1_{v>0}, v^2 1_{v<0}, 1, 0, 0), the columns of
     f^{n+1}'s product before the plan fills in the wall columns.  ``wv``:
-    the weights of <v .>_h.
+    the weights of <v .>_h, which :class:`BoundarySpec` also uses.
     ``upwind_cols``: the signed node columns (:func:`_signed_cols`) of the
     stencil of F, node factor v.  ``m_v2_halves``: (<v^2 1_{v>0}>,
     <v^2 1_{v<0}>).

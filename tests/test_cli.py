@@ -110,6 +110,17 @@ def test_a_bad_kernel_is_named_by_its_config_line_before_any_material_is_sampled
         assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {key}: "), key
 
 
+def test_an_unknown_choice_is_named_by_its_file_and_key_whatever_the_scheme(tmp_path, capsys):
+    # the diffusion scheme reads none of these, so only the spec's own check sees them
+    for key in ("reconstruction", "bc", "quad_kind", "scheme"):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"id = ex5\ncells = 25\nscheme = diffusion\n{key} = foo\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2, key
+        name = "bc_mode" if key == "bc" else key
+        assert capsys.readouterr().err == f"error: {cfg}: {name}: unknown value 'foo'\n", key
+    assert not list(tmp_path.glob("w*"))
+
+
 def test_explicit_diffusion_example_past_its_bound_exits_two(tmp_path, capsys):
     # past the parabolic bound the explicit scheme diverges: the run must
     # stop before it writes a profile

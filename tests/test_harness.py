@@ -295,6 +295,14 @@ def test_diffusion_rejects_inflow_the_kinetic_schemes_reject():
         run(builtin_spec("ex5", f_left=lambda v: -v, scheme="diffusion"), cells=25)
 
 
+@pytest.mark.parametrize("scheme", ["ugks", "upwind", "diffusion"])
+def test_a_non_finite_initial_profile_is_an_input_error(scheme):
+    # bad input data, so an input error before any step, not a NaN profile or a solver failure
+    for initial in (lambda x: float("nan"), math.inf, lambda x: 1.0 / (x - 0.5) if x < 0.5 else math.inf):
+        with pytest.raises(InvalidDataError, match="initial"):
+            run(builtin_spec("ex5", scheme=scheme, initial=initial), cells=25)
+
+
 def test_penalized_run_via_kernel_config(tmp_path):
     cfg = tmp_path / "pen.txt"
     cfg.write_text(

@@ -440,4 +440,14 @@ def test_plan_rejects_a_mismatched_step():
     with pytest.raises(InvalidArgumentError):
         StepPlan(dt, cfg, mat, SpatialMesh(0.0, 1.0, N_CELLS + 1), Q16, bc)
     with pytest.raises(InvalidArgumentError):
-        StepPlan(dt, cfg, mat, mesh, Q16, BoundarySpec(f_left=np.ones(8), f_right=np.ones(8)))
+        StepPlan(dt, cfg, mat, mesh, Q16, BoundarySpec.from_functions(1.0, 1.0, build_gauss_legendre(8)))
+
+
+def test_plan_rejects_an_inflow_sampled_on_another_rule():
+    # DG16 has as many nodes as GL16, so only the rule tells the samples apart
+    mesh, mat, cfg = setup()
+    dt = cfl_timestep(cfg, mat, mesh)
+    for other in (build_gauss_legendre(8), build_double_gauss(16)):
+        bc = BoundarySpec.from_functions(lambda v: v, 0.0, other, mode="corrected")
+        with pytest.raises(InvalidArgumentError, match="another quadrature"):
+            StepPlan(dt, cfg, mat, mesh, Q16, bc)

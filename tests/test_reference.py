@@ -272,15 +272,26 @@ def test_shared_weight_is_normalized_on_its_rule(rule):
 
 
 @pytest.mark.parametrize("rule", WEIGHT_RULES)
-def test_oracle_dirichlet_data_is_the_corrected_wall_density(rule):
+def test_oracle_dirichlet_data_is_the_corrected_wall_density(rule, monkeypatch):
     # anisotropic inflow at both walls, f_L(v) = v and f_R(v) = 1 - v, and
-    # isotropic inflow, whose weighted sum can miss the value itself by an ulp
+    # isotropic inflow, whose weighted sum can miss the value itself by an ulp;
+    # the Dirichlet data is what a diffusion run passes to its oracle
     q = WEIGHT_RULES[rule]
+    quad = dict(quadrature=q.n, quad_kind="double_gauss" if rule.startswith("DG") else "gauss_legendre")
     mesh = SpatialMesh(0.0, 1.0, 25)
+    seen = []
+
+    def capture(*args):
+        seen.append(args[8])   # dirichlet
+        return diffusion_run(*args)
+    monkeypatch.setattr(experiments, "diffusion_run", capture)
     for f_left, f_right in ((lambda v: v, lambda v: 1.0 - v), (1.0, 0.3)):
+        seen.clear()
+        run(builtin_spec("ex5", f_left=f_left, f_right=f_right, scheme="diffusion", times=(0.01,), **quad),
+            cells=25)
         bc = BoundarySpec.from_functions(f_left, f_right, q, mode="corrected")
         plan = StepPlan(0.01, SchemeConfig(eps=1e-2), sample_material(1.0, 0.0, 0.0, mesh), mesh, q, bc)
-        assert experiments._dirichlet_data(bc, q) == plan.rho_half
+        assert seen == [plan.rho_half]
 
 
 @pytest.mark.parametrize("quad_kind", ["gauss_legendre", "double_gauss"])

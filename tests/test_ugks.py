@@ -84,7 +84,34 @@ def test_boundary_density_anisotropic_corrected_value():
 
 def test_boundary_unknown_mode_rejected():
     with pytest.raises(InvalidArgumentError):
-        BoundarySpec(f_left=np.zeros(16), f_right=np.zeros(16), mode="reflecting")
+        BoundarySpec(Q16, f_left=np.zeros(16), f_right=np.zeros(16), mode="reflecting")
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_a_directly_built_spec_checks_its_incoming_samples(bad):
+    # the check of from_functions holds whatever builds the spec
+    for name in ("f_left", "f_right"):
+        samples = dict(f_left=np.zeros(16), f_right=np.zeros(16))
+        samples[name] = np.full(16, bad)
+        with pytest.raises(InvalidDataError, match=name):
+            BoundarySpec(Q16, **samples)
+
+
+def test_a_spec_needs_one_sample_per_node_of_its_rule():
+    with pytest.raises(InvalidArgumentError, match="f_right"):
+        BoundarySpec(Q16, np.zeros(16), np.zeros(8))
+
+
+def test_a_spec_reduces_its_inflow_once_and_no_plan_again(monkeypatch):
+    calls = []
+    wall_density = ugks.wall_density
+    monkeypatch.setattr(ugks, "wall_density", lambda *args: calls.append(args) or wall_density(*args))
+    bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="corrected")
+    assert len(calls) == 2   # one per wall
+    mesh, mat, cfg = make_setup(eps=1e-2)
+    plans = [StepPlan(dt, cfg, mat, mesh, Q16, bc) for dt in (0.01, 0.005, 0.002)]
+    assert len(calls) == 2
+    assert all(plan.rho_half == tuple(rho for _, rho in bc.walls) for plan in plans)
 
 
 # Inflow data that an array call would reject or round differently: math.sqrt
