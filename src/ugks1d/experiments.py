@@ -76,6 +76,10 @@ class ExperimentSpec:
                             ("collision", ("isotropic", "penalized"))):
             if getattr(self, name) not in known:
                 raise InvalidArgumentError(f"{name}: unknown value {getattr(self, name)!r}")
+        try:
+            _QUADRATURES[self.quad_kind](self.quadrature)   # built once per order and shared
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"quadrature: {exc}") from None
         if len(self.times) == 0:
             raise InvalidArgumentError("times: at least one output time required")
         t = np.asarray(self.times, dtype=float)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -205,40 +205,44 @@ class StepPlan:
     difference gives the density update's divergence and the product's
     interface differences at once.
 
-    The plan binds its step when it is built.  At a few hundred cells a
-    numpy call costs more in dispatch than in arithmetic, so ``__init__``
-    defines the step, :func:`apply` after its shape check, as a closure
-    over its own locals: the constants (scalars as 0-d arrays), the scratch
-    with every view sliced once, and the ufuncs.  Every ``add``,
+    The plan binds its step when it is built, and builds everything else
+    then too: no step adds or replaces an attribute.  At a few hundred
+    cells a numpy call costs more in dispatch than in arithmetic, so
+    ``__init__`` defines the step, :func:`apply` after its shape check, as
+    a closure over its own locals: the constants (scalars as 0-d arrays),
+    the scratch with every view sliced once, the MC limiter on ``slope``
+    and ``mc_work`` (:func:`grid.mc_limiter`), a sourced plan's lambda,
+    kappa and (lambda/eps^2)(M + theta I), and the ufuncs.  Every ``add``,
     ``subtract``, ``multiply`` and ``matmul`` takes its output
     positionally, in-place updates included, 35-100 ns less than ``out=``
-    or an operator.  A sourced or MC plan's first step binds the rest, so
-    a run's set-up does not pay for it: the buffer ``up_state``, the MC
-    limiter on ``slope`` and ``mc_work`` (:func:`grid.mc_limiter`) and,
-    with a source, ``scaled_source`` (lambda g), lambda, kappa and
-    (lambda/eps^2)(M + theta I); it then stores the bound kernel as the
-    plan's step.  The closure takes the plan as an argument and never
-    holds it, so a dropped plan is freed by reference counting alone.
-    ``np.empty`` and :func:`solve_banded` are looked up at each call.
+    or an operator.  The closure never holds the plan, so a dropped plan
+    is freed by reference counting alone.  ``np.empty`` and
+    :func:`solve_banded` are looked up at each call.
 
-    Besides those named above and the inputs that ``source_fold`` reads
-    (``dt``, ``dx``, ``shape``, ``split``, ``implicit``, ``a``, ``e``,
-    ``inv_dt``, ``inv_den_rho``, ``relax`` and ``inv_den_f``), a plan
-    keeps the moment rows ``moments``, a read-only table shared by every
-    plan on one quadrature, and its scratch: ``iface``, the moment buffers
-    (:func:`_moment_scratch`), ``scratch`` and the MC buffers ``slope``
-    and ``mc_work``.  Every step overwrites the scratch, so a plan must not
-    be applied from two threads at once; nothing a step returns aliases
-    it.  The (nodes, cells) buffers of the plan start on a 64-byte
-    boundary (:func:`_aligned_empty`): ``up_state``, ``scaled_source`` and
-    the block that holds the stencil pair, ``scratch`` and the four MC
-    arrays, inside which each buffer starts on a boundary when nodes x
-    cells is a multiple of 8.  At 16 x 2000 a numpy store into an output
-    that does not takes about twice as long.  The step's output block is a
-    plain ``np.empty``, since aligning it costs about 2.4 us a step, more
-    than it saves below a few hundred cells, and gained nothing at 200 or
-    2000; the O(cells) row block and the moment buffers gained nothing
-    measurable from it either.
+    A sourced plan's ``source_fold`` is (lambda, kappa) at each cell's exit
+    interface: lambda = E/A, and kappa = (A/E - 1/dt) times the relaxation
+    factor adds to lambda g the rest of g's cell-local term, of which the
+    diagonal of ``stencil`` acting on F + lambda g carries lambda/dt.  Both
+    are (nodes, cells) arrays, or scalars where E/A, A/E - 1/dt and the
+    relaxation factor are uniform, as on ``PenalizedOperator.material``.
+
+    Besides those named above, a plan keeps ``dt``, ``dx``, ``shape``,
+    ``split``, ``implicit``, ``a``, ``e``, ``inv_dt``, ``inv_den_rho``,
+    ``relax`` and ``inv_den_f``, the moment rows ``moments``, a read-only
+    table shared by every plan on one quadrature, and its scratch:
+    ``iface``, the moment buffers (:func:`_moment_scratch`) and one block
+    of (nodes, cells) buffers that starts on a 64-byte boundary
+    (:func:`_aligned_empty`), the stencil pair, ``scratch``, a sourced or
+    MC plan's upwind state ``up_state``, a sourced plan's lambda g
+    ``scaled_source`` and the four MC arrays, each of which starts on a
+    boundary when nodes x cells is a multiple of 8.  Every step overwrites
+    the scratch, so a plan must not be applied from two threads at once;
+    nothing a step returns aliases it.  At 16 x 2000 a numpy store into an
+    output that does not start on a boundary takes about twice as long.
+    The step's output block is a plain ``np.empty``, since aligning it
+    costs about 2.4 us a step, more than it saves below a few hundred
+    cells, and gained nothing at 200 or 2000; the O(cells) row block and
+    the moment buffers gained nothing measurable from it either.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -369,11 +373,13 @@ class StepPlan:
         # The (nodes, cells) arrays are one allocation: as separate blocks at
         # 2000 cells, each plan touched fresh pages and took 2.7 times as
         # long to build.  Blocks 0-1 are the stencil pair, 2 the step's
-        # scratch; with MC, 3-4 the slope's two factors, 5 the slopes and
-        # 6-8 the limiter's differences.  The block starts on a 64-byte
-        # boundary, and so does each (k, n) block inside it when k * n is a
-        # multiple of 8, as with 16 nodes.
-        big = _aligned_empty((9 if second_order else 3, k, n))
+        # scratch; a sourced or MC plan's 3 is its upwind state and a
+        # sourced plan's 4 is lambda g; with MC, the last six are the
+        # slope's two factors, the slopes and the limiter's differences.
+        # The block starts on a 64-byte boundary, and so does each (k, n)
+        # block inside it when k * n is a multiple of 8, as with 16 nodes.
+        sourced = source is not None
+        big = _aligned_empty((3 + (sourced or second_order) + sourced + 6 * second_order, k, n))
         self.stencil = s_d, s_o = _stencil_pair(tables.upwind_cols, a[None, :], idf_dx,
                                                 self.inv_dt * idf, out=big[:2])
         self.scratch = scratch = big[2]
@@ -383,6 +389,22 @@ class StepPlan:
         t_pos, t_neg = scratch.reshape(-1)[cut:-1], scratch.reshape(-1)[1:cut]
         # The finite guard's vectors of nodes + 1 and of cells ones.
         row_dot, cell_ones = _ones(k + 1).dot, _ones(n)
+        if sourced or second_order:
+            self.up_state = up = big[3]
+        if sourced:
+            # A scalar lambda rides in the product's matrix
+            # (lambda/eps^2)(M + theta I), an array multiplies after it.
+            lam, kappa = e / a, a / e - self.inv_dt
+            if (lam == lam[0]).all() and (kappa == kappa[0]).all() and (idf == idf[0]).all():
+                self.source_fold = lam, kappa = float(lam[0]), float(kappa[0] * idf[0])
+                lam_cells, kappa = None, np.array(kappa)
+            else:
+                kappa = self._exit_values(kappa)
+                kappa *= idf
+                self.source_fold = lam_cells, kappa = self._exit_values(lam), kappa
+                lam = 1.0
+            scaled = (lam / eps**2) * source
+            self.scaled_source = lam_g = big[4]
         if second_order:
             # The reconstruction moves each upwind value dx/2 toward its exit
             # interface, and B v^2 df_up joins A v f_up there: the flux is
@@ -391,13 +413,15 @@ class StepPlan:
             # the relaxation factor, which ``mc_diag`` df takes back out.
             # Both factors are full (nodes, cells) arrays: a multiply that
             # broadcasts a row allocates a buffer of the state's size.
-            self.mc_lambda = mc_lambda = self._exit_values(b / a, out=big[3])
+            mc = big[-6:]
+            self.mc_lambda = mc_lambda = self._exit_values(b / a, out=mc[0])
             mc_lambda *= q.nodes[:, None]
             mc_lambda[h:] += 0.5 * dx
             mc_lambda[:h] -= 0.5 * dx
-            self.mc_diag = mc_diag = np.multiply(mc_lambda, self.inv_dt * idf, out=big[4])
-            self.slope = big[5]
-            self.mc_work = big[6:].reshape(3, -1)[:, :size - 1]
+            self.mc_diag = mc_diag = np.multiply(mc_lambda, self.inv_dt * idf, out=mc[1])
+            self.slope = mc[2]
+            self.mc_work = mc[3:].reshape(3, -1)[:, :size - 1]
+            limit = mc_limiter(dx, self.slope, self.mc_work)
 
         if implicit:
             if q.m_v2_pos != q.m_v2_neg:
@@ -417,13 +441,11 @@ class StepPlan:
         inv_dt, inv_dx = np.array(self.inv_dt), np.array(inv_dx)
         add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
         contiguous, isfinite, out_shape = np.ascontiguousarray, math.isfinite, (k + 1, n)
-        # Bound by a sourced or MC plan's first step (``first``).
-        up = limit = lam_g = scaled = lam_cells = kappa = None
 
-        def kernel(p, f, rho):
+        def kernel(f, rho):
             fn = contiguous(f.T)
             up_state = fn
-            if source is not None:
+            if sourced:
                 # lambda g as penalized_source makes it: F - rho, then one product.
                 scratch[...] = rho
                 subtract(fn, scratch, scratch)
@@ -492,7 +514,7 @@ class StepPlan:
             f_pos, f_neg = out_flat[cut + 1:size], out_flat[:cut - 1]
             add(f_pos, t_pos, f_pos)
             add(f_neg, t_neg, f_neg)
-            if source is not None:
+            if sourced:
                 multiply(kappa, lam_g, scratch)
                 add(f_new, scratch, f_new)
             if second_order:
@@ -507,18 +529,7 @@ class StepPlan:
             out.setflags(write=False)
             return out[:k].T, out[k]
 
-        def first(p, f, rho):
-            nonlocal up, limit, lam_g, scaled, lam_cells, kappa
-            up = p.up_state = _aligned_empty((k, n))
-            limit = mc_limiter(dx, p.slope, p.mc_work) if second_order else None
-            if source is not None:
-                lam_g = p.scaled_source = _aligned_empty((k, n))
-                lam, kappa = map(np.asarray, p.source_fold)   # scalars as 0-d arrays
-                lam_cells, lam = (lam, 1.0) if lam.ndim else (None, float(lam))
-                scaled = (lam / eps**2) * source
-            p._kernel = kernel
-            return kernel(p, f, rho)
-        self._kernel = kernel if source is None and not second_order else first
+        self._kernel = kernel
 
     def _exit_values(self, row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Node-major (nodes, cells) array of the per-interface ``row`` at
@@ -531,23 +542,6 @@ class StepPlan:
         out[:h] = row[:-1]
         return out
 
-    @cached_property
-    def source_fold(self):
-        """(lambda, kappa) that fold a per-node source g into the step.
-
-        lambda is E/A of the interface through which each cell's value of
-        each velocity half leaves.  The diagonal of ``stencil`` acting on
-        F + lambda g carries lambda/dt of g's cell-local term; kappa =
-        (A/E - 1/dt) times the relaxation factor adds the rest to
-        lambda g.  Node-major (nodes, cells) arrays, or scalars where they
-        are uniform, as on ``PenalizedOperator.material``.
-        """
-        lam, kappa = (self._exit_values(row) for row in (self.e / self.a, self.a / self.e - self.inv_dt))
-        kappa *= self.inv_den_f
-        if np.ptp(lam) == 0 and np.ptp(kappa) == 0:
-            return float(lam[0, 0]), float(kappa[0, 0])
-        return lam, kappa
-
 
 def _aligned_empty(shape) -> np.ndarray:
     """An uninitialised C-contiguous float array of ``shape`` that starts on
@@ -555,8 +549,9 @@ def _aligned_empty(shape) -> np.ndarray:
     to the boundary.  A plan's state-size scratch and constants use it,
     since a numpy store into a (16, 2000) output that starts off a boundary
     takes about twice as long (AVX-512).  Reading the address costs
-    about 1.5 us, so a plan calls this when it builds a buffer, once; the
-    array interface, unlike ``.ctypes``, imports nothing."""
+    about 1.5 us, so a plan calls this once, for the one block that holds
+    all of its (nodes, cells) buffers; the array interface, unlike
+    ``.ctypes``, imports nothing."""
     size = math.prod(shape)
     buf = np.empty(size + 7)
     start = -buf.__array_interface__["data"][0] % 64 // buf.itemsize
@@ -695,7 +690,7 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray):
     """
     if f.shape != plan.shape or rho.shape != plan.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {plan.shape}")
-    return plan._kernel(plan, f, rho)
+    return plan._kernel(f, rho)
 
 
 def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:

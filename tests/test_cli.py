@@ -121,6 +121,17 @@ def test_an_unknown_choice_is_named_by_its_file_and_key_whatever_the_scheme(tmp_
     assert not list(tmp_path.glob("w*"))
 
 
+def test_a_bad_quadrature_order_is_named_by_its_file_and_key(tmp_path, capsys):
+    for order, kind in ((3, "gauss_legendre"), (0, "gauss_legendre"), (514, "double_gauss")):
+        cfg = tmp_path / "q.txt"
+        cfg.write_text(f"id = ex5\ncells = 25\nquad = {order}\nquad_kind = {kind}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "w")]) == 2, order
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: quadrature: "), order
+    assert main(["example", "ex5", "--quad", "3", "--out", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr().err.startswith("error: quadrature: ")
+    assert not list(tmp_path.glob("w*"))
+
+
 def test_explicit_diffusion_example_past_its_bound_exits_two(tmp_path, capsys):
     # past the parabolic bound the explicit scheme diverges: the run must
     # stop before it writes a profile

@@ -170,9 +170,9 @@ def test_penalized_isotropic_state_fixed_point():
 
 
 def assert_step_allocates_only_its_output(advance, n, monkeypatch):
-    """After a plan's first step, which builds its buffers, tracemalloc's
-    peak over one ``advance`` of a (n, 16) state is its (nodes + 1, cells)
-    output block plus at most 4 KB of small objects.  The block is the
+    """After one warm-up step, tracemalloc's peak over one ``advance`` of
+    a (n, 16) state is its (nodes + 1, cells) output block plus at most
+    4 KB of small objects.  The block is the
     step's one ``np.empty``, and its size would hide a state-size buffer
     freed before it, so the peak up to that call is held to 4 KB too."""
     state = KineticState.from_distribution(np.linspace(0.0, 1.0, 16 * n).reshape(n, 16), Q16)
@@ -406,20 +406,21 @@ def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
     assert assert_fold_matches_reference(plans, q, op, eps, mesh)
 
 
-def test_source_fold_is_built_only_by_a_sourced_step():
-    """A plan without a source never builds the fold; a plan with one
-    builds it on its first step, not when it is built."""
+def test_source_fold_is_built_only_by_a_sourced_plan():
+    """A plan without a source has no fold; a plan with one has it as soon
+    as it is built, and its steps keep that fold."""
     mesh, _, bc = setup_run()
     op = PenalizedOperator.build(anisotropic_kernel(), Q16)
     mat = op.material(sample_material(0.0, 0.0, 0.0, mesh))
     cfg = SchemeConfig(eps=0.5)
     plan, plain = sourced_and_plain(cfg, mat, mesh, Q16, bc, op)
+    assert "source_fold" not in vars(plain)
+    fold = vars(plan)["source_fold"]
     state = KineticState.from_distribution(np.zeros((20, 16)), Q16)
     step(state, plain)
-    assert "source_fold" not in vars(plain)
-    assert "source_fold" not in vars(plan)
     penalized_step(state, op, plan)
-    assert "source_fold" in vars(plan)
+    assert "source_fold" not in vars(plain)
+    assert plan.source_fold is fold
 
 
 def test_penalized_step_rejects_a_plan_without_its_source():

@@ -185,9 +185,29 @@ def plan_of(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_a_plan_is_whole_when_built(monkeypatch, kind):
+    """A plan binds its kernel and builds every attribute, its one aligned
+    block of (nodes, cells) buffers included, when it is built: its steps
+    replace or add none of them."""
+    blocks = []
+
+    def counting(shape, _original=ugks._aligned_empty):
+        blocks.append(shape)
+        return _original(shape)
+    monkeypatch.setattr(ugks, "_aligned_empty", counting)
+    plan, advance = plan_of(kind)
+    built, kernel = dict(vars(plan)), plan._kernel
+    advance(advance(rough_state(), plan), plan)
+    assert len(blocks) == 1
+    assert plan._kernel is kernel
+    assert vars(plan).keys() == built.keys()
+    assert all(vars(plan)[name] is value for name, value in built.items())
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_dropped_stepped_plan_is_freed_by_reference_counting(kind):
-    """A plan's step, bound on its first apply, holds no reference back to
-    the plan: no cycle keeps a dropped plan alive until the cyclic
+    """A plan's step, bound when the plan is built, holds no reference back
+    to the plan: no cycle keeps a dropped plan alive until the cyclic
     collector runs."""
     plan, advance = plan_of(kind)
     state = advance(advance(rough_state(), plan), plan)
@@ -205,10 +225,10 @@ def test_a_dropped_stepped_plan_is_freed_by_reference_counting(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_stepped_states_are_read_only(kind):
-    """The first step binds the plan's kernel and the second runs it bound;
-    both return a state whose f and rho cannot be written.  The step builds
-    it without ``KineticState.__init__``, so it must hold exactly the
-    fields of a state that ``KineticState(...)`` builds."""
+    """A plan's first and second steps both return a state whose f and rho
+    cannot be written.  The step builds it without
+    ``KineticState.__init__``, so it must hold exactly the fields of a
+    state that ``KineticState(...)`` builds."""
     plan, advance = plan_of(kind)
     state = rough_state()
     for _ in range(2):
@@ -233,8 +253,7 @@ def test_a_built_state_checks_its_shapes_and_is_read_only():
 def test_a_bound_plan_calls_names_patched_after_its_first_step(monkeypatch, kind):
     """The benchmark's tracer and the allocation tests patch module-level
     names; a plan's step looks ``np.empty`` and ``solve_banded`` up when it
-    runs, also after its first step has bound the plan's kernel.  A
-    penalized plan's step forms its source itself, so it does not call
+    runs, not when the plan binds its kernel.  A penalized plan's step forms its source itself, so it does not call
     ``penalized_source``, patched or not."""
     plan, advance = plan_of(kind)
     state = advance(rough_state(), plan)
@@ -255,22 +274,18 @@ def test_a_bound_plan_calls_names_patched_after_its_first_step(monkeypatch, kind
 @pytest.mark.parametrize("kind", ["first_order", "mc_limited", "ugks_id", "penalized"])
 def test_state_size_plan_buffers_start_on_a_cache_line(kind):
     """Every (nodes, cells) buffer a 2000-cell plan owns starts on a 64-byte
-    boundary, where a numpy store into it is fastest."""
+    boundary, where a numpy store into it is fastest, as soon as the plan
+    is built."""
     mesh = SpatialMesh(0.0, 1.0, 2000)
     mat = sample_material(lambda x: 1.0 + (4.0 * x) ** 2, 0.2, 0.5, mesh)
     cfg = SchemeConfig(eps=0.05, reconstruction="mc_limited" if kind == "mc_limited" else "first_order",
                        diffusion_mode="implicit_slopes" if kind == "ugks_id" else "explicit_slopes")
     bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16)
-    state = KineticState.from_distribution(np.random.default_rng(7).random((2000, Q16.n)), Q16)
     source = None
     if kind == "penalized":
         op = aniso_operator()
         mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
     plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=source)
-    if kind == "penalized":
-        penalized_step(state, op, plan)
-    else:
-        step(state, plan)
     buffers = [*plan.stencil, plan.scratch]
     if kind == "mc_limited":
         buffers += [plan.up_state, plan.mc_lambda, plan.mc_diag, plan.slope, *plan.mc_work]
