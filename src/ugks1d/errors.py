@@ -22,7 +22,14 @@ class ConfigError(UGKSError):
 
 
 class SolverFailureError(UGKSError, RuntimeError):
-    """A solver step produced non-finite values or violated a stability bound."""
+    """A solver step produced non-finite values or violated a stability bound.
+
+    ``step`` is the failed step's number within the call that raised, 1
+    unless the call took several steps."""
+
+    def __init__(self, message: str, step: int = 1):
+        super().__init__(message)
+        self.step = step
 
 
 class ComparisonError(UGKSError, ValueError):

@@ -174,8 +174,10 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
     """The spec's scheme as ``(policy, leg)``: its time-step policy and
     ``leg(t, t_end, dt) -> (state, steps, moment_defect)``, which advances the
     scheme's own state, from its initial one on, to the next output time by
-    the steps of :func:`reference.leg_steps`.
-    Only the leg holds the state, so each step frees the one before it.
+    the steps of :func:`reference.leg_steps`: a kinetic leg is one stepper
+    call of n steps of dt and one of the shortened step, or one call per
+    step when it tracks the moment defect, which is per step.
+    Only the leg holds the state, so each call frees the one before it.
     Steppers are looked up by their module-level names at each call.
     ``ugks_id`` and ``diffusion`` import SciPy's linear algebra here, once
     per process (about 0.3 s), so that no leg pays for it."""
@@ -201,10 +203,16 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
     if spec.scheme == "upwind":
         policy = upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl)
 
-        def advance(s, h):
-            f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, h,
-                                reconstruction=spec.reconstruction)
-            return KineticState(f=f_new, rho=average(q, f_new), t=s.t + h)
+        def advance(s, h, n):
+            for j in range(1, n + 1):
+                try:
+                    f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, h,
+                                        reconstruction=spec.reconstruction)
+                except SolverFailureError as exc:
+                    exc.step = j
+                    raise
+                s = KineticState(f=f_new, rho=average(q, f_new), t=s.t + h)
+            return s
     else:
         cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
                            diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
@@ -216,33 +224,35 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
             plan_mat, source = op.material(mat), op.shifted
         plans: dict = {}   # one per distinct step size: the policy's and each shortened leg end
 
-        def advance(s, h):
+        def advance(s, h, n):
             plan = plans.get(h)
             if plan is None:
                 coeffs = coefficient_arrays(h, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
                 plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs, source)
             if op is None:
-                return step(s, plan)
-            return penalized_step(s, op, plan)
+                return step(s, plan, n)
+            return penalized_step(s, op, plan, n)
     f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T   # node-major, as stepped
     state = KineticState(f=f0, rho=average(q, f0), t=0.0)
     taken, worst = 0, 0.0
 
     def leg(t, t_end, dt):
-        # one advance per step of leg_steps; a failing step is named by its
-        # number in the run, and the defect returned is the run's largest so far.
+        # one advance of (h, count) steps per call; a failing step is named by
+        # its number in the run, through the number within its call that the
+        # error carries, and the defect returned is the run's largest so far.
         # A diverging step's overflow and NaN reach its output, whose finite
         # guard raises, so numpy's warnings would only precede that error.
         nonlocal state, taken, worst
         n, last = leg_steps(t, t_end, dt)
+        full = repeat((dt, 1), n) if track_moments else [(dt, n)] if n else []
         steps = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for h in chain(repeat(dt, n), (last,) if last else ()):
+            for h, count in chain(full, [(last, 1)] if last else []):
                 try:
-                    state = advance(state, h)
+                    state = advance(state, h, count)
                 except SolverFailureError as exc:
-                    raise SolverFailureError(f"step {taken + steps + 1}, leg to t={t_end:.6g}: {exc}") from exc
-                steps += 1
+                    raise SolverFailureError(f"step {taken + steps + exc.step}, leg to t={t_end:.6g}: {exc}") from exc
+                steps += count
                 if track_moments:
                     worst = max(worst, moment_defect(state, q))
         taken += steps

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidKernelError
 from .grid import MaterialField, VelocityQuadrature, average
-from .ugks import KineticState, StepPlan, apply
+from .ugks import KineticState, StepPlan, step
 
 __all__ = [
     "ScatteringKernel",
@@ -199,9 +199,10 @@ def penalized_source(f: np.ndarray, rho: np.ndarray, op: PenalizedOperator, eps:
     return src.T
 
 
-def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan) -> KineticState:
-    """One UGKS step of ``plan`` with sigma -> theta and the penalization
-    leftover, at the plan's eps, as a per-node source evaluated at time n.
+def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan, n: int = 1) -> KineticState:
+    """``n`` UGKS steps of ``plan`` with sigma -> theta and the penalization
+    leftover, at the plan's eps, as a per-node source evaluated at the
+    start of each step: :func:`ugks.step`, in one call of the plan's kernel.
 
     ``plan`` is a :class:`StepPlan` built on ``op.material(mat)``, which
     keeps the absorption and source of ``mat``, with ``source=op.shifted``,
@@ -209,4 +210,4 @@ def penalized_step(state: KineticState, op: PenalizedOperator, plan: StepPlan) -
     """
     if plan.source is not op.shifted:
         raise InvalidArgumentError("penalized_step needs a plan built with source=op.shifted")
-    return KineticState._stepped(*apply(plan, state.f, state.rho), state.t + plan.dt)
+    return step(state, plan, n)

@@ -208,11 +208,12 @@ class StepPlan:
     The plan binds its step when it is built, and builds everything else
     then too: no step adds or replaces an attribute.  At a few hundred
     cells a numpy call costs more in dispatch than in arithmetic, so
-    ``__init__`` defines the step, :func:`apply` after its shape check, as
-    a closure over its own locals: the constants (scalars as 0-d arrays),
-    the scratch with every view sliced once, the MC limiter on ``slope``
-    and ``mc_work`` (:func:`grid.mc_limiter`), a sourced plan's lambda,
-    kappa and (lambda/eps^2)(M + theta I), and the ufuncs.  Every ``add``,
+    ``__init__`` defines the kernel, :func:`apply` after its checks, as a
+    closure over its own locals that runs n steps in one loop: the
+    constants (scalars as 0-d arrays), the scratch with every view sliced
+    once, the MC limiter on ``slope`` and ``mc_work``
+    (:func:`grid.mc_limiter`), a sourced plan's lambda, kappa and
+    (lambda/eps^2)(M + theta I), and the ufuncs.  Every ``add``,
     ``subtract``, ``multiply`` and ``matmul`` takes its output
     positionally, in-place updates included, 35-100 ns less than ``out=``
     or an operator.  The closure never holds the plan, so a dropped plan
@@ -226,10 +227,9 @@ class StepPlan:
     are (nodes, cells) arrays, or scalars where E/A, A/E - 1/dt and the
     relaxation factor are uniform, as on ``PenalizedOperator.material``.
 
-    Besides those named above, a plan keeps ``dt``, ``dx``, ``shape``,
-    ``split``, ``implicit``, ``a``, ``e``, ``inv_dt``, ``inv_den_rho``,
-    ``relax`` and ``inv_den_f``, the moment rows ``moments``, a read-only
-    table shared by every plan on one quadrature, and its scratch:
+    Besides those named above, a plan keeps ``dt``, ``dx``, ``shape`` and
+    ``inv_dt``, the moment rows ``moments``, a read-only table shared by
+    every plan on one quadrature, and its scratch:
     ``iface``, the moment buffers (:func:`_moment_scratch`) and one block
     of (nodes, cells) buffers that starts on a 64-byte boundary
     (:func:`_aligned_empty`), the stencil pair, ``scratch``, a sourced or
@@ -237,12 +237,17 @@ class StepPlan:
     ``scaled_source`` and the four MC arrays, each of which starts on a
     boundary when nodes x cells is a multiple of 8.  Every step overwrites
     the scratch, so a plan must not be applied from two threads at once;
-    nothing a step returns aliases it.  At 16 x 2000 a numpy store into an
+    nothing a call returns aliases it.  At 16 x 2000 a numpy store into an
     output that does not start on a boundary takes about twice as long.
-    The step's output block is a plain ``np.empty``, since aligning it
-    costs about 2.4 us a step, more than it saves below a few hundred
-    cells, and gained nothing at 200 or 2000; the O(cells) row block and
-    the moment buffers gained nothing measurable from it either.
+    A call's output block is a plain ``np.empty``, since aligning it
+    costs about 2.4 us, more than it saves below a few hundred cells, and
+    gained nothing at 200 or 2000; the O(cells) row block and the moment
+    buffers gained nothing measurable from it either.  A call of n > 1
+    steps also allocates one (2, nodes + 1, cells) block, whose halves the
+    steps before the last write in turn, and drops it when it returns.
+    Built with the plan instead, it stepped no faster, but a run's set-up
+    up to its first step went from 0.48 to 0.79 ms on the benchmark's
+    diffusive-id-2000 (2000 cells).
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -260,17 +265,16 @@ class StepPlan:
         eps, dx = cfg.eps, mesh.dx
         inv_dx = 1.0 / dx
         self.dt, self.dx, self.source = dt, dx, source
-        self.shape, self.split = (n, k), h
-        self.implicit = implicit = cfg.diffusion_mode == "implicit_slopes"
+        self.shape = (n, k)
+        implicit = cfg.diffusion_mode == "implicit_slopes"
         second_order = cfg.reconstruction == "mc_limited"
-        self.a, self.e = a, e
         g_cell = mat.g_cell if np.count_nonzero(mat.g_cell) else None
         g_if = mat.g_iface
         eg = e * g_if if np.count_nonzero(g_if) else None
         self.inv_dt = 1.0 / dt
-        self.inv_den_rho = inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
-        self.relax = relax = mat.sigma_cell / eps**2
-        self.inv_den_f = idf = 1.0 / (self.inv_dt + relax + mat.alpha_cell)
+        inv_den_rho = 1.0 / (self.inv_dt + mat.alpha_cell)
+        relax = mat.sigma_cell / eps**2
+        idf = 1.0 / (self.inv_dt + relax + mat.alpha_cell)
         tables = _node_tables(q)
         # The upwind moments (flux, density): per-cell half moments, then one
         # add of the v > 0 rows one cell left and the v < 0 rows.
@@ -399,9 +403,9 @@ class StepPlan:
                 self.source_fold = lam, kappa = float(lam[0]), float(kappa[0] * idf[0])
                 lam_cells, kappa = None, np.array(kappa)
             else:
-                kappa = self._exit_values(kappa)
+                kappa = _exit_values(kappa, h, np.empty((k, n)))
                 kappa *= idf
-                self.source_fold = lam_cells, kappa = self._exit_values(lam), kappa
+                self.source_fold = lam_cells, kappa = _exit_values(lam, h, np.empty((k, n))), kappa
                 lam = 1.0
             scaled = (lam / eps**2) * source
             self.scaled_source = lam_g = big[4]
@@ -414,7 +418,7 @@ class StepPlan:
             # Both factors are full (nodes, cells) arrays: a multiply that
             # broadcasts a row allocates a buffer of the state's size.
             mc = big[-6:]
-            self.mc_lambda = mc_lambda = self._exit_values(b / a, out=mc[0])
+            self.mc_lambda = mc_lambda = _exit_values(b / a, h, mc[0])
             mc_lambda *= q.nodes[:, None]
             mc_lambda[h:] += 0.5 * dx
             mc_lambda[:h] -= 0.5 * dx
@@ -442,105 +446,114 @@ class StepPlan:
         add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
         contiguous, isfinite, out_shape = np.ascontiguousarray, math.isfinite, (k + 1, n)
 
-        def kernel(f, rho):
-            fn = contiguous(f.T)
-            up_state = fn
-            if sourced:
-                # lambda g as penalized_source makes it: F - rho, then one product.
-                scratch[...] = rho
-                subtract(fn, scratch, scratch)
-                matmul(scaled, scratch, lam_g)
-                if lam_cells is not None:
-                    multiply(lam_g, lam_cells, lam_g)
-                up_state = add(fn, lam_g, up)
-            if second_order:
-                df = limit(fn)
-                up_state = add(up_state, multiply(mc_lambda, df, scratch), up)
-                multiply(df, mc_diag, df)
-            if up_state is fn:
-                matmul(half_rows, fn, per_cell)
-            else:
-                matmul(flux_rows, up_state, flux_cell)
-                matmul(dens_rows, fn, dens_cell)
-            add(pos, neg, moment_sum)
-            rho_if[0] = rho_l
-            rho_if[-1] = rho_r
-            multiply(coef_rows, moments, iface_rows)
-            # The wall terms of Phi after the upwind one, in this order: they
-            # cancel to O(1) from O(1/eps), so the order fixes the bits.
-            phi[0] = phi.item(0) + in_l + c_l + e_l + d_l
-            phi[-1] = phi.item(-1) + in_r + c_r + e_r + d_r
-            if eg is not None:
-                add(c_row, eg, c_row)
-            # ugks_id's D-terms couple the time-(n+1) densities and go to the
-            # solve; like C rho_if, their interface-density part averages to
-            # zero.  The D-slope rows: rho_if[1:] - rho times the v > 0 factor,
-            # rho_if[:-1] - rho times the negated v < 0 one.
-            if not implicit:
-                subtract(rho_if_pair, rho, slopes)
-                multiply(slopes, d_slope, slopes)
-                # Row 4 is free until the difference: it holds Phi's last term.
-                add(phi, matmul(m_v2_halves, d_rows, phi_term), phi)
-            subtract(here, right, diff)
-
-            out = np.empty(out_shape)
-            f_new, rho_new = out[:k], out[k]
-            multiply(rho, inv_dt, rho_new)
-            multiply(div_phi, inv_dx, div_phi)
-            add(rho_new, div_phi, rho_new)
-            if g_cell is not None:
-                add(rho_new, g_cell, rho_new)
-            if implicit:
-                solve_banded(lu, rho_new)
-                subtract(rho_if_pair, rho_new, slopes)
-                multiply(slopes, d_slope, slopes)
-                subtract(here_d, right_d, diff_d)
-            else:
-                multiply(rho_new, inv_den_rho, rho_new)
-
-            multiply(relax, rho_new, relax_row)
-            if g_cell is not None:
-                add(relax_row, g_cell, relax_row)
-            multiply(scaled_rows, row_scale, scaled_rows)
-            matmul(node_cols, cell_rows, f_new)
-            # The stencil: S_d times the upwind state, plus S_o times it moved
-            # one cell downwind, a shifted add of the scratch's flat views on
-            # each half's flattened rows: right in the v > 0 rows, left in the
-            # v < 0; S_o is zero in the column that would wrap into the next row.
-            multiply(s_d, up_state, scratch)
-            add(f_new, scratch, f_new)
-            multiply(s_o, up_state, scratch)
+        def views(out):
+            # An output block (nodes + 1, cells), its f and rho rows and the
+            # flat views of the stencil's downwind add into f.
             out_flat = out.reshape(-1)
-            f_pos, f_neg = out_flat[cut + 1:size], out_flat[:cut - 1]
-            add(f_pos, t_pos, f_pos)
-            add(f_neg, t_neg, f_neg)
-            if sourced:
-                multiply(kappa, lam_g, scratch)
+            return out, out[:k], out[k], out_flat[cut + 1:size], out_flat[:cut - 1]
+
+        def kernel(f, rho, steps):
+            fn = contiguous(f.T)
+            if steps > 1:
+                # Steps 1 .. steps - 1 write the two halves of one block in
+                # turn, each reading the other; only the last writes a block
+                # of its own, which the call returns.
+                pair = [views(block) for block in np.empty((2, k + 1, n))]
+            for j in range(1, steps + 1):
+                out, f_new, rho_new, f_pos, f_neg = pair[j & 1] if j < steps else views(np.empty(out_shape))
+                up_state = fn
+                if sourced:
+                    # lambda g as penalized_source makes it: F - rho, then one product.
+                    scratch[...] = rho
+                    subtract(fn, scratch, scratch)
+                    matmul(scaled, scratch, lam_g)
+                    if lam_cells is not None:
+                        multiply(lam_g, lam_cells, lam_g)
+                    up_state = add(fn, lam_g, up)
+                if second_order:
+                    df = limit(fn)
+                    up_state = add(up_state, multiply(mc_lambda, df, scratch), up)
+                    multiply(df, mc_diag, df)
+                if up_state is fn:
+                    matmul(half_rows, fn, per_cell)
+                else:
+                    matmul(flux_rows, up_state, flux_cell)
+                    matmul(dens_rows, fn, dens_cell)
+                add(pos, neg, moment_sum)
+                rho_if[0] = rho_l
+                rho_if[-1] = rho_r
+                multiply(coef_rows, moments, iface_rows)
+                # The wall terms of Phi after the upwind one, in this order: they
+                # cancel to O(1) from O(1/eps), so the order fixes the bits.
+                phi[0] = phi.item(0) + in_l + c_l + e_l + d_l
+                phi[-1] = phi.item(-1) + in_r + c_r + e_r + d_r
+                if eg is not None:
+                    add(c_row, eg, c_row)
+                # ugks_id's D-terms couple the time-(n+1) densities and go to the
+                # solve; like C rho_if, their interface-density part averages to
+                # zero.  The D-slope rows: rho_if[1:] - rho times the v > 0 factor,
+                # rho_if[:-1] - rho times the negated v < 0 one.
+                if not implicit:
+                    subtract(rho_if_pair, rho, slopes)
+                    multiply(slopes, d_slope, slopes)
+                    # Row 4 is free until the difference: it holds Phi's last term.
+                    add(phi, matmul(m_v2_halves, d_rows, phi_term), phi)
+                subtract(here, right, diff)
+
+                multiply(rho, inv_dt, rho_new)
+                multiply(div_phi, inv_dx, div_phi)
+                add(rho_new, div_phi, rho_new)
+                if g_cell is not None:
+                    add(rho_new, g_cell, rho_new)
+                if implicit:
+                    solve_banded(lu, rho_new)
+                    subtract(rho_if_pair, rho_new, slopes)
+                    multiply(slopes, d_slope, slopes)
+                    subtract(here_d, right_d, diff_d)
+                else:
+                    multiply(rho_new, inv_den_rho, rho_new)
+
+                multiply(relax, rho_new, relax_row)
+                if g_cell is not None:
+                    add(relax_row, g_cell, relax_row)
+                multiply(scaled_rows, row_scale, scaled_rows)
+                matmul(node_cols, cell_rows, f_new)
+                # The stencil: S_d times the upwind state, plus S_o times it moved
+                # one cell downwind, a shifted add of the scratch's flat views on
+                # each half's flattened rows: right in the v > 0 rows, left in the
+                # v < 0; S_o is zero in the column that would wrap into the next row.
+                multiply(s_d, up_state, scratch)
                 add(f_new, scratch, f_new)
-            if second_order:
-                subtract(f_new, df, f_new)
-            # The row sums of f and rho and then their sum, a BLAS gemv and dot
-            # with ones: a NaN or an infinity anywhere, or a sum that overflows,
-            # makes it non-finite.  A flat dot with (nodes + 1) * cells ones is
-            # cheaper alone, but made the 2000-cell ugks_id step 4% slower.
-            if not isfinite(row_dot(out.dot(cell_ones))):
-                raise SolverFailureError("non-finite values after step")
+                multiply(s_o, up_state, scratch)
+                add(f_pos, t_pos, f_pos)
+                add(f_neg, t_neg, f_neg)
+                if sourced:
+                    multiply(kappa, lam_g, scratch)
+                    add(f_new, scratch, f_new)
+                if second_order:
+                    subtract(f_new, df, f_new)
+                # The row sums of f and rho and then their sum, a BLAS gemv and dot
+                # with ones: a NaN or an infinity anywhere, or a sum that overflows,
+                # makes it non-finite.  A flat dot with (nodes + 1) * cells ones is
+                # cheaper alone, but made the 2000-cell ugks_id step 4% slower.
+                if not isfinite(row_dot(out.dot(cell_ones))):
+                    raise SolverFailureError("non-finite values after step", j)
+                fn, rho = f_new, rho_new
             # Views made after the block is flagged are read-only too.
             out.setflags(write=False)
             return out[:k].T, out[k]
 
         self._kernel = kernel
 
-    def _exit_values(self, row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Node-major (nodes, cells) array of the per-interface ``row`` at
-        the interface through which each cell's value of each velocity half
-        leaves: interface i + 1 for v > 0, i for v < 0."""
-        h = self.split
-        if out is None:
-            out = np.empty(self.shape[::-1])
-        out[h:] = row[1:]
-        out[:h] = row[:-1]
-        return out
+
+def _exit_values(row: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:
+    """``out``, a node-major (nodes, cells) array, filled with the
+    per-interface ``row`` at the interface through which each cell's value
+    of each velocity half leaves: interface i + 1 for v > 0 (the nodes from
+    ``split`` on), i for v < 0."""
+    out[split:] = row[1:]
+    out[:split] = row[:-1]
+    return out
 
 
 def _aligned_empty(shape) -> np.ndarray:
@@ -664,8 +677,8 @@ def _stencil_pair(cols: np.ndarray, iface_rows: np.ndarray, scale: np.ndarray, d
     return np.matmul(cols, rows, out=out)
 
 
-def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray):
-    """Advance (f, rho) by one step of the plan's dt; returns (f_new, rho_new).
+def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray, n: int = 1):
+    """Advance (f, rho) by ``n`` steps of the plan's dt; returns (f_new, rho_new).
 
     ``f`` has shape (cells, nodes) in any memory order; the step reads it
     through the node-major ``f.T``, copied only when that is not contiguous,
@@ -685,12 +698,19 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray):
     non-finite result raises ``SolverFailureError``: the guard sums f and
     rho by a BLAS gemv and dot with vectors of ones.
 
-    After the shape check, the step is one call of the plan's kernel,
-    which the plan bound when it was built.
+    After the shape check, the ``n`` steps are one call of the plan's
+    kernel, which the plan bound when it was built.  The kernel runs one
+    loop ``n`` times: steps before the last write the two halves of one
+    (2, nodes + 1, cells) array that lives for the call, in turn, and give
+    the bits of ``n`` calls with ``n = 1``.  The finite guard runs after
+    every step, and the error of a failed step j carries j as its
+    ``step``.  ``n`` below 1 raises ``InvalidArgumentError``.
     """
     if f.shape != plan.shape or rho.shape != plan.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {plan.shape}")
-    return plan._kernel(f, rho)
+    if n < 1:
+        raise InvalidArgumentError(f"a call takes at least one step, got n={n}")
+    return plan._kernel(f, rho, n)
 
 
 def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
@@ -729,11 +749,16 @@ def _implicit_bands(d_if: np.ndarray, m_v2_half: float, dx: float, dt: float,
     return lower, diag, upper
 
 
-def step(state: KineticState, plan: StepPlan) -> KineticState:
-    """Advance the state by one step of ``plan`` (isotropic collision
-    operator): its dt, scheme, material, mesh, quadrature and inflow.
-    Repeated steps of one size share a plan."""
-    return KineticState._stepped(*apply(plan, state.f, state.rho), state.t + plan.dt)
+def step(state: KineticState, plan: StepPlan, n: int = 1) -> KineticState:
+    """Advance the state by ``n`` steps of ``plan``, its dt, scheme,
+    material, mesh, quadrature and inflow, in one :func:`apply`.  The time
+    takes ``n`` successive additions of dt, the bits of ``n`` calls with
+    ``n = 1``.  Repeated steps of one size share a plan."""
+    f, rho = apply(plan, state.f, state.rho, n)
+    t, dt = state.t, plan.dt
+    for _ in range(n):
+        t += dt
+    return KineticState._stepped(f, rho, t)
 
 
 def moment_defect(state: KineticState, q: VelocityQuadrature) -> float:

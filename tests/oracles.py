@@ -1,8 +1,11 @@
 """Closed-form oracles that only the tests use."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ugks1d import ugks
+from ugks1d.coeffs import coefficient_arrays
 from ugks1d.errors import InvalidArgumentError
 
 
@@ -58,35 +61,54 @@ def add_stencil(out: np.ndarray, stencil, x: np.ndarray, split: int) -> None:
     o[:cut - 1] += moved[1:cut]
 
 
-def source_terms(plan, q, g):
+def plan_constants(plan, cfg, mat, q):
+    """The constants of a step of ``plan``, built for ``cfg`` on ``mat``
+    and ``q``, that its kernel folds in and the plan does not keep, by the
+    operations that build the plan on the same floats: the interface
+    coefficients ``a``, ``b`` and ``e``, ``inv_den_rho`` = 1/(1/dt + alpha),
+    ``relax`` = sigma/eps^2, ``inv_den_f`` = 1/(1/dt + relax + alpha),
+    ``implicit`` and the quadrature's ``split``, with ``plan`` itself."""
+    a, b, _, _, e, _ = coefficient_arrays(plan.dt, cfg.eps, mat.sigma_iface, mat.alpha_iface)
+    inv_dt = 1.0 / plan.dt
+    relax = mat.sigma_cell / cfg.eps**2
+    return SimpleNamespace(plan=plan, a=a, b=b, e=e, inv_den_rho=1.0 / (inv_dt + mat.alpha_cell), relax=relax,
+                           inv_den_f=1.0 / (inv_dt + relax + mat.alpha_cell),
+                           implicit=cfg.diffusion_mode == "implicit_slopes", split=q.split)
+
+
+def source_terms(consts, q, g):
     """The terms that a per-node source g with zero velocity mean adds to a
-    step of the source-free ``plan``: the change of the density update's
-    right-hand side by its upwind flux E <v g_up>_h, and the stencil pair
-    of E v g_up / dx and the cell-local g, both times the relaxation
-    factor.  ``g`` is node-major; returns (d_rhs, pair)."""
+    step of the source-free plan of ``consts`` (:func:`plan_constants`):
+    the change of the density update's right-hand side by its upwind flux
+    E <v g_up>_h, and the stencil pair of E v g_up / dx and the cell-local
+    g, both times the relaxation factor.  ``g`` is node-major; returns
+    (d_rhs, pair)."""
+    plan = consts.plan
     flux_rows = plan.moments[0::2].copy()
-    flux = plan.e * upwind_moments(flux_rows, g, ugks._moment_scratch(1, plan.shape[0]))[0]
-    pair = ugks._stencil_pair(ugks._node_tables(q).upwind_cols, plan.e[None, :],
-                              plan.inv_den_f / plan.dx, plan.inv_den_f)
+    flux = consts.e * upwind_moments(flux_rows, g, ugks._moment_scratch(1, plan.shape[0]))[0]
+    pair = ugks._stencil_pair(ugks._node_tables(q).upwind_cols, consts.e[None, :],
+                              consts.inv_den_f / plan.dx, consts.inv_den_f)
     return -(flux[1:] - flux[:-1]) / plan.dx, pair
 
 
-def linear_step(plan, state, d_rhs, terms):
-    """The step of ``plan`` from ``state`` plus terms linear in a known
-    per-node array x: ``d_rhs`` joins the density update's right-hand side
-    and each (stencil pair, x) of ``terms`` joins f (:func:`add_stencil`).
-    Under ``implicit_slopes`` the time-n density enters only the right-hand
-    side of the density solve, so ``d_rhs`` goes in as a change of that
-    density; under ``explicit_slopes`` the new density reaches f only
-    through sigma/eps^2 rho^{n+1}.  Returns (f, rho)."""
-    if plan.implicit:
+def linear_step(consts, state, d_rhs, terms):
+    """The step of the plan of ``consts`` (:func:`plan_constants`) from
+    ``state`` plus terms linear in a known per-node array x: ``d_rhs``
+    joins the density update's right-hand side and each (stencil pair, x)
+    of ``terms`` joins f (:func:`add_stencil`).  Under ``implicit_slopes``
+    the time-n density enters only the right-hand side of the density
+    solve, so ``d_rhs`` goes in as a change of that density; under
+    ``explicit_slopes`` the new density reaches f only through
+    sigma/eps^2 rho^{n+1}.  Returns (f, rho)."""
+    plan = consts.plan
+    if consts.implicit:
         f0, rho_new = ugks.apply(plan, state.f, state.rho + plan.dt * d_rhs)
         f_new = f0.T.copy()
     else:
         f0, rho0 = ugks.apply(plan, state.f, state.rho)
-        d_rho = d_rhs * plan.inv_den_rho
+        d_rho = d_rhs * consts.inv_den_rho
         rho_new = rho0 + d_rho
-        f_new = f0.T + plan.relax * d_rho * plan.inv_den_f
+        f_new = f0.T + consts.relax * d_rho * consts.inv_den_f
     for pair, x in terms:
-        add_stencil(f_new, pair, x, plan.split)
+        add_stencil(f_new, pair, x, consts.split)
     return f_new.T, rho_new

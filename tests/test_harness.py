@@ -224,13 +224,52 @@ def test_a_diverging_run_raises_before_any_numpy_warning():
         run(spec, cells=200)
 
 
+def test_an_upwind_failure_is_named_by_its_step_in_the_run(monkeypatch):
+    # an upwind leg takes its steps in one advance; the one that fails is
+    # still named by its number in the run
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise SolverFailureError("non-finite values in upwind step")
+        return reference.upwind_step(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "upwind_step", failing)
+    with pytest.raises(SolverFailureError, match="^step 5, leg to t=0.4: non-finite values in upwind step$"):
+        run(builtin_spec("ex5", scheme="upwind"), cells=25)
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "tracking_moments"])
+def test_a_leg_is_one_call_for_its_full_steps_unless_it_tracks_moments(monkeypatch, track):
+    # one stepper call for a leg's n full steps and one for its shortened
+    # step; a run that tracks the moment defect, which is per step, calls
+    # once per step
+    counts = []
+
+    def counted(state, plan, n=1, _step=experiments.step):
+        counts.append(n)
+        return _step(state, plan, n)
+
+    monkeypatch.setattr(experiments, "step", counted)
+    times = (0.01, 0.05, 0.15)
+    out = run(builtin_spec("ex2", times=times), cells=25, track_moments=track)
+    expected, t = [], 0.0
+    for t_end in times:
+        n, last = reference.leg_steps(t, t_end, out.dt)
+        expected += ([1] * n if track else [n] * bool(n)) + [1] * bool(last)
+        t = t_end
+    assert counts == expected and sum(counts) == out.n_steps
+    assert len(counts) == (out.n_steps if track else 2 * len(times))
+
+
 def test_every_leg_lands_on_its_output_time(monkeypatch):
     # ex2 ugks at 200 cells: each leg ends in a shortened step, and a leg's
     # steps add up, exactly, to its span to within 2 ulps of its output time
     sizes = []
 
-    def recorded(state, plan):
-        sizes.append(plan.dt)
+    def recorded(state, plan, n=1):
+        sizes.extend([plan.dt] * n)
         return state   # the step sizes are all this test reads
 
     monkeypatch.setattr(experiments, "step", recorded)

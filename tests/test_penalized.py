@@ -15,7 +15,7 @@ from ugks1d.reference import diffusion_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                          moment_defect, step)
 
-from oracles import homogeneous_stability_margin, linear_step, source_terms
+from oracles import homogeneous_stability_margin, linear_step, plan_constants, source_terms
 from plans import penalized_plan
 
 Q16 = build_gauss_legendre(16)
@@ -333,8 +333,9 @@ def test_penalized_diffusion_limit_macro_update():
 def unfused_penalized_step(plain, q, state, op, eps):
     """Reference: the penalized step with the source kept apart from F.
 
-    The step is linear, so it is the step of ``plain``, the penalized
-    plan's twin built without the source, plus the source's own terms
+    The step is linear, so it is the step of the penalized plan's twin
+    built without the source, whose constants ``plain`` holds
+    (:func:`oracles.plan_constants`), plus the source's own terms
     (:func:`oracles.source_terms`), with g from :func:`penalized_source`.
     """
     g = np.ascontiguousarray(penalized_source(state.f, state.rho, op, eps).T)
@@ -350,15 +351,16 @@ def sourced_and_plain(cfg, mat, mesh, q, bc, op):
             StepPlan(dt, cfg, mat, mesh, q, bc))
 
 
-def assert_fold_matches_reference(plans, q, op, eps, mesh, steps=10):
+def assert_fold_matches_reference(plans, q, op, cfg, mat, steps=10):
     """Along the folded trajectory from random data, each step of the
-    penalized plan of ``plans`` (:func:`sourced_and_plain`) matches the
-    unfused reference from the same state to 1e-13 relative.  Returns
-    False, checking nothing further, once the run grows past 10 times its
-    data."""
-    plan, plain = plans
-    rng = np.random.default_rng(q.n * 1000 + mesh.n_cells)
-    state = KineticState.from_distribution(rng.uniform(0.0, 1.0, (mesh.n_cells, q.n)), q)
+    penalized plan of ``plans`` (:func:`sourced_and_plain` of ``cfg`` and
+    ``mat``) matches the unfused reference from the same state to 1e-13
+    relative.  Returns False, checking nothing further, once the run grows
+    past 10 times its data."""
+    plan, plain = plans[0], plan_constants(plans[1], cfg, mat, q)
+    eps = cfg.eps
+    rng = np.random.default_rng(q.n * 1000 + mat.n_cells)
+    state = KineticState.from_distribution(rng.uniform(0.0, 1.0, (mat.n_cells, q.n)), q)
     for _ in range(steps):
         f_ref, rho_ref = unfused_penalized_step(plain, q, state, op, eps)
         state = penalized_step(state, op, plan)
@@ -385,7 +387,7 @@ def test_folded_source_matches_the_unfused_reference(diffusion_mode, reconstruct
         bc = BoundarySpec.from_functions(abs, 0.3, q, mode=mode)
         plans = sourced_and_plain(cfg, mat, mesh, q, bc, op)
         assert np.ndim(plans[0].source_fold[0]) == 0     # uniform material: scalar lambda
-        kept += assert_fold_matches_reference(plans, q, op, eps, mesh)
+        kept += assert_fold_matches_reference(plans, q, op, cfg, mat)
     assert kept >= 60                                # of 72; the rest grow
 
 
@@ -403,7 +405,7 @@ def test_folded_source_with_absorption_varying_in_x(diffusion_mode):
     lam, kappa = plans[0].source_fold
     assert lam.shape == kappa.shape == (q.n, mesh.n_cells)
     assert not np.array_equal(lam[q.split:], lam[:q.split])
-    assert assert_fold_matches_reference(plans, q, op, eps, mesh)
+    assert assert_fold_matches_reference(plans, q, op, cfg, mat)
 
 
 def test_source_fold_is_built_only_by_a_sourced_plan():

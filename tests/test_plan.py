@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ugks1d.errors import InvalidArgumentError
+from ugks1d.errors import InvalidArgumentError, SolverFailureError
 from ugks1d.experiments import builtin_spec, run
 from ugks1d import penalized, ugks
 from ugks1d.grid import (SpatialMesh, VelocityQuadrature, build_double_gauss, build_gauss_legendre,
@@ -170,17 +170,21 @@ KINDS = ["first_order", "mc_limited", "ugks_id", "penalized", "penalized_ugks_id
 
 def plan_of(kind):
     """A plan of ``kind`` on the rough material with anisotropic blended
-    inflow, and ``advance(state, plan)``, its step."""
-    mesh, mat, cfg = setup(reconstruction="mc_limited" if kind == "mc_limited" else "first_order",
+    inflow, and ``advance(state, plan, n=1)``, its n steps.  Besides
+    ``KINDS``, "penalized_mc_limited" is a penalized MC plan and
+    "penalized_per_cell" a penalized one with alpha(x), whose lambda is
+    one value per cell."""
+    mesh, mat, cfg = setup(reconstruction="mc_limited" if kind.endswith("mc_limited") else "first_order",
                            diffusion_mode="implicit_slopes" if kind.endswith("ugks_id") else "explicit_slopes")
     bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16, mode="blended")
     advance, source = step, None
     if kind.startswith("penalized"):
         op = aniso_operator()
-        mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
+        alpha = (lambda x: 40.0 * x * x) if kind == "penalized_per_cell" else 0.0
+        mat, source = op.material(sample_material(0.0, alpha, 0.0, mesh)), op.shifted
 
-        def advance(state, plan):
-            return penalized_step(state, op, plan)
+        def advance(state, plan, n=1):
+            return penalized_step(state, op, plan, n)
     return StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=source), advance
 
 
@@ -202,6 +206,68 @@ def test_a_plan_is_whole_when_built(monkeypatch, kind):
     assert plan._kernel is kernel
     assert vars(plan).keys() == built.keys()
     assert all(vars(plan)[name] is value for name, value in built.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("kind", [*KINDS, "penalized_mc_limited", "penalized_per_cell"])
+def test_a_call_of_n_steps_is_n_single_steps(kind, n):
+    """One call of n steps gives the bits of n calls of one step, time
+    included, and returns one new read-only block that aliases neither
+    its input nor any array of the plan; the call adds or replaces no
+    attribute of the plan."""
+    plan, advance = plan_of(kind)
+    if kind == "penalized_per_cell":
+        assert np.ndim(plan.source_fold[0]) == 2
+    start = rough_state()
+    single = start
+    for _ in range(n):
+        single = advance(single, plan)
+    built, kernel = dict(vars(plan)), plan._kernel
+    f, rho = apply(plan, start.f, start.rho, n)
+    assert plan._kernel is kernel
+    assert vars(plan).keys() == built.keys()
+    assert all(vars(plan)[name] is value for name, value in built.items())
+    assert np.array_equal(f, single.f) and np.array_equal(rho, single.rho)
+    for arr in (f, rho):
+        assert not arr.flags.writeable
+        for other in (start.f, start.rho, *plan_arrays(plan)):
+            assert not np.may_share_memory(arr, other)
+    stepped = advance(start, plan, n)
+    assert_same(stepped, single)
+    t = start.t
+    for _ in range(n):
+        t += plan.dt
+    assert stepped.t == t
+
+
+def test_a_call_takes_at_least_one_step():
+    plan, advance = plan_of("first_order")
+    state = rough_state()
+    for n in (0, -1):
+        with pytest.raises(InvalidArgumentError, match="at least one step"):
+            apply(plan, state.f, state.rho, n)
+        with pytest.raises(InvalidArgumentError, match="at least one step"):
+            advance(state, plan, n)
+
+
+def test_a_failed_step_is_named_within_its_call():
+    """Ten times the CFL step diverges from data near the largest float:
+    a call of more steps fails in the step in which single steps fail,
+    after the same finite guard, and carries that step's number."""
+    mesh, mat, cfg = setup(eps=1.0)
+    bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
+    plan = StepPlan(10.0 * cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc)
+    start = KineticState.from_distribution(np.random.default_rng(7).random((N_CELLS, Q16.n)) * 1e250, Q16)
+    state, passed = start, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverFailureError) as single:
+            for _ in range(1000):
+                state = step(state, plan)
+                passed += 1
+        assert single.value.step == 1 and passed > 2
+        with pytest.raises(SolverFailureError, match="^non-finite values after step$") as raised:
+            step(start, plan, passed + 4)
+    assert raised.value.step == passed + 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
