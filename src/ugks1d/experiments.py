@@ -17,6 +17,7 @@ driven by the inflow data.
 from __future__ import annotations
 
 import importlib
+import os
 import time as _time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -298,15 +299,24 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
 
 
 def write_csv(path, x: np.ndarray, rho: np.ndarray, f: Optional[np.ndarray] = None) -> None:
-    """One row per cell: ``x,rho[,f_0,...]`` with full-precision formatting.
+    """One row per cell: ``x,rho[,f_0,...]``, each value as ``%.17g``.
 
-    Each row is one ``%``-format of its columns, each as ``%.17g``."""
+    An existing file is rewritten in place and cut to length, not truncated
+    first (on ext4 a truncate waits on the flush that its last close began),
+    so a rewrite reaches the disk by periodic writeback, as a new file does.
+    The write is not atomic: after a system crash a rewrite of several pages
+    can hold pages of both versions, where a truncating writer could leave
+    the file short or empty."""
     table = np.column_stack((x, rho) if f is None else (x, rho, f))
     names = ["x", "rho"] + [f"f_{k}" for k in range(table.shape[1] - 2)]
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(row % tuple(values) for values in table.tolist())
+    rows = (",".join(["%.17g"] * table.shape[1]) + "\n") * table.shape[0]
+    text = ",".join(names) + "\n" + rows % tuple(table.ravel().tolist())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="ascii") as fh:
+        fh.write(text)
+        # A FIFO cannot tell its position; it has no old text to cut.
+        if fh.seekable() and fh.tell() < os.fstat(fh.fileno()).st_size:
+            fh.truncate()
 
 
 def result_filename(run_name: str, t: float) -> str:

@@ -48,7 +48,7 @@ def upwind_step(f: np.ndarray, eps: float, mat: MaterialField, mesh: SpatialMesh
     if dt > bound * (1.0 + 1e-12):
         raise InvalidArgumentError(f"dt={dt} exceeds the explicit stability bound {bound}")
     v = q.nodes
-    pos = q.positive
+    pos, neg = slice(q.split, None), slice(0, q.split)
     n = f.shape[0]
 
     if reconstruction == "mc_limited":
@@ -66,8 +66,8 @@ def upwind_step(f: np.ndarray, eps: float, mat: MaterialField, mesh: SpatialMesh
     flux = np.empty((n + 1, q.n))
     flux[1:, pos] = (v[pos] / eps) * up_vals[:, pos]
     flux[0, pos] = (v[pos] / eps) * f_left[pos]
-    flux[:-1, ~pos] = (v[~pos] / eps) * dn_vals[:, ~pos]
-    flux[-1, ~pos] = (v[~pos] / eps) * f_right[~pos]
+    flux[:-1, neg] = (v[neg] / eps) * dn_vals[:, neg]
+    flux[-1, neg] = (v[neg] / eps) * f_right[neg]
 
     rho = average(q, f)
     relax = (mat.sigma_cell[:, None] / eps**2) * (rho[:, None] - f)

@@ -416,6 +416,61 @@ def test_write_csv_matches_the_reference_writer_byte_for_byte(tmp_path, with_f):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("with_f", [False, True])
+def test_a_rewrite_over_a_longer_file_leaves_the_bytes_of_a_fresh_file(tmp_path, with_f):
+    path = tmp_path / "rewritten.csv"
+    for cells in (40, 25):
+        out = run(builtin_spec("ex5", times=(0.1,)), cells=cells, store_f=True)
+        f = out.f[0] if with_f else None
+        write_csv(path, out.x, out.rho[0], f)
+    reference_write_csv(tmp_path / "ref.csv", out.x, out.rho[0], f)
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_a_write_through_a_symlink_updates_its_target_and_keeps_the_link(tmp_path):
+    out = run(builtin_spec("ex5", times=(0.1,)), cells=25)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("x,rho\n" + "0,0\n" * 100)
+    link.symlink_to(target)
+    write_csv(link, out.x, out.rho[0])
+    reference_write_csv(tmp_path / "ref.csv", out.x, out.rho[0])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this platform")
+def test_a_write_to_dev_null_succeeds():
+    out = run(builtin_spec("ex5", times=(0.1,)), cells=25)
+    write_csv("/dev/null", out.x, out.rho[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_write_to_a_fifo_delivers_the_bytes_of_a_file(tmp_path):
+    out = run(builtin_spec("ex5", times=(0.1,)), cells=25)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)   # so the writer's open does not block
+    try:
+        write_csv(fifo, out.x, out.rho[0])                # 25 rows fit in the pipe's buffer
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    reference_write_csv(tmp_path / "ref.csv", out.x, out.rho[0])
+    assert received == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_opens_without_truncating(tmp_path, monkeypatch):
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(experiments.os, "open", recording_open)
+    write_csv(tmp_path / "a.csv", np.array([0.25, 0.75]), np.array([1.0, 0.5]))
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+
 @pytest.mark.parametrize("text", ["", "a,b\n1,2\n", "x,rho\n0.5,zero\n"])
 def test_read_csv_rejects_malformed_files(tmp_path, text):
     path = tmp_path / "bad.csv"
