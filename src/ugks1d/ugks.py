@@ -16,6 +16,7 @@ cell.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -214,11 +215,12 @@ class StepPlan:
     once, the MC limiter on ``slope`` and ``mc_work``
     (:func:`grid.mc_limiter`), a sourced plan's lambda, kappa and
     (lambda/eps^2)(M + theta I), and the ufuncs.  Every ``add``,
-    ``subtract``, ``multiply`` and ``matmul`` takes its output
+    ``subtract``, ``multiply``, ``matmul`` and ``dot`` takes its output
     positionally, in-place updates included, 35-100 ns less than ``out=``
     or an operator.  The closure never holds the plan, so a dropped plan
-    is freed by reference counting alone.  ``np.empty`` and
-    :func:`solve_banded` are looked up at each call.
+    is freed by reference counting alone.  :func:`_aligned_empty`, with
+    the ``np.empty`` that it calls, and :func:`solve_banded` are looked up
+    at each call.
 
     A sourced plan's ``source_fold`` is (lambda, kappa) at each cell's exit
     interface: lambda = E/A, and kappa = (A/E - 1/dt) times the relaxation
@@ -239,15 +241,18 @@ class StepPlan:
     the scratch, so a plan must not be applied from two threads at once;
     nothing a call returns aliases it.  At 16 x 2000 a numpy store into an
     output that does not start on a boundary takes about twice as long.
-    A call's output block is a plain ``np.empty``, since aligning it
-    costs about 2.4 us, more than it saves below a few hundred cells, and
-    gained nothing at 200 or 2000; the O(cells) row block and the moment
-    buffers gained nothing measurable from it either.  A call of n > 1
-    steps also allocates one (2, nodes + 1, cells) block, whose halves the
-    steps before the last write in turn, and drops it when it returns.
-    Built with the plan instead, it stepped no faster, but a run's set-up
-    up to its first step went from 0.48 to 0.79 ms on the benchmark's
-    diffusive-id-2000 (2000 cells).
+    A call's own blocks start on a boundary too, so every state-size
+    array that a step writes does: the (nodes + 1, cells) block that the
+    call returns and, for n > 1 steps, one (2, nodes + 1, cells) block,
+    whose halves the steps before the last write in turn, dropped when
+    the call returns (its second half starts on a boundary when
+    (nodes + 1) x cells is a multiple of 8).  Each is one
+    :func:`_aligned_empty` per call, 2.3-2.6 us against about 0.27 us
+    for ``np.empty``.  Built with the plan instead, the two-half block
+    stepped no faster, but a run's set-up up to its first step went from
+    0.48 to 0.79 ms on the benchmark's diffusive-id-2000 (2000 cells).  The
+    O(cells) row block and the moment buffers stay where the allocator
+    puts them: aligning them gained nothing measurable.
     """
 
     def __init__(self, dt: float, cfg: SchemeConfig, mat: MaterialField, mesh: SpatialMesh,
@@ -443,7 +448,7 @@ class StepPlan:
         # The kernel's scalar operands are 0-d arrays, which numpy takes
         # about 200 ns faster than Python floats.
         inv_dt, inv_dx = np.array(self.inv_dt), np.array(inv_dx)
-        add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
+        add, subtract, multiply, matmul, dot = np.add, np.subtract, np.multiply, np.matmul, np.dot
         contiguous, isfinite, out_shape = np.ascontiguousarray, math.isfinite, (k + 1, n)
 
         def views(out):
@@ -458,9 +463,9 @@ class StepPlan:
                 # Steps 1 .. steps - 1 write the two halves of one block in
                 # turn, each reading the other; only the last writes a block
                 # of its own, which the call returns.
-                pair = [views(block) for block in np.empty((2, k + 1, n))]
+                pair = [views(block) for block in _aligned_empty((2, k + 1, n))]
             for j in range(1, steps + 1):
-                out, f_new, rho_new, f_pos, f_neg = pair[j & 1] if j < steps else views(np.empty(out_shape))
+                out, f_new, rho_new, f_pos, f_neg = pair[j & 1] if j < steps else views(_aligned_empty(out_shape))
                 up_state = fn
                 if sourced:
                     # lambda g as penalized_source makes it: F - rho, then one product.
@@ -497,7 +502,7 @@ class StepPlan:
                     subtract(rho_if_pair, rho, slopes)
                     multiply(slopes, d_slope, slopes)
                     # Row 4 is free until the difference: it holds Phi's last term.
-                    add(phi, matmul(m_v2_halves, d_rows, phi_term), phi)
+                    add(phi, dot(m_v2_halves, d_rows, phi_term), phi)
                 subtract(here, right, diff)
 
                 multiply(rho, inv_dt, rho_new)
@@ -559,11 +564,13 @@ def _exit_values(row: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:
 def _aligned_empty(shape) -> np.ndarray:
     """An uninitialised C-contiguous float array of ``shape`` that starts on
     a 64-byte boundary, a cache line: over-allocated by 7 doubles and cut
-    to the boundary.  A plan's state-size scratch and constants use it,
-    since a numpy store into a (16, 2000) output that starts off a boundary
-    takes about twice as long (AVX-512).  Reading the address costs
-    about 1.5 us, so a plan calls this once, for the one block that holds
-    all of its (nodes, cells) buffers; the array interface, unlike
+    to the boundary.  Every state-size array that a step writes comes from
+    it, since a numpy store into a (16, 2000) output that starts off a
+    boundary takes about twice as long (AVX-512).  It costs 2.3-2.6 us
+    against about 0.27 us for ``np.empty``, most of it in reading the
+    address, so a plan calls it once, for the one block that holds all of its
+    (nodes, cells) buffers, and a call of its kernel once or twice, for
+    its output block and its two-half block; the array interface, unlike
     ``.ctypes``, imports nothing."""
     size = math.prod(shape)
     buf = np.empty(size + 7)
@@ -684,7 +691,8 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray, n: int = 1):
     through the node-major ``f.T``, copied only when that is not contiguous,
     and gives the same bits for either order.  The step overwrites the
     plan's scratch buffers.  ``f_new`` and ``rho_new`` are read-only views
-    of one new (nodes + 1, cells) array that no plan keeps: its first rows
+    of one new (nodes + 1, cells) array that no plan keeps and that starts
+    on a 64-byte boundary (:func:`_aligned_empty`): its first rows
     are the node-major f^{n+1}, so ``f_new`` is F-ordered, and its last row
     is rho^{n+1}.  A plan built with a ``source`` adds the penalized
     leftover g = (M + theta I)(F - rho)/eps^2, a per-cell, per-node source
@@ -704,10 +712,15 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray, n: int = 1):
     (2, nodes + 1, cells) array that lives for the call, in turn, and give
     the bits of ``n`` calls with ``n = 1``.  The finite guard runs after
     every step, and the error of a failed step j carries j as its
-    ``step``.  ``n`` below 1 raises ``InvalidArgumentError``.
+    ``step``.  An ``n`` that is not an integer (``operator.index``) or
+    that is below 1 raises ``InvalidArgumentError`` before any step.
     """
     if f.shape != plan.shape or rho.shape != plan.shape[:1]:
         raise InvalidArgumentError(f"state shape {f.shape} does not match the plan's {plan.shape}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidArgumentError(f"the step count must be an integer, got n={n!r}") from None
     if n < 1:
         raise InvalidArgumentError(f"a call takes at least one step, got n={n}")
     return plan._kernel(f, rho, n)

@@ -3,6 +3,8 @@ per step, for every scheme option and in the experiment driver."""
 
 import builtins
 import gc
+import math
+import re
 import weakref
 
 import numpy as np
@@ -37,10 +39,10 @@ def rough_state():
     return KineticState.from_distribution(f, Q16)
 
 
-def aniso_operator():
-    """Penalized operator of k(v, v') = (1 + v v'/2)/2."""
-    table = 0.5 + 0.25 * np.outer(Q16.nodes, Q16.nodes)
-    return PenalizedOperator.build(ScatteringKernel.from_table(table, Q16), Q16)
+def aniso_operator(q=Q16):
+    """Penalized operator of k(v, v') = (1 + v v'/2)/2 on ``q``."""
+    table = 0.5 + 0.25 * np.outer(q.nodes, q.nodes)
+    return PenalizedOperator.build(ScatteringKernel.from_table(table, q), q)
 
 
 def assert_same(a: KineticState, b: KineticState):
@@ -192,17 +194,31 @@ def plan_of(kind):
 def test_a_plan_is_whole_when_built(monkeypatch, kind):
     """A plan binds its kernel and builds every attribute, its one aligned
     block of (nodes, cells) buffers included, when it is built: its steps
-    replace or add none of them."""
-    blocks = []
+    replace or add none of them.  A call takes only aligned blocks of its
+    own, the (nodes + 1, cells) block that it returns and, for more than
+    one step, the (2, nodes + 1, cells) block of the steps before the
+    last, and nothing keeps them once the returned state is dropped."""
+    shapes, blocks = [], []
 
-    def counting(shape, _original=ugks._aligned_empty):
-        blocks.append(shape)
-        return _original(shape)
-    monkeypatch.setattr(ugks, "_aligned_empty", counting)
+    def recording(shape, _original=ugks._aligned_empty):
+        block = owner = _original(shape)
+        while owner.base is not None:
+            owner = owner.base
+        shapes.append(shape)
+        blocks.append(weakref.ref(owner))
+        return block
+    monkeypatch.setattr(ugks, "_aligned_empty", recording)
     plan, advance = plan_of(kind)
+    assert len(shapes) == 1
     built, kernel = dict(vars(plan)), plan._kernel
-    advance(advance(rough_state(), plan), plan)
-    assert len(blocks) == 1
+    del shapes[:], blocks[:]
+    state = rough_state()
+    for n in (1, 1, 3):
+        state = advance(state, plan, n)
+    out = (Q16.n + 1, N_CELLS)
+    assert shapes == [out, out, (2, *out), out]
+    del state
+    assert [block() for block in blocks] == [None] * 4
     assert plan._kernel is kernel
     assert vars(plan).keys() == built.keys()
     assert all(vars(plan)[name] is value for name, value in built.items())
@@ -248,6 +264,20 @@ def test_a_call_takes_at_least_one_step():
             apply(plan, state.f, state.rho, n)
         with pytest.raises(InvalidArgumentError, match="at least one step"):
             advance(state, plan, n)
+
+
+@pytest.mark.parametrize("kind", ["first_order", "penalized"])
+def test_a_step_count_must_be_an_integer(kind):
+    """A count that is not an integer raises ``InvalidArgumentError``
+    naming it, before any step; a numpy integer counts as its value."""
+    plan, advance = plan_of(kind)
+    state = rough_state()
+    for n in (2.0, 2.5, "3", None):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"n={n!r}")):
+            apply(plan, state.f, state.rho, n)
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"n={n!r}")):
+            advance(state, plan, n)
+    assert_same(advance(state, plan, np.int64(3)), advance(state, plan, 3))
 
 
 def test_a_failed_step_is_named_within_its_call():
@@ -337,27 +367,91 @@ def test_a_bound_plan_calls_names_patched_after_its_first_step(monkeypatch, kind
     assert sorted(calls) == sorted(expected)
 
 
+def sized_plan(kind, cells, q=Q16):
+    """A plan of ``kind``, first order, MC, ``ugks_id`` or penalized, on
+    ``cells`` cells of the rough material with anisotropic inflow sampled
+    on ``q``, and ``advance(state, plan, n=1)`` as in :func:`plan_of`."""
+    mesh = SpatialMesh(0.0, 1.0, cells)
+    mat = sample_material(lambda x: 1.0 + (4.0 * x) ** 2, 0.2, 0.5, mesh)
+    cfg = SchemeConfig(eps=0.05, reconstruction="mc_limited" if kind == "mc_limited" else "first_order",
+                       diffusion_mode="implicit_slopes" if kind == "ugks_id" else "explicit_slopes")
+    bc = BoundarySpec.from_functions(lambda v: v, 0.3, q)
+    advance, source = step, None
+    if kind == "penalized":
+        op = aniso_operator(q)
+        mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
+
+        def advance(state, plan, n=1):
+            return penalized_step(state, op, plan, n)
+    return StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, q, bc, source=source), advance
+
+
 @pytest.mark.parametrize("kind", ["first_order", "mc_limited", "ugks_id", "penalized"])
 def test_state_size_plan_buffers_start_on_a_cache_line(kind):
     """Every (nodes, cells) buffer a 2000-cell plan owns starts on a 64-byte
     boundary, where a numpy store into it is fastest, as soon as the plan
     is built."""
-    mesh = SpatialMesh(0.0, 1.0, 2000)
-    mat = sample_material(lambda x: 1.0 + (4.0 * x) ** 2, 0.2, 0.5, mesh)
-    cfg = SchemeConfig(eps=0.05, reconstruction="mc_limited" if kind == "mc_limited" else "first_order",
-                       diffusion_mode="implicit_slopes" if kind == "ugks_id" else "explicit_slopes")
-    bc = BoundarySpec.from_functions(lambda v: v, 0.3, Q16)
-    source = None
-    if kind == "penalized":
-        op = aniso_operator()
-        mat, source = op.material(sample_material(0.0, 0.0, 0.0, mesh)), op.shifted
-    plan = StepPlan(cfl_timestep(cfg, mat, mesh), cfg, mat, mesh, Q16, bc, source=source)
+    plan, _ = sized_plan(kind, 2000)
     buffers = [*plan.stencil, plan.scratch]
     if kind == "mc_limited":
         buffers += [plan.up_state, plan.mc_lambda, plan.mc_diag, plan.slope, *plan.mc_work]
     if kind == "penalized":
         buffers += [plan.up_state, plan.scaled_source]
     assert [buf.ctypes.data % 64 for buf in buffers] == [0] * len(buffers)
+
+
+def address_of(state, buffers):
+    """The address at which ``state`` lies, as a step writes it (the
+    node-major f, then rho), in one of ``buffers``."""
+    values = np.concatenate((state.f.T.ravel(), state.rho))
+    for buf in buffers:
+        flat = buf.reshape(-1)
+        for start in np.flatnonzero(flat == values[0]):
+            if np.array_equal(flat[start:start + values.size], values):
+                return buf.ctypes.data + start * flat.itemsize
+    raise AssertionError("no buffer holds the values")
+
+
+@pytest.mark.parametrize("allocator", ["numpy", "shifted"])
+@pytest.mark.parametrize("nodes, cells", [(16, 25), (16, 200), (6, 25)])
+@pytest.mark.parametrize("kind", ["first_order", "mc_limited", "ugks_id", "penalized"])
+def test_every_block_a_call_writes_starts_on_a_cache_line(monkeypatch, kind, nodes, cells, allocator):
+    """The blocks that a call of 1 and of 3 steps writes start on a 64-byte
+    boundary, whatever ``np.empty`` returns: the (nodes + 1, cells) block
+    whose f and rho rows the call returns, and the (2, nodes + 1, cells)
+    block that the steps before the last write.  "shifted" serves every
+    ``np.empty`` 16 bytes past a boundary, as glibc serves each array from
+    mmap under ``MALLOC_MMAP_THRESHOLD_=0``.  rho, and the second half of
+    the two-half block, start on one only when the rows before them hold a
+    multiple of 8 doubles, so on 6 nodes x 25 cells only the block starts
+    are checked."""
+    q = build_gauss_legendre(nodes)
+    plan, advance = sized_plan(kind, cells, q)
+    singles = [KineticState.from_distribution(np.random.default_rng(7).random((cells, nodes)), q)]
+    for _ in range(2):
+        singles.append(advance(singles[-1], plan))
+    served, empty = [], np.empty
+
+    def serving(shape, *args, **kwargs):
+        if allocator == "shifted":
+            size = math.prod(np.atleast_1d(shape))
+            buf = empty(size + 8, *args, **kwargs)
+            start = (16 - buf.ctypes.data) % 64 // buf.itemsize
+            served.append(buf[start:start + size].reshape(shape))
+        else:
+            served.append(empty(shape, *args, **kwargs))
+        return served[-1]
+    monkeypatch.setattr(np, "empty", serving)
+    one, three = advance(singles[0], plan), advance(singles[0], plan, 3)
+    monkeypatch.undo()
+    # Step 2 of the three writes the first half of the two-half block,
+    # step 1 the second.
+    starts = [one.f.ctypes.data, three.f.ctypes.data, address_of(singles[2], served)]
+    if nodes * cells % 8 == 0:
+        starts += [one.rho.ctypes.data, three.rho.ctypes.data]
+    if (nodes + 1) * cells % 8 == 0:
+        starts.append(address_of(singles[1], served))
+    assert [start % 64 for start in starts] == [0] * len(starts)
 
 
 @pytest.mark.parametrize("overrides", [
