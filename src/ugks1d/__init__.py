@@ -11,7 +11,8 @@ from .grid import (MaterialField, SpatialMesh, VelocityQuadrature, average,
                    build_double_gauss, build_gauss_legendre, sample_material)
 from .penalized import (PenalizedOperator, ScatteringKernel, assemble_operator,
                         penalization_theta, penalized_step, pseudo_inverse_v)
-from .reference import diffusion_run, diffusion_step, diffusion_timestep, upwind_step, upwind_timestep
+from .reference import (DiffusionPlan, UpwindPlan, diffusion_run, diffusion_step, diffusion_timestep, upwind_step,
+                        upwind_timestep)
 from .ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                    moment_defect, step)
 

@@ -30,7 +30,8 @@ from .coeffs import coefficient_arrays
 from .errors import ConfigError, InvalidArgumentError, InvalidDataError, SolverFailureError
 from .grid import SpatialMesh, average, build_double_gauss, build_gauss_legendre, sample_material
 from .penalized import PenalizedOperator, ScatteringKernel, penalized_step
-from .reference import diffusion_run, diffusion_timestep, leg_steps, upwind_step, upwind_timestep
+from .reference import (DiffusionPlan, UpwindPlan, diffusion_run, diffusion_timestep, leg_steps, upwind_step,
+                        upwind_timestep)
 from .ugks import (BC_MODES, RECONSTRUCTIONS, BoundarySpec, KineticState, SchemeConfig, StepPlan,
                    cfl_timestep, moment_defect, step)
 
@@ -172,12 +173,15 @@ def _initial_profile(spec: ExperimentSpec, mesh: SpatialMesh) -> np.ndarray:
 
 
 def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool):
-    """The spec's scheme as ``(policy, leg)``: its time-step policy and
-    ``leg(t, t_end, dt) -> (state, steps, moment_defect)``, which advances the
-    scheme's own state, from its initial one on, to the next output time by
-    the steps of :func:`reference.leg_steps`: a kinetic leg is one stepper
-    call of n steps of dt and one of the shortened step, or one call per
-    step when it tracks the moment defect, which is per step.
+    """The spec's scheme as ``(dt, leg)``: the ``dt_override`` or else the
+    scheme's time-step policy, and ``leg(t, t_end) -> (state, steps,
+    moment_defect)``, which advances the scheme's own state, from its
+    initial one on, to the next output time by the steps of
+    :func:`reference.leg_steps`.  Every scheme steps through plans, one per
+    distinct step size, built when a leg first takes it: ``StepPlan``,
+    ``UpwindPlan`` or ``DiffusionPlan``.  A leg is one stepper call of n
+    steps of dt and one of the shortened step, or one call per step when a
+    kinetic run tracks the moment defect, which is per step.
     Only the leg holds the state, so each call frees the one before it.
     Steppers are looked up by their module-level names at each call.
     ``ugks_id`` and ``diffusion`` import SciPy's linear algebra here, once
@@ -190,67 +194,67 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
             raise InvalidArgumentError("diffusion scheme requires sigma > 0 everywhere")
         kappa_iface = 1.0 / (3.0 * mat.sigma_iface)
         dirichlet = tuple(rho for _, rho in bc.walls)   # the corrected densities
-        rho = _initial_profile(spec, mesh)
-
-        def diffusion(t, t_end, dt):
-            nonlocal rho
-            rho, steps = diffusion_run(rho, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx, t, t_end,
-                                       spec.diffusion_solver, dirichlet, dt)
-            return _Density(rho), steps, None
         explicit = spec.diffusion_solver == "explicit"
         policy = diffusion_timestep(kappa_iface, mesh.dx, spec.cfl) if explicit else spec.cfl * mesh.dx
-        return policy, diffusion
 
-    if spec.scheme == "upwind":
-        policy = upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl)
+        def new_plan(h, is_full):
+            # the modal map takes the full steps; a leg's shortened step is stepped
+            return DiffusionPlan(h, kappa_iface, mat.alpha_cell, mat.g_cell, mesh.dx, spec.diffusion_solver,
+                                 dirichlet, modal=is_full)
 
-        def advance(s, h, n):
-            for j in range(1, n + 1):
-                try:
-                    f_new = upwind_step(s.f, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, h,
-                                        reconstruction=spec.reconstruction)
-                except SolverFailureError as exc:
-                    exc.step = j
-                    raise
-                s = KineticState(f=f_new, rho=average(q, f_new), t=s.t + h)
-            return s
+        def advance(s, plan, n):
+            return _Density(diffusion_run(s.rho, plan, n))
+        state, track_moments = _Density(_initial_profile(spec, mesh)), False
     else:
-        cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
-                           diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
-        # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
-        policy = cfl_timestep(cfg, mat, mesh)
-        op, plan_mat, source = None, mat, None
-        if spec.collision == "penalized":
-            op = _operator(spec, q)
-            plan_mat, source = op.material(mat), op.shifted
-        plans: dict = {}   # one per distinct step size: the policy's and each shortened leg end
+        if spec.scheme == "upwind":
+            policy = upwind_timestep(spec.eps, mat, mesh, cfl=spec.cfl)
 
-        def advance(s, h, n):
-            plan = plans.get(h)
-            if plan is None:
+            def new_plan(h, is_full):
+                return UpwindPlan(h, spec.eps, mat, mesh, q, bc.f_left, bc.f_right, spec.reconstruction)
+
+            def advance(s, plan, n):
+                return upwind_step(s, plan, n)
+        else:
+            cfg = SchemeConfig(eps=spec.eps, cfl=spec.cfl, reconstruction=spec.reconstruction,
+                               diffusion_mode="implicit_slopes" if spec.scheme == "ugks_id" else "explicit_slopes")
+            # Penalized runs too: from the spec's sigma, not the theta their steps relax at.
+            policy = cfl_timestep(cfg, mat, mesh)
+            op, plan_mat, source = None, mat, None
+            if spec.collision == "penalized":
+                op = _operator(spec, q)
+                plan_mat, source = op.material(mat), op.shifted
+
+            def new_plan(h, is_full):
                 coeffs = coefficient_arrays(h, cfg.eps, plan_mat.sigma_iface, plan_mat.alpha_iface)
-                plan = plans[h] = StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs, source)
-            if op is None:
-                return step(s, plan, n)
-            return penalized_step(s, op, plan, n)
-    f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T   # node-major, as stepped
-    state = KineticState(f=f0, rho=average(q, f0), t=0.0)
+                return StepPlan(h, cfg, plan_mat, mesh, q, bc, coeffs, source)
+
+            def advance(s, plan, n):
+                return step(s, plan, n) if op is None else penalized_step(s, op, plan, n)
+        f0 = np.repeat(_initial_profile(spec, mesh)[None, :], q.n, axis=0).T   # node-major, as stepped
+        state = KineticState(f=f0, rho=average(q, f0), t=0.0)
+    dt = policy if spec.dt_override is None else spec.dt_override
+    plans: dict = {}   # by (step size, full): dt's full steps and each shortened leg end
     taken, worst = 0, 0.0
 
-    def leg(t, t_end, dt):
-        # one advance of (h, count) steps per call; a failing step is named by
-        # its number in the run, through the number within its call that the
-        # error carries, and the defect returned is the run's largest so far.
-        # A diverging step's overflow and NaN reach its output, whose finite
-        # guard raises, so numpy's warnings would only precede that error.
+    def leg(t, t_end):
+        # one advance of (h, count) steps per call, its plan built on first
+        # use and kept by h and whether the steps are full, as a shortened
+        # step can round to dt; a failing step or plan is named by its number in the run,
+        # through the number within its call that the error carries, and the
+        # defect returned is the run's largest so far.  A diverging kinetic
+        # step's overflow and NaN reach its output, whose finite guard
+        # raises, so numpy's warnings would only precede that error.
         nonlocal state, taken, worst
         n, last = leg_steps(t, t_end, dt)
-        full = repeat((dt, 1), n) if track_moments else [(dt, n)] if n else []
+        full = repeat((dt, 1, True), n) if track_moments else [(dt, n, True)] if n else []
         steps = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for h, count in chain(full, [(last, 1)] if last else []):
+            for h, count, is_full in chain(full, [(last, 1, False)] if last else []):
                 try:
-                    state = advance(state, h, count)
+                    plan = plans.get((h, is_full))
+                    if plan is None:
+                        plan = plans[h, is_full] = new_plan(h, is_full)
+                    state = advance(state, plan, count)
                 except SolverFailureError as exc:
                     raise SolverFailureError(f"step {taken + steps + exc.step}, leg to t={t_end:.6g}: {exc}") from exc
                 steps += count
@@ -258,7 +262,7 @@ def _scheme(spec: ExperimentSpec, mesh: SpatialMesh, q, mat, track_moments: bool
                     worst = max(worst, moment_defect(state, q))
         taken += steps
         return state, steps, worst if track_moments else None
-    return policy, leg
+    return dt, leg
 
 
 def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False,
@@ -267,15 +271,13 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
     (:func:`_scheme`) from each output time to the next, with the
     ``dt_override`` (0 and negative values raise) or else the scheme's policy
     dt.  Every leg takes the n full steps and the shortened last step of
-    :func:`reference.leg_steps`, so it lands on its output time to rounding;
-    ``diffusion`` legs are :func:`reference.diffusion_run` calls."""
+    :func:`reference.leg_steps`, so it lands on its output time to rounding."""
     n_cells = int(cells) if cells is not None else int(spec.cells[0])
     mesh = SpatialMesh(spec.x_min, spec.x_max, n_cells)
     q = _build_quadrature(spec)
     mat = sample_material(spec.sigma, spec.alpha, spec.source, mesh)
-    policy, leg = _scheme(spec, mesh, q, mat, track_moments)
+    dt, leg = _scheme(spec, mesh, q, mat, track_moments)
     t_start = _time.perf_counter()
-    dt = policy if spec.dt_override is None else spec.dt_override
 
     profiles = []
     f_tables = [] if store_f else None
@@ -283,7 +285,7 @@ def run(spec: ExperimentSpec, cells: Optional[int] = None, store_f: bool = False
     defect = None
     t = 0.0
     for t_end in spec.times:
-        state, steps, defect = leg(t, t_end, dt)
+        state, steps, defect = leg(t, t_end)
         n_steps += steps
         t = t_end
         profiles.append(np.array(state.rho))

@@ -25,7 +25,6 @@ __all__ = [
     "average",
     "wall_density",
     "mc_limiter",
-    "mc_slopes",
     "sample_material",
 ]
 
@@ -200,13 +199,6 @@ def mc_limiter(dx: float, out: np.ndarray, work: np.ndarray):
         ends.fill(0.0)
         return out
     return limit
-
-
-def mc_slopes(f: np.ndarray, dx: float) -> np.ndarray:
-    """MC-limited slope of ``f`` along its last axis (the cell axis of a
-    node-major state): :func:`mc_limiter` once, on ``f`` made contiguous."""
-    x = np.ascontiguousarray(f)
-    return mc_limiter(dx, np.empty(x.shape), np.empty((3, x.size - 1)))(x)
 
 
 def average(q: VelocityQuadrature, samples: np.ndarray) -> float:

@@ -5,6 +5,10 @@
 * explicit and implicit 3-point diffusion schemes with interface diffusion
   coefficients kappa = 1/(3 sigma), boundary cells differencing the Dirichlet
   value against the first cell over a full cell width.
+
+Like the kinetic ``StepPlan``, each is a plan built once per step size,
+:class:`UpwindPlan` and :class:`DiffusionPlan`, which a call advances by n
+steps: :func:`upwind_step` and :func:`diffusion_run`.
 """
 
 from __future__ import annotations
@@ -12,16 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverFailureError
-from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_slopes
+from .grid import MaterialField, SpatialMesh, VelocityQuadrature, average, mc_limiter
+from .ugks import KineticState, factor_banded, solve_banded
 
-__all__ = [
-    "upwind_timestep",
-    "upwind_step",
-    "diffusion_timestep",
-    "diffusion_step",
-    "diffusion_run",
-    "leg_steps",
-]
+__all__ = ["upwind_timestep", "UpwindPlan", "upwind_step", "diffusion_timestep", "DiffusionPlan",
+           "diffusion_step", "diffusion_run", "leg_steps"]
 
 
 def upwind_timestep(eps: float, mat: MaterialField, mesh: SpatialMesh, cfl: float = 0.9) -> float:
@@ -33,61 +32,76 @@ def upwind_timestep(eps: float, mat: MaterialField, mesh: SpatialMesh, cfl: floa
     return cfl * transport
 
 
-def upwind_step(f: np.ndarray, eps: float, mat: MaterialField, mesh: SpatialMesh,
-                q: VelocityQuadrature, f_left: np.ndarray, f_right: np.ndarray,
-                dt: float, reconstruction: str = "first_order") -> np.ndarray:
-    """One forward-Euler upwind step of the kinetic equation.
+class UpwindPlan:
+    """A forward-Euler upwind step of size ``dt`` of the kinetic equation,
+    built once per dt: it checks dt against the explicit stability bound,
+    forms the constant factors and the wall fluxes, and binds the MC
+    limiter (:func:`grid.mc_limiter`).  Advance with :func:`upwind_step`.
 
     Inflow ghost values come from f_left (v > 0) and f_right (v < 0).  The
     ``mc_limited`` variant upgrades the interface values to a characteristic-
     traced linear reconstruction, which is what the UGKS flux degenerates to
-    for vanishing sigma and alpha.
+    for vanishing sigma and alpha.  Every step overwrites the plan's flux
+    and slope buffers; nothing a call returns aliases them.
     """
-    dx = mesh.dx
-    bound = upwind_timestep(eps, mat, mesh, cfl=1.0)
-    if dt > bound * (1.0 + 1e-12):
-        raise InvalidArgumentError(f"dt={dt} exceeds the explicit stability bound {bound}")
-    v = q.nodes
-    pos, neg = slice(q.split, None), slice(0, q.split)
-    n = f.shape[0]
 
-    if reconstruction == "mc_limited":
-        df = mc_slopes(f.T, dx).T
-        shift = 0.5 * dx - v[None, :] * (0.5 * dt / eps)   # v>0 side
-        shift_dn = -0.5 * dx - v[None, :] * (0.5 * dt / eps)
-        up_vals = f + shift * df
-        dn_vals = f + shift_dn * df
-    elif reconstruction == "first_order":
-        up_vals = f
-        dn_vals = f
-    else:
-        raise InvalidArgumentError(f"unknown reconstruction {reconstruction!r}")
+    def __init__(self, dt: float, eps: float, mat: MaterialField, mesh: SpatialMesh, q: VelocityQuadrature,
+                 f_left: np.ndarray, f_right: np.ndarray, reconstruction: str = "first_order"):
+        bound = upwind_timestep(eps, mat, mesh, cfl=1.0)
+        if dt > bound * (1.0 + 1e-12):
+            raise InvalidArgumentError(f"dt={dt} exceeds the explicit stability bound {bound}")
+        if reconstruction not in ("first_order", "mc_limited"):
+            raise InvalidArgumentError(f"unknown reconstruction {reconstruction!r}")
+        n, k, dx = mesh.n_cells, q.n, mesh.dx
+        self.dt, self.q, self.shape = dt, q, (n, k)
+        v = q.nodes
+        pos, neg = slice(q.split, None), slice(0, q.split)
+        v_pos, v_neg = v[pos] / eps, v[neg] / eps
+        flux = np.empty((n + 1, k))
+        flux[0, pos] = v_pos * f_left[pos]
+        flux[-1, neg] = v_neg * f_right[neg]
+        up_flux, dn_flux = flux[1:, pos], flux[:-1, neg]
+        relax, alpha, g = mat.sigma_cell[:, None] / eps**2, mat.alpha_cell[:, None], mat.g_cell[:, None]
+        half_w, dt_dx = 0.5 * q.weights, dt / dx
+        mc = reconstruction == "mc_limited"
+        if mc:
+            shift = 0.5 * dx - v[None, :] * (0.5 * dt / eps)   # v>0 side
+            shift_dn = -0.5 * dx - v[None, :] * (0.5 * dt / eps)
+            limit = mc_limiter(dx, np.empty((k, n)), np.empty((3, k * n - 1)))
 
-    flux = np.empty((n + 1, q.n))
-    flux[1:, pos] = (v[pos] / eps) * up_vals[:, pos]
-    flux[0, pos] = (v[pos] / eps) * f_left[pos]
-    flux[:-1, neg] = (v[neg] / eps) * dn_vals[:, neg]
-    flux[-1, neg] = (v[neg] / eps) * f_right[neg]
+        def kernel(f, t, steps):
+            for j in range(1, steps + 1):
+                if mc:
+                    df = limit(np.ascontiguousarray(f.T)).T
+                    up_vals, dn_vals = f + shift * df, f + shift_dn * df
+                else:
+                    up_vals = dn_vals = f
+                np.multiply(v_pos, up_vals[:, pos], out=up_flux)
+                np.multiply(v_neg, dn_vals[:, neg], out=dn_flux)
+                rho = f @ half_w   # grid.average
+                f = f - dt_dx * (flux[1:] - flux[:-1]) + dt * (relax * (rho[:, None] - f) - alpha * f + g)
+                if not np.all(np.isfinite(f)):
+                    raise SolverFailureError("non-finite values in upwind step", j)
+                t += dt
+            return f, t
 
-    rho = average(q, f)
-    relax = (mat.sigma_cell[:, None] / eps**2) * (rho[:, None] - f)
-    f_new = f - (dt / dx) * (flux[1:] - flux[:-1]) + dt * (relax - mat.alpha_cell[:, None] * f + mat.g_cell[:, None])
-    if not np.all(np.isfinite(f_new)):
-        raise SolverFailureError("non-finite values in upwind step")
-    return f_new
+        self._kernel = kernel
+
+
+def upwind_step(state: KineticState, plan: UpwindPlan, n: int = 1) -> KineticState:
+    """Advance the state by ``n`` steps of ``plan`` in one call.  Each step
+    reads f alone, its density the average of f, so the state's rho is not
+    read, and the returned one is the average of the new f.  The time takes
+    ``n`` successive additions of dt.  A step with any non-finite value
+    raises ``SolverFailureError``, which carries its number within the call
+    as its ``step``."""
+    f, t = plan._kernel(state.f, state.t, n)
+    return KineticState(f=f, rho=average(plan.q, f), t=t)
 
 
 def diffusion_timestep(kappa_iface: np.ndarray, dx: float, cfl: float = 0.9) -> float:
     """Parabolic bound cfl * dx^2 / (2 max kappa) for the explicit scheme."""
     return cfl * dx**2 / (2.0 * float(np.max(kappa_iface)))
-
-
-def _check_parabolic_bound(kappa_iface: np.ndarray, dx: float, dt: float) -> None:
-    """Raise ``InvalidArgumentError`` if an explicit step of ``dt`` exceeds
-    the parabolic bound dx^2 / (2 max kappa), past which it diverges."""
-    bound = diffusion_timestep(kappa_iface, dx, cfl=1.0)
-    if dt > bound * (1.0 + 1e-12):
-        raise InvalidArgumentError(f"dt={dt} exceeds the parabolic bound {bound}")
 
 
 def _diffusion_flux(rho: np.ndarray, kappa_iface: np.ndarray, dx: float,
@@ -99,39 +113,83 @@ def _diffusion_flux(rho: np.ndarray, kappa_iface: np.ndarray, dx: float,
     return flux
 
 
-def diffusion_step(rho: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: float,
-                   dt: float, mode: str, dirichlet: tuple[float, float]) -> np.ndarray:
-    """One step of the 3-point diffusion scheme.
+class DiffusionPlan:
+    """A step of size ``dt`` of the 3-point diffusion scheme on fixed
+    interface coefficients ``kappa_iface``, absorption, source and
+    Dirichlet values, built once per dt.  Advance with :func:`diffusion_run`.
 
     Interface coefficients multiply plain differences of neighbouring cell
     densities; the boundary flux differences the Dirichlet value against the
     first (last) cell over the full cell width, matching the small-eps limit
     of the kinetic scheme.  The absorption term is implicit in both modes.
+    An explicit plan holds dt to the parabolic bound dx^2 / (2 max kappa),
+    past which the scheme diverges: beyond it, building the plan raises
+    ``InvalidArgumentError``.  An implicit plan factors its bands once
+    (:func:`ugks.factor_banded`), so a step only substitutes through them.
+    Built ``modal`` with uniform alpha, an explicit plan keeps in ``modal``
+    the eigendecomposition of its update, by which it takes any number of
+    steps at once in O(cells^2) work; every other plan's ``modal`` is None,
+    and it steps by :func:`diffusion_step`.
     """
-    rho = np.asarray(rho, dtype=float)
-    n = rho.size
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-    source = np.broadcast_to(np.asarray(source, dtype=float), (n,))
-    rho_l, rho_r = dirichlet
-    if mode == "explicit":
-        _check_parabolic_bound(kappa_iface, dx, dt)
-        flux = _diffusion_flux(rho, kappa_iface, dx, rho_l, rho_r)
-        return (rho / dt + np.diff(flux) / dx + source) / (1.0 / dt + alpha)
-    if mode == "implicit":
-        # Symmetric, and positive definite: diagonally dominant by 1/dt.
-        c = kappa_iface / dx**2
-        diag = 1.0 / dt + alpha + c[1:] + c[:-1]
-        rhs = rho / dt + source
-        rhs[0] += c[0] * rho_l
-        rhs[-1] += c[-1] * rho_r
-        # SciPy's linear algebra is imported where a system is solved, so
-        # runs that solve none never load it.
-        from scipy.linalg.lapack import dptsv
-        *_, x, info = dptsv(diag, -c[1:-1], rhs, overwrite_d=True, overwrite_b=True)
-        if info != 0:
-            raise SolverFailureError(f"implicit diffusion matrix not positive definite (dptsv info={info})")
-        return x
-    raise InvalidArgumentError(f"unknown diffusion mode {mode!r}")
+
+    def __init__(self, dt: float, kappa_iface: np.ndarray, alpha, source, dx: float, mode: str,
+                 dirichlet: tuple[float, float], modal: bool = False):
+        n = kappa_iface.size - 1
+        self.dt, self.dx, self.kappa_iface, self.dirichlet, self.mode = dt, dx, kappa_iface, dirichlet, mode
+        alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
+        self.source = np.broadcast_to(np.asarray(source, dtype=float), (n,))
+        self.shape, self.modal = (n,), None
+        if mode == "explicit":
+            bound = diffusion_timestep(kappa_iface, dx, cfl=1.0)
+            if dt > bound * (1.0 + 1e-12):
+                raise InvalidArgumentError(f"dt={dt} exceeds the parabolic bound {bound}")
+            self.den = 1.0 / dt + alpha
+        elif mode == "implicit":
+            # Symmetric, and positive definite: diagonally dominant by 1/dt.
+            self.c = c = kappa_iface / dx**2
+            self.lu = factor_banded(1.0 / dt + alpha + c[1:] + c[:-1], -c[1:-1], "implicit diffusion matrix")
+        else:
+            raise InvalidArgumentError(f"unknown diffusion mode {mode!r}")
+        if modal and mode == "explicit" and np.all(alpha == alpha[0]):
+            # The step with implicit uniform absorption alpha0 is the affine
+            # map rho -> (rho + dt (L rho + b + G)) / (1 + dt alpha0), with L
+            # the symmetric tridiagonal diffusion operator, L = V diag(lam) V^T,
+            # and b the Dirichlet injection.  Its n-th power is rho* +
+            # V diag(base^n) V^T (rho - rho*), with base = (1 + dt lam) /
+            # (1 + dt alpha0) and the fixed point rho*: (alpha0 I - L) rho* = b + G.
+            from scipy.linalg import eigh_tridiagonal
+            alpha0, rho_l, rho_r = float(alpha[0]), *dirichlet
+            lam, vecs = eigh_tridiagonal(-(kappa_iface[:-1] + kappa_iface[1:]) / dx**2, kappa_iface[1:-1] / dx**2)
+            b = np.zeros(n)
+            b[0] = kappa_iface[0] * rho_l / dx**2
+            b[-1] = kappa_iface[-1] * rho_r / dx**2
+            rho_star = vecs @ ((vecs.T @ (b + self.source)) / (alpha0 - lam))
+            self.modal = rho_star, vecs, 1.0 / (1.0 + dt * alpha0) * (1.0 + dt * lam)
+
+
+def diffusion_step(rho: np.ndarray, plan: DiffusionPlan) -> np.ndarray:
+    """One step of ``plan`` from the density ``rho``; returns the new density."""
+    rho_l, rho_r = plan.dirichlet
+    if plan.mode == "explicit":
+        flux = _diffusion_flux(rho, plan.kappa_iface, plan.dx, rho_l, rho_r)
+        return (rho / plan.dt + np.diff(flux) / plan.dx + plan.source) / plan.den
+    c = plan.c
+    rhs = rho / plan.dt + plan.source
+    rhs[0] += c[0] * rho_l
+    rhs[-1] += c[-1] * rho_r
+    return solve_banded(plan.lu, rhs)
+
+
+def diffusion_run(rho: np.ndarray, plan: DiffusionPlan, n: int = 1) -> np.ndarray:
+    """Advance the density ``rho`` by ``n`` steps of ``plan`` in one call;
+    returns the new density.  A modal plan takes the n steps at once, equal
+    to the step-by-step iterates to rounding at any step count."""
+    if plan.modal is not None:
+        rho_star, vecs, base = plan.modal
+        return rho_star + vecs @ (base**n * (vecs.T @ (rho - rho_star)))
+    for _ in range(n):
+        rho = diffusion_step(rho, plan)
+    return rho
 
 
 _MAX_LEG_STEPS = 10**9
@@ -165,65 +223,3 @@ def leg_steps(t: float, t_end: float, dt: float) -> tuple[int, float]:
     while t + n * dt < stop and t_end - (t + n * dt) >= dt:
         n += 1
     return n, (t_end - t) - n * dt if t + n * dt < stop else 0.0
-
-
-def diffusion_run(rho0: np.ndarray, kappa_iface: np.ndarray, alpha, source, dx: float,
-                  t: float, t_end: float, mode: str, dirichlet: tuple[float, float],
-                  dt: float) -> tuple[np.ndarray, int]:
-    """Integrate the diffusion scheme from time ``t`` to ``t_end``; returns
-    the final density and the number of steps.
-
-    The steps are those of :func:`leg_steps`.  In the explicit mode with
-    uniform alpha, :func:`_explicit_modal` takes the n full steps at once;
-    either way the explicit full steps are held to the parabolic bound,
-    which :func:`diffusion_step` checks for each step it takes.
-    """
-    rho = np.asarray(rho0, dtype=float).copy()
-    n, last = leg_steps(t, t_end, dt)
-    if mode == "explicit" and n:
-        _check_parabolic_bound(kappa_iface, dx, dt)
-    alpha0 = float(np.max(alpha))
-    if mode == "explicit" and np.all(np.asarray(alpha) == alpha0):
-        rho = _explicit_modal(rho, kappa_iface, alpha0, source, dx, dt, n, dirichlet)
-    else:
-        for _ in range(n):
-            rho = diffusion_step(rho, kappa_iface, alpha, source, dx, dt, mode, dirichlet)
-    if last:
-        return diffusion_step(rho, kappa_iface, alpha, source, dx, last, mode, dirichlet), n + 1
-    return rho, n
-
-
-def _explicit_modal(rho0: np.ndarray, kappa_iface: np.ndarray, alpha0: float,
-                    source, dx: float, dt: float, nsteps: int,
-                    dirichlet: tuple[float, float]) -> np.ndarray:
-    """Exact n-step map of the explicit scheme via eigendecomposition: the
-    ``nsteps`` full steps of one :func:`diffusion_run` leg in O(n^2) work,
-    equal to the step-by-step iterates to rounding at any step count.
-
-    The explicit update with implicit uniform absorption is the affine map
-    rho -> (rho + dt (L rho + b + G)) / (1 + dt alpha0) with L the symmetric
-    tridiagonal diffusion operator and b the Dirichlet injection; iterating it
-    n times reduces to powers of the eigenvalues of L.
-    """
-    if nsteps == 0:
-        return rho0.copy()
-    n = rho0.size
-    rho_l, rho_r = dirichlet
-    diag = -(kappa_iface[:-1] + kappa_iface[1:]) / dx**2
-    off = kappa_iface[1:-1] / dx**2
-    b = np.zeros(n)
-    b[0] = kappa_iface[0] * rho_l / dx**2
-    b[-1] = kappa_iface[-1] * rho_r / dx**2
-    rhs = b + source
-    from scipy.linalg import eigh_tridiagonal
-    lam, vecs = eigh_tridiagonal(diag, off)
-    scale = 1.0 / (1.0 + dt * alpha0)
-    # fixed point of the affine map: (I - M) rho* = scale*dt*rhs with
-    # M = scale*(I + dt L); equivalently (alpha0 I - L) rho* = rhs.
-    denom = alpha0 - lam
-    coeffs_rhs = vecs.T @ rhs
-    rho_star = vecs @ (coeffs_rhs / denom)
-    mult = (scale * (1.0 + dt * lam)) ** nsteps
-    c0 = vecs.T @ (rho0 - rho_star)
-    return rho_star + vecs @ (mult * c0)
-

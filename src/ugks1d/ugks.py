@@ -164,15 +164,14 @@ class StepPlan:
     step, ``source``, the matrix M + theta I (``PenalizedOperator.shifted``)
     of g = (M + theta I)(F - rho)/eps^2.  ``coeffs`` takes the
     ``coefficient_arrays`` tuple when the caller has already evaluated it.
-    For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu`` is
-    LAPACK's ``dpttrs`` followed by the bands' ``dpttrf`` (LDL^T) factors,
-    so a step only substitutes through them (:func:`solve_banded`).  The
+    For ``implicit_slopes``, ``bands`` is (lower, diag, upper) and ``lu``
+    their factors (:func:`factor_banded`), so a step only substitutes
+    through them (:func:`solve_banded`).  The
     system is symmetric positive definite (D <= 0, alpha >= 0) on a
     mirrored quadrature, which ``ugks_id`` therefore needs: unequal v^2
     half-moments raise ``InvalidArgumentError``, a failed factorization
-    ``SolverFailureError``.  Both routines are imported from
-    ``scipy.linalg.lapack`` here, when an implicit plan factors, so
-    explicit plans never load SciPy and a step runs no import.
+    ``SolverFailureError``.  Explicit plans never load SciPy, and a step
+    runs no import.
 
     The step works node-major, on ``F = f.T`` of shape (nodes, cells), in
     stencil form.  The quadrature's ascending nodes make v < 0 and v > 0 the
@@ -437,11 +436,7 @@ class StepPlan:
                 raise InvalidArgumentError("ugks_id needs a mirrored quadrature: its v^2 half-moments differ")
             self.bands = _implicit_bands(d, q.m_v2_pos, dx, dt, mat.alpha_cell)
             _, diag, upper = self.bands
-            from scipy.linalg.lapack import dpttrf, dpttrs
-            *factors, info = dpttrf(diag, upper[:-1])
-            if info != 0:
-                raise SolverFailureError(f"implicit density matrix not positive definite (dpttrf info={info})")
-            self.lu = lu = (dpttrs, *factors)
+            self.lu = lu = factor_banded(diag, upper[:-1], "implicit density matrix")
         else:
             m_v2_halves = tables.m_v2_halves
 
@@ -726,17 +721,28 @@ def apply(plan: StepPlan, f: np.ndarray, rho: np.ndarray, n: int = 1):
     return plan._kernel(f, rho, n)
 
 
-def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
-    """Solve the implicit density system for one right-hand side.
+def factor_banded(diag: np.ndarray, off: np.ndarray, matrix: str):
+    """The ``lu`` of :func:`solve_banded` for the symmetric positive-definite
+    tridiagonal matrix (``diag``, ``off``), which a failed factorization
+    names in its ``SolverFailureError``.  LAPACK is imported here, at need."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    *factors, info = dpttrf(diag, off)
+    if info != 0:
+        raise SolverFailureError(f"{matrix} not positive definite (dpttrf info={info})")
+    return (dpttrs, *factors)
 
-    ``lu`` is a plan's ``lu``: the ``dpttrs`` routine that the plan bound
-    when it factored, then the ``dpttrf`` factors (d, e) of its symmetric
-    positive-definite bands, A = L diag(d) L^T with unit lower bidiagonal L
-    of subdiagonal e.  ``rhs``, a contiguous row, is overwritten with the
-    solution and returned.  This is the same elimination as LAPACK ``ptsv``
-    on the bands, without factoring them again each step.
-    ``benchmarks/tracer.py`` times the solve by wrapping this module-level
-    name, so keep it.
+
+def solve_banded(lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve a plan's implicit density system for one right-hand side.
+
+    ``lu``, from :func:`factor_banded`, is the ``dpttrs`` routine, then the
+    ``dpttrf`` factors (d, e) of the symmetric positive-definite bands,
+    A = L diag(d) L^T with unit lower bidiagonal L of subdiagonal e.
+    ``rhs``, a contiguous row, is overwritten with the solution and
+    returned.  This is the same elimination as LAPACK ``ptsv`` on the bands,
+    without factoring them again each step.  ``benchmarks/tracer.py``
+    times the solve of ``StepPlan`` by wrapping this module-level name, so
+    keep it; the diffusion oracle binds it at import, untraced.
     """
     pttrs, d, e = lu
     pttrs(d, e, rhs, overwrite_b=True)

@@ -2,24 +2,36 @@
 
 import numpy as np
 
-from ugks1d.ugks import apply
+from ugks1d.reference import DiffusionPlan, UpwindPlan, diffusion_run, upwind_step
+from ugks1d.ugks import KineticState, StepPlan, step
+
+KINETIC_STEPPERS = {StepPlan: step, UpwindPlan: upwind_step}
 
 
 def one_step_operator(plan):
-    """(M, b) with ``apply(plan, f, rho)`` = M x + b, where x stacks
-    ``f.ravel()`` and ``rho``.  A first-order step is affine in (f, rho), so
-    b is the image of the zero state and column k of M the image of unit
-    state k minus b: every entry comes from ``apply``, and there is no
-    second copy of the step to drift from it."""
-    cells, nodes = plan.shape
-    split = cells * nodes
+    """(M, b) with one step of ``plan`` = M x + b, where x is the state the
+    plan steps: ``f.ravel()`` and ``rho`` stacked for a kinetic plan
+    (``StepPlan``, or ``UpwindPlan``, whose step reads f alone, so its rho
+    columns are zero), ``rho`` for a ``DiffusionPlan``.  A first-order step
+    is affine in its state, so b is the image of the zero state and column
+    k of M the image of unit state k minus b: every entry comes from the
+    plan's own stepper, and there is no second copy of the step to drift
+    from it."""
+    if isinstance(plan, DiffusionPlan):
+        size = plan.shape[0]
 
-    def image(x):
-        f_new, rho_new = apply(plan, x[:split].reshape(cells, nodes), x[split:])
-        return np.concatenate((f_new.ravel(), rho_new))
+        def image(x):
+            return diffusion_run(x, plan)
+    else:
+        cells, nodes = plan.shape
+        split, size, stepper = cells * nodes, cells * nodes + cells, KINETIC_STEPPERS[type(plan)]
 
-    b = image(np.zeros(split + cells))
-    M = np.column_stack([image(unit) for unit in np.eye(split + cells)]) - b[:, None]
+        def image(x):
+            out = stepper(KineticState(x[:split].reshape(cells, nodes), x[split:], 0.0), plan)
+            return np.concatenate((out.f.ravel(), out.rho))
+
+    b = image(np.zeros(size))
+    M = np.column_stack([image(unit) for unit in np.eye(size)]) - b[:, None]
     return M, b
 
 

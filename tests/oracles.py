@@ -7,6 +7,7 @@ import numpy as np
 from ugks1d import ugks
 from ugks1d.coeffs import coefficient_arrays
 from ugks1d.errors import InvalidArgumentError
+from ugks1d.grid import mc_limiter
 
 
 def dirichlet_series_profile(x: np.ndarray, t: float, kappa: float,
@@ -23,6 +24,13 @@ def dirichlet_series_profile(x: np.ndarray, t: float, kappa: float,
         if np.max(np.abs(term)) < 1e-17:
             break
     return out
+
+
+def mc_slopes(f: np.ndarray, dx: float) -> np.ndarray:
+    """MC-limited slope of ``f`` along its last axis (the cell axis of a
+    node-major state): :func:`grid.mc_limiter` once, on ``f`` made contiguous."""
+    x = np.ascontiguousarray(f)
+    return mc_limiter(dx, np.empty(x.shape), np.empty((3, x.size - 1)))(x)
 
 
 def homogeneous_stability_margin(k_max: float, theta: float, dt: float, eps: float) -> float:

@@ -20,7 +20,7 @@ from ugks1d.grid import (SpatialMesh, build_double_gauss, build_gauss_legendre, 
                          wall_density)
 from ugks1d.penalized import (PenalizedOperator, ScatteringKernel, penalization_theta,
                               assemble_operator, penalized_step)
-from ugks1d.reference import diffusion_step
+from ugks1d.reference import DiffusionPlan, diffusion_step
 from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
 from oracles import dirichlet_series_profile, homogeneous_stability_margin
@@ -92,8 +92,8 @@ def test_criterion_3_diffusion_degeneration():
     state = KineticState.from_distribution(np.repeat(rho0[:, None], 16, axis=1), Q16)
     dt = cfl_timestep(cfg, mat, mesh)
     one = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
-    ref_step = diffusion_step(rho0, 1.0 / (3.0 * mat.sigma_iface), 0.0, 0.0,
-                              mesh.dx, dt, "explicit", (1.0, 0.0))
+    ref_step = diffusion_step(rho0, DiffusionPlan(dt, 1.0 / (3.0 * mat.sigma_iface), 0.0, 0.0,
+                                                  mesh.dx, "explicit", (1.0, 0.0)))
     per_step = float(np.abs(one.rho - ref_step).max() / np.abs(ref_step).max())
     ok = per_step <= 1e-6
 

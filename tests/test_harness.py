@@ -15,6 +15,7 @@ from ugks1d.errors import (ComparisonError, ConfigError, InvalidArgumentError, I
                            SolverFailureError)
 from ugks1d.experiments import (builtin_ids, builtin_spec, read_csv,
                                 result_filename, run, write_csv)
+from ugks1d.grid import SpatialMesh, sample_material
 
 
 # ---------------------------------------------------------------- expressions
@@ -178,9 +179,9 @@ def test_diffusion_step_count_is_the_steps_taken(monkeypatch):
     dt = 0.9 * 0.04**2 / (2.0 / 3.0)
     diffusion_step, step_sizes = reference.diffusion_step, []
 
-    def counted(rho, kappa_iface, alpha, source, dx, step_dt, *rest):
-        step_sizes.append(step_dt)
-        return diffusion_step(rho, kappa_iface, alpha, source, dx, step_dt, *rest)
+    def counted(rho, plan):
+        step_sizes.append(plan.dt)
+        return diffusion_step(rho, plan)
 
     monkeypatch.setattr(reference, "diffusion_step", counted)
     spec = builtin_spec("ex5", scheme="diffusion", diffusion_solver="implicit", dt_override=dt,
@@ -224,43 +225,76 @@ def test_a_diverging_run_raises_before_any_numpy_warning():
         run(spec, cells=200)
 
 
-def test_an_upwind_failure_is_named_by_its_step_in_the_run(monkeypatch):
-    # an upwind leg takes its steps in one advance; the one that fails is
-    # still named by its number in the run
+@pytest.mark.filterwarnings("error")
+def test_an_upwind_failure_is_named_by_its_step_in_the_run():
+    # ex5 upwind at its policy dt diverges (min of transport and relaxation
+    # bounds, where forward Euler needs their sum); the leg's full steps are
+    # one call, and the failing one is named by its number in the run
+    for cells, failing in ((100, 1397), (200, 3541)):
+        with pytest.raises(SolverFailureError,
+                           match=f"^step {failing}, leg to t=0.4: non-finite values in upwind step$"):
+            run(builtin_spec("ex5", scheme="upwind"), cells=cells)
+
+
+def test_an_unstable_upwind_dt_raises_when_its_plan_is_built(monkeypatch):
+    # the plan checks dt against the explicit bound, so no step is taken
+    mesh = SpatialMesh(0.0, 1.0, 25)
+    bound = reference.upwind_timestep(1e-2, sample_material(1.0, 0.0, 0.0, mesh), mesh, cfl=1.0)
     calls = []
+    monkeypatch.setattr(experiments, "upwind_step", lambda *args: calls.append(args))
+    with pytest.raises(InvalidArgumentError, match="exceeds the explicit stability bound"):
+        run(builtin_spec("ex5", scheme="upwind", dt_override=1.01 * bound), cells=25)
+    assert calls == []
 
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 5:
-            raise SolverFailureError("non-finite values in upwind step")
-        return reference.upwind_step(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "upwind_step", failing)
-    with pytest.raises(SolverFailureError, match="^step 5, leg to t=0.4: non-finite values in upwind step$"):
-        run(builtin_spec("ex5", scheme="upwind"), cells=25)
+# each scheme's stepper, spec and number of calls when it makes one per
+# (h, count): upwind at eps 0.3 and implicit diffusion take no full step in
+# their first leg, whose dt is longer than it
+LEG_RUNS = {"ugks": ("step", dict(), 6), "upwind": ("upwind_step", dict(scheme="upwind", eps=0.3), 5),
+            "diffusion": ("diffusion_run", dict(scheme="diffusion"), 6),
+            "implicit_diffusion": ("diffusion_run", dict(scheme="diffusion", diffusion_solver="implicit"), 5)}
 
 
 @pytest.mark.parametrize("track", [False, True], ids=["plain", "tracking_moments"])
 def test_a_leg_is_one_call_for_its_full_steps_unless_it_tracks_moments(monkeypatch, track):
-    # one stepper call for a leg's n full steps and one for its shortened
-    # step; a run that tracks the moment defect, which is per step, calls
-    # once per step
-    counts = []
-
-    def counted(state, plan, n=1, _step=experiments.step):
-        counts.append(n)
-        return _step(state, plan, n)
-
-    monkeypatch.setattr(experiments, "step", counted)
+    # every scheme: one stepper call for a leg's n full steps and one for
+    # its shortened step; a kinetic run that tracks the moment defect, which
+    # is per step, calls once per step, and a diffusion run tracks none
     times = (0.01, 0.05, 0.15)
-    out = run(builtin_spec("ex2", times=times), cells=25, track_moments=track)
-    expected, t = [], 0.0
-    for t_end in times:
-        n, last = reference.leg_steps(t, t_end, out.dt)
-        expected += ([1] * n if track else [n] * bool(n)) + [1] * bool(last)
-        t = t_end
-    assert counts == expected and sum(counts) == out.n_steps
-    assert len(counts) == (out.n_steps if track else 2 * len(times))
+    for name, (stepper, kw, calls) in LEG_RUNS.items():
+        counts = []
+
+        def counted(state, plan, n=1, _step=getattr(experiments, stepper)):
+            counts.append(n)
+            return _step(state, plan, n)
+
+        monkeypatch.setattr(experiments, stepper, counted)
+        out = run(builtin_spec("ex2", times=times, **kw), cells=25, track_moments=track)
+        monkeypatch.undo()
+        per_step = track and stepper != "diffusion_run"
+        expected, t = [], 0.0
+        for t_end in times:
+            n, last = reference.leg_steps(t, t_end, out.dt)
+            expected += ([1] * n if per_step else [n] * bool(n)) + [1] * bool(last)
+            t = t_end
+        assert counts == expected and sum(counts) == out.n_steps, name
+        assert len(counts) == (out.n_steps if per_step else calls), name
+
+
+def test_a_shortened_diffusion_step_that_rounds_to_dt_is_stepped(monkeypatch):
+    # the leg from 0.001 to 0.009 takes 3 full steps of 0.002 and a
+    # shortened one that rounds to 0.002 itself; only the full steps go
+    # through the explicit plan's modal map, each leg end by diffusion_step
+    assert reference.leg_steps(0.001, 0.009, 0.002) == (3, 0.002)
+    diffusion_step, step_sizes = reference.diffusion_step, []
+
+    def counted(rho, plan):
+        step_sizes.append(plan.dt)
+        return diffusion_step(rho, plan)
+
+    monkeypatch.setattr(reference, "diffusion_step", counted)
+    out = run(builtin_spec("ex2", scheme="diffusion", dt_override=0.002, times=(0.001, 0.009)), cells=25)
+    assert step_sizes == [0.001, 0.002] and out.n_steps == 5
 
 
 def test_every_leg_lands_on_its_output_time(monkeypatch):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from ugks1d import ugks
-from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, mc_slopes, sample_material
+from ugks1d.grid import SpatialMesh, build_double_gauss, build_gauss_legendre, sample_material
 from ugks1d.penalized import PenalizedOperator, ScatteringKernel, penalized_source, penalized_step
 from ugks1d.ugks import BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep, step
 
-from oracles import linear_step, plan_constants, source_terms, upwind_moments
+from oracles import linear_step, mc_slopes, plan_constants, source_terms, upwind_moments
 
 
 def unfused_mc_step(first, q, state, source=None):

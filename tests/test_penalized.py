@@ -11,7 +11,7 @@ from ugks1d.grid import (SpatialMesh, average, build_double_gauss, build_gauss_l
 from ugks1d.penalized import (PenalizedOperator, ScatteringKernel, assemble_operator,
                               penalization_theta, penalized_source, penalized_step,
                               pseudo_inverse_v)
-from ugks1d.reference import diffusion_step
+from ugks1d.reference import DiffusionPlan, diffusion_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan, cfl_timestep,
                          moment_defect, step)
 
@@ -324,7 +324,7 @@ def test_penalized_diffusion_limit_macro_update():
     dt = 0.9 * max(eps * mesh.dx, 1.5 * mesh.dx**2 * op.theta)
     out = penalized_step(state, op, penalized_plan(op, mesh, Q16, bc, SchemeConfig(eps=eps), dt))
     kappa = np.full(n + 1, Q16.m_v2 / op.theta)
-    ref = diffusion_step(rho0, kappa, 0.0, 0.0, mesh.dx, dt, "explicit", (1.0, 0.0))
+    ref = diffusion_step(rho0, DiffusionPlan(dt, kappa, 0.0, 0.0, mesh.dx, "explicit", (1.0, 0.0)))
     assert np.abs(out.rho - ref).max() < 1e-6 * np.abs(ref).max()
 
 

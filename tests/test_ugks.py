@@ -8,7 +8,7 @@ from ugks1d.config import compile_expression
 from ugks1d.errors import InvalidArgumentError, InvalidDataError
 from ugks1d.grid import (SpatialMesh, average, build_double_gauss,
                          build_gauss_legendre, sample_material)
-from ugks1d.reference import diffusion_step, upwind_step
+from ugks1d.reference import DiffusionPlan, UpwindPlan, diffusion_step, upwind_step
 from ugks1d.ugks import (BoundarySpec, KineticState, SchemeConfig, StepPlan,
                          cfl_timestep, moment_defect, step)
 
@@ -197,6 +197,12 @@ def test_equilibrium_with_absorption_and_matching_source():
     assert np.abs(state.f - c).max() < 5e-13
 
 
+def upwind_f(f, eps, mat, mesh, bc, dt, reconstruction="first_order"):
+    """f after one step of the upwind oracle from f."""
+    plan = UpwindPlan(dt, eps, mat, mesh, Q16, bc.f_left, bc.f_right, reconstruction)
+    return upwind_step(KineticState.from_distribution(f, Q16), plan).f
+
+
 def test_free_transport_step_equals_upwind():
     # with sigma = alpha = 0 the stabilized and blended walls are upwind walls
     mesh, mat, cfg = make_setup(n_cells=30, sigma=0.0, eps=1.0)
@@ -207,7 +213,7 @@ def test_free_transport_step_equals_upwind():
     for mode in ("stabilized", "blended"):
         bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode=mode)
         out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
-        ref = upwind_step(f0, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
+        ref = upwind_f(f0, 1.0, mat, mesh, bc, dt)
         assert np.abs(out.f - ref).max() < 1e-13
 
 
@@ -221,7 +227,7 @@ def test_micro_flux_free_transport_is_upwind():
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
     out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
-    ref = upwind_step(f0, 0.5, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
+    ref = upwind_f(f0, 0.5, mat, mesh, bc, dt)
     assert np.abs(out.f[1:-1] - ref[1:-1]).max() < 1e-13
 
 
@@ -236,7 +242,7 @@ def test_boundary_free_transport_flux_is_upwind():
     for mode in ("stabilized", "blended"):
         bc = BoundarySpec.from_functions(lambda v: v, 0.0, Q16, mode=mode)
         out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
-        ref = upwind_step(f1, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt)
+        ref = upwind_f(f1, 1.0, mat, mesh, bc, dt)
         assert out.rho[0] == pytest.approx(average(Q16, ref[0]), rel=1e-13)
 
 
@@ -248,8 +254,7 @@ def test_second_order_free_transport_matches_traced_upwind():
     bc = BoundarySpec.from_functions(0.0, 0.0, Q16)
     dt = cfl_timestep(cfg, mat, mesh)
     out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
-    ref = upwind_step(state.f, 1.0, mat, mesh, Q16, bc.f_left, bc.f_right, dt,
-                      reconstruction="mc_limited")
+    ref = upwind_f(state.f, 1.0, mat, mesh, bc, dt, "mc_limited")
     assert np.abs(out.f - ref).max() < 1e-13
 
 
@@ -261,7 +266,7 @@ def test_diffusive_macro_update_matches_three_point_scheme():
     dt = cfl_timestep(cfg, mat, mesh)
     out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     kappa = 1.0 / (3.0 * mat.sigma_iface)
-    ref = diffusion_step(rho0, kappa, 0.0, 0.0, mesh.dx, dt, "explicit", (1.0, 0.0))
+    ref = diffusion_step(rho0, DiffusionPlan(dt, kappa, 0.0, 0.0, mesh.dx, "explicit", (1.0, 0.0)))
     assert np.abs(out.rho - ref).max() < 1e-6 * np.abs(ref).max()
 
 
@@ -274,7 +279,7 @@ def test_implicit_macro_update_matches_implicit_diffusion():
     dt = cfl_timestep(cfg, mat, mesh)
     out = step(state, StepPlan(dt, cfg, mat, mesh, Q16, bc))
     kappa = 1.0 / (3.0 * mat.sigma_iface)
-    ref = diffusion_step(rho0, kappa, 0.0, 0.0, mesh.dx, dt, "implicit", (1.0, 0.0))
+    ref = diffusion_step(rho0, DiffusionPlan(dt, kappa, 0.0, 0.0, mesh.dx, "implicit", (1.0, 0.0)))
     assert np.abs(out.rho - ref).max() < 1e-6 * np.abs(ref).max()
 
 
